@@ -28,6 +28,7 @@ from .graph import (
     complete_bipartite,
     cycle,
     degeneracy,
+    free_trees,
     graph_to_text,
     grid,
     load_graph,

@@ -12,8 +12,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import construct, decomp, harness, recognize, solver
+from . import construct, harness, recognize, solver
 from .errors import (
+    CertificateViolation,
     DiagramViolation,
     GraphFormatError,
     InvalidParameter,
@@ -329,7 +330,7 @@ def main(argv=None):
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except DiagramViolation as exc:
+    except (DiagramViolation, CertificateViolation) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (InvalidParameter, GraphFormatError, OddCycleFound, OSError) as exc:

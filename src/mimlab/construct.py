@@ -16,7 +16,12 @@ from .errors import (
     XXCrossing,
 )
 from .graph import BipartiteGraph, Graph, random_cubic, subdivide_all_edges
-from .solver import DEFAULT_EXACT_LIMIT, mimw_exact
+from .solver import (
+    DEFAULT_EXACT_LIMIT,
+    InducedMatching,
+    mimw_exact,
+    verify_induced_matching,
+)
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,6 @@ class ChordDiagram:
     adjacent in the derived intersection graph iff they interleave."""
 
     word: tuple
-
-    @property
-    def label_map(self):
-        # Labels are the subject-graph vertex indices themselves.
-        return {lab: lab for lab in set(self.word)}
 
     def positions(self):
         pos = {}
@@ -191,16 +191,4 @@ def split_submatching_survives(rec: CompletionRecord, report) -> bool:
     half = in_a if len(in_a) >= len(out_a) else out_a
     if 2 * len(half) < len(report.witness_matching.edges):
         return False
-    cut_set = {
-        e for e in rec.result.edges if (e[0] in a) != (e[1] in a)
-    }
-    for e in half:
-        if (min(e), max(e)) not in cut_set:
-            return False
-    for i, e in enumerate(half):
-        for f in half[i + 1 :]:
-            for p in e:
-                for q in f:
-                    if p != q and (min(p, q), max(p, q)) in cut_set:
-                        return False
-    return True
+    return verify_induced_matching(rec.result, InducedMatching(a, tuple(half)))

@@ -8,6 +8,7 @@ syntactic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,21 +19,43 @@ from .errors import (
     NotAPermutation,
     NotBinary,
 )
+from .graph import set_to_mask
 
 DEFAULT_ENUM_LIMIT = 9
 
 
-def _min_leaf(node):
-    while isinstance(node, tuple):
-        node = node[0]
-    return node
+def _fold(root, leaf, combine):
+    """Value of every node in postorder (root last), without recursion:
+    leaf(label) at a leaf, combine(child values) at an internal node."""
+    out = []
+    done = []  # values of the finished children of open nodes
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            # A list [k] closes a node with k children, after they finish.
+            stack.append([len(node)])
+            stack.extend(reversed(node))
+            continue
+        if isinstance(node, list):
+            k = len(done) - node[0]
+            val = combine(done[k:])
+            del done[k:]
+        else:
+            val = leaf(node)
+        done.append(val)
+        out.append(val)
+    return out
 
 
-def _canon(node):
-    if not isinstance(node, tuple):
-        return node
-    children = tuple(sorted((_canon(c) for c in node), key=_min_leaf))
-    return children
+def _canon_node(kids):
+    # kids: (canonical subtree, minimum leaf) pairs.
+    kids.sort(key=lambda kid: kid[1])
+    return tuple(c for c, _ in kids), kids[0][1] if kids else math.inf
+
+
+def _canon(root):
+    return _fold(root, lambda v: (v, v), _canon_node)[-1][0]
 
 
 class BranchDecomposition:
@@ -53,43 +76,32 @@ class BranchDecomposition:
         return out
 
     def to_text(self):
-        def render(node):
-            if isinstance(node, tuple):
-                return "(" + " ".join(render(c) for c in node) + ")"
-            return str(node)
-
-        return render(self.root)
+        return _fold(self.root, str, lambda kids: "(" + " ".join(kids) + ")")[-1]
 
     @classmethod
     def from_text(cls, text):
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        pos = 0
-
-        def parse():
-            nonlocal pos
-            if pos >= len(tokens):
-                raise GraphFormatError("unexpected end of decomposition text")
-            tok = tokens[pos]
-            pos += 1
+        open_nodes = [[]]  # children read so far; the bottom entry holds the root
+        for tok in tokens:
+            if len(open_nodes) == 1 and open_nodes[0]:
+                raise GraphFormatError("trailing tokens in decomposition text")
             if tok == "(":
-                children = []
-                while pos < len(tokens) and tokens[pos] != ")":
-                    children.append(parse())
-                if pos >= len(tokens):
-                    raise GraphFormatError("unbalanced parentheses")
-                pos += 1
-                return tuple(children)
-            if tok == ")":
-                raise GraphFormatError("unexpected ')'")
-            try:
-                return int(tok)
-            except ValueError:
-                raise GraphFormatError(f"bad leaf label {tok!r}") from None
-
-        root = parse()
-        if pos != len(tokens):
-            raise GraphFormatError("trailing tokens in decomposition text")
-        return cls(root)
+                open_nodes.append([])
+            elif tok == ")":
+                if len(open_nodes) == 1:
+                    raise GraphFormatError("unexpected ')'")
+                children = open_nodes.pop()
+                open_nodes[-1].append(tuple(children))
+            else:
+                try:
+                    open_nodes[-1].append(int(tok))
+                except ValueError:
+                    raise GraphFormatError(f"bad leaf label {tok!r}") from None
+        if len(open_nodes) > 1:
+            raise GraphFormatError("unbalanced parentheses")
+        if not open_nodes[0]:
+            raise GraphFormatError("unexpected end of decomposition text")
+        return cls(open_nodes[0][0])
 
     def __eq__(self, other):
         return isinstance(other, BranchDecomposition) and self.root == other.root
@@ -112,17 +124,15 @@ class Cut:
 def validate(t: BranchDecomposition, g):
     """Check tree shape and leaf bijection; raise on the first violation."""
     labels = []
-
-    def walk(node):
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, tuple):
             if len(node) != 2:
                 raise NotBinary(f"internal node with {len(node)} children")
-            walk(node[0])
-            walk(node[1])
+            stack += (node[1], node[0])
         else:
             labels.append(node)
-
-    walk(t.root)
     if sorted(labels) != list(range(g.n)):
         raise LabelMismatch(
             f"leaves {sorted(labels)} are not a bijection onto 0..{g.n - 1}"
@@ -131,30 +141,13 @@ def validate(t: BranchDecomposition, g):
 
 def subtree_leaf_sets(t: BranchDecomposition):
     """Leaf set of every node, in postorder (root last)."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, tuple):
-            acc = frozenset()
-            for c in node:
-                acc |= walk(c)
-        else:
-            acc = frozenset((node,))
-        out.append(acc)
-        return acc
-
-    walk(t.root)
-    return out
+    return _fold(t.root, lambda v: frozenset((v,)), lambda kids: frozenset().union(*kids))
 
 
 def cuts(t: BranchDecomposition, g):
     """One Cut per tree node (postorder; the root's cut is (V, empty))."""
     validate(t, g)
-    out = []
-    for a in subtree_leaf_sets(t):
-        ce = tuple(e for e in g.sorted_edges() if (e[0] in a) != (e[1] in a))
-        out.append(Cut(a, ce))
-    return out
+    return [Cut(a, tuple(g.cut_edges(set_to_mask(a)))) for a in subtree_leaf_sets(t)]
 
 
 def caterpillar_from_order(order) -> BranchDecomposition:

@@ -41,6 +41,10 @@ class DegreeViolation(MimlabError):
     """A vertex violates the degree precondition of the chord embedding."""
 
 
+class CertificateViolation(MimlabError):
+    """A recognizer's own certificate failed its independent re-check."""
+
+
 class DiagramViolation(MimlabError):
     """Base class for chord-diagram verification failures."""
 

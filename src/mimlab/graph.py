@@ -22,7 +22,7 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Undirected simple graph. Vertices are the dense range 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_nbr_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -35,6 +35,7 @@ class Graph:
         self.n = n
         self.edges = frozenset(es)
         self._adj = None
+        self._nbr_masks = None
 
     @property
     def m(self):
@@ -50,6 +51,33 @@ class Graph:
                 nbrs[v].add(u)
             self._adj = tuple(frozenset(s) for s in nbrs)
         return self._adj
+
+    @property
+    def nbr_masks(self):
+        """Tuple of neighbor bitmasks, indexed by vertex: bit w of entry v
+        is set iff vw is an edge."""
+        if self._nbr_masks is None:
+            masks = [0] * self.n
+            for u, v in self.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            self._nbr_masks = tuple(masks)
+        return self._nbr_masks
+
+    def cut_edges(self, mask):
+        """Edges with exactly one end in the vertex set `mask`, in sorted
+        order: for ascending v, the neighbors w > v on the other side."""
+        nbr = self.nbr_masks
+        rest = ((1 << self.n) - 1) ^ mask
+        out = []
+        for v in range(self.n):
+            # -(2 << v) keeps the bits above v.
+            across = nbr[v] & (rest if mask >> v & 1 else mask) & -(2 << v)
+            while across:
+                low = across & -across
+                out.append((v, low.bit_length() - 1))
+                across ^= low
+        return out
 
     def has_edge(self, u, v):
         if u == v:
@@ -109,6 +137,17 @@ class BipartiteGraph:
 
     def __repr__(self):
         return f"BipartiteGraph(n={self.n}, |X|={len(self.x_class)}, |Y|={len(self.y_class)})"
+
+
+def set_to_mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_to_set(mask) -> frozenset:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 @dataclass(frozen=True)
@@ -291,6 +330,62 @@ def random_cubic(n, seed) -> Graph:
             return Graph(n, edges)
 
 
+def free_trees(n):
+    """Yield one tree per isomorphism class of trees on n vertices.
+
+    The Wright-Richmond-Odlyzko-McKay algorithm ("Constant time generation
+    of free trees", SIAM J. Comput. 1986). A tree is a level sequence (the
+    depth of each vertex in preorder) rooted at a center. The root's first
+    subtree L and the rest R (the tree with L removed) must satisfy
+    (height, size, sequence) of L <= that of R. Candidates come in
+    Beyer-Hedetniemi order, and an invalid one jumps straight to the next
+    valid one. Vertex i of the yielded Graph is position i of its level
+    sequence; its parent is the closest earlier vertex one level up.
+    """
+    if n < 0:
+        raise InvalidParameter("vertex count must be non-negative")
+    if n <= 1:
+        if n == 1:
+            yield Graph(1)
+        return
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        split = seq.index(1, 2) if 1 in seq[2:] else n
+        left = [d - 1 for d in seq[1:split]]
+        rest = [0] + seq[split:]
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            old = seq[split - 1]
+            seq = _next_rooted_tree(seq, split - 1)
+            if old > 2:
+                second = seq.index(1, 2) if 1 in seq[2:] else n
+                height = max(seq[1:second])
+                seq[n - height :] = range(1, height + 1)
+        parent_at = [0] * n
+        edges = []
+        for i in range(1, n):
+            edges.append((parent_at[seq[i] - 1], i))
+            parent_at[seq[i]] = i
+        yield Graph(n, edges)
+        p = n - 1
+        while seq[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        seq = _next_rooted_tree(seq, p)
+
+
+def _next_rooted_tree(seq, p):
+    # Beyer-Hedetniemi successor: with q the last position before p one
+    # level above it, repeat the block seq[q:p] from p to the end.
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:p]
+    for i in range(p, len(seq)):
+        out.append(out[i - p + q])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # text format: `graph <n> <m>`, then m sorted `<u> <v>` lines (u < v),
 # optionally a final `bip <x_class indices>` line.
@@ -310,7 +405,8 @@ def bipartite_to_text(b: BipartiteGraph) -> str:
 def parse_graph_text(text):
     """Parse the edge-list format; returns Graph, or BipartiteGraph if a
     `bip` line is present. Accepts unsorted edge lines."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    stripped = (ln.strip() for ln in text.splitlines())
+    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
     head = lines[0].split()

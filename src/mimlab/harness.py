@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import networkx
-
 from . import construct, recognize
 from .errors import (
     DiagramViolation,
@@ -29,6 +27,7 @@ from .graph import (
     complement,
     cycle,
     degeneracy,
+    free_trees,
     grid,
     complete,
     complete_bipartite,
@@ -70,7 +69,6 @@ class Row:
     degeneracy: int = None
     eq1_bound: Fraction = None
     ratio: Fraction = None
-    runtime_ms: int = None  # never emitted; reruns must be byte-identical
 
 
 def _fmt(value):
@@ -88,10 +86,10 @@ class ExperimentReport:
     violations: list = field(default_factory=list)
 
     def to_csv(self):
+        # runtime_ms stays a blank column: reruns must be byte-identical.
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
-            vals = [_fmt(getattr(r, c)) for c in CSV_COLUMNS]
-            vals[CSV_COLUMNS.index("runtime_ms")] = ""
+            vals = ["" if c == "runtime_ms" else _fmt(getattr(r, c)) for c in CSV_COLUMNS]
             lines.append(",".join(vals))
         return "\n".join(lines) + "\n"
 
@@ -118,9 +116,8 @@ def chordal_bipartite_corpus(max_tree_n=8):
     complete bipartite graphs with classes up to 4."""
     out = []
     for n in range(2, max_tree_n + 1):
-        for i, t in enumerate(networkx.nonisomorphic_trees(n)):
-            g = Graph(n, t.edges())
-            out.append((f"tree-{n}-{i}", two_color(g)))
+        for i, t in enumerate(free_trees(n)):
+            out.append((f"tree-{n}-{i}", two_color(t)))
     out.append(("C4", two_color(cycle(4))))
     for a in range(1, 5):
         for b in range(a, 5):

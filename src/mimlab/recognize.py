@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LimitExceeded, OddCycleFound
+from .errors import CertificateViolation, LimitExceeded, OddCycleFound
 from .graph import Graph, complement, two_color
 
 DEFAULT_CYCLE_LIMIT = 16
@@ -140,7 +140,8 @@ def is_split(g: Graph) -> RecognitionResult:
         )
     clique = byd[:k]
     indep = byd[k:]
-    assert verify_clique(g, clique) and verify_independent(g, indep)
+    if not (verify_clique(g, clique) and verify_independent(g, indep)):
+        raise CertificateViolation(f"split partition {clique} / {indep} fails its check")
     return RecognitionResult(
         True,
         {"kind": "split_partition", "clique": sorted(clique), "independent": sorted(indep)},
@@ -206,7 +207,8 @@ def is_chordal(g: Graph) -> RecognitionResult:
             True, {"kind": "perfect_elimination_order", "order": order}
         )
     cyc = _find_chordless_cycle(g)
-    assert cyc is not None and verify_cycle(g, cyc) and not cycle_chords(g, cyc)
+    if cyc is None or not verify_cycle(g, cyc) or cycle_chords(g, cyc):
+        raise CertificateViolation(f"no chordless cycle certifies non-chordality: {cyc}")
     return RecognitionResult(False, {"kind": "chordless_cycle", "cycle": cyc})
 
 

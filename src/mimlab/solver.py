@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .decomp import BranchDecomposition, Cut, caterpillar_from_order, subtree_leaf_sets
 from .errors import LimitExceeded
-from .graph import Graph, degeneracy
+from .graph import Graph, degeneracy, mask_to_set, set_to_mask
 
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TW_LIMIT = 16
@@ -85,8 +85,7 @@ class Eq1Bound:
 def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     """Independent validity check: edges cross the cut, are pairwise
     vertex-disjoint, and no cut edge joins two distinct matching edges."""
-    a = matching.a_side
-    cut_set = {e for e in g.edges if (e[0] in a) != (e[1] in a)}
+    cut_set = set(g.cut_edges(set_to_mask(matching.a_side)))
     seen = set()
     for e in matching.edges:
         u, v = min(e), max(e)
@@ -111,54 +110,45 @@ class _CutSolver:
         self.g = g
         self.n = g.n
         self.full = (1 << g.n) - 1
-        self.edge_list = g.sorted_edges()
         self.memo = {}
-
-    def cut_edges(self, mask):
-        return [
-            e
-            for e in self.edge_list
-            if ((mask >> e[0]) & 1) != ((mask >> e[1]) & 1)
-        ]
 
     def value(self, mask):
         key = min(mask, self.full ^ mask)
         got = self.memo.get(key)
         if got is None:
-            got = self._max_induced_matching(self.cut_edges(mask))[0]
+            got = len(self._max_induced_matching(mask))
             self.memo[key] = got
         return got
 
     def matching(self, mask) -> InducedMatching:
-        ce = self.cut_edges(mask)
-        _, chosen = self._max_induced_matching(ce)
-        a = frozenset(v for v in range(self.n) if (mask >> v) & 1)
-        return InducedMatching(a, tuple(ce[i] for i in chosen))
+        return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
 
-    def _max_induced_matching(self, ce):
-        """Maximum induced matching among cut edges `ce`; exact via
-        branch-and-bound maximum independent set on the conflict graph."""
+    def _max_induced_matching(self, mask):
+        """Maximum induced matching among the edges leaving `mask`, in
+        sorted order; exact via branch-and-bound maximum independent set on
+        the conflict graph."""
+        ce = self.g.cut_edges(mask)
         m = len(ce)
-        if m == 0:
-            return 0, ()
-        cut_set = set(ce)
-        conflict = [0] * m
-        for i in range(m):
-            ui, vi = ce[i]
-            for j in range(i + 1, m):
-                uj, vj = ce[j]
-                if (
-                    ui == uj
-                    or ui == vj
-                    or vi == uj
-                    or vi == vj
-                    or (min(ui, uj), max(ui, uj)) in cut_set
-                    or (min(ui, vj), max(ui, vj)) in cut_set
-                    or (min(vi, uj), max(vi, uj)) in cut_set
-                    or (min(vi, vj), max(vi, vj)) in cut_set
-                ):
-                    conflict[i] |= 1 << j
-                    conflict[j] |= 1 << i
+        if m <= 1:
+            return tuple(ce)
+        # Cut edges conflict iff they share an end or an end of one is a
+        # neighbor across the cut of an end of the other. Each end's
+        # neighbors across the cut include the edge's other end.
+        nbr = self.g.nbr_masks
+        across = (mask, self.full ^ mask)  # by membership in mask: the other side
+        touch = [0] * self.n  # vertex -> bitmask of the cut edges at it
+        for i, (u, v) in enumerate(ce):
+            touch[u] |= 1 << i
+            touch[v] |= 1 << i
+        conflict = []
+        for i, (u, v) in enumerate(ce):
+            near = nbr[u] & across[mask >> u & 1] | nbr[v] & across[mask >> v & 1]
+            hit = 0
+            while near:
+                low = near & -near
+                hit |= touch[low.bit_length() - 1]
+                near ^= low
+            conflict.append(hit & ~(1 << i))
 
         # Greedy initial solution: repeatedly take a min-conflict edge.
         cand = (1 << m) - 1
@@ -196,19 +186,12 @@ class _CutSolver:
                 cur.pop()
 
         rec((1 << m) - 1, [], 0)
-        return best_size, tuple(sorted(best_set))
+        return tuple(ce[i] for i in sorted(best_set))
 
 
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     """Maximum induced matching of the bipartite cut graph G[A, A-bar]."""
-    mask = 0
-    for v in a:
-        mask |= 1 << v
-    return _CutSolver(g).matching(mask)
-
-
-def _mask_to_set(mask, n):
-    return frozenset(v for v in range(n) if (mask >> v) & 1)
+    return _CutSolver(g).matching(set_to_mask(a))
 
 
 def _critical(cs, decomposition):
@@ -216,16 +199,12 @@ def _critical(cs, decomposition):
     by the lexicographically smallest sorted a_side."""
     best = None
     for a in subtree_leaf_sets(decomposition):
-        mask = 0
-        for v in a:
-            mask |= 1 << v
-        val = cs.value(mask)
-        key = (-val, tuple(sorted(a)))
+        mask = set_to_mask(a)
+        key = (-cs.value(mask), tuple(sorted(a)))
         if best is None or key < best[0]:
-            best = (key, mask)
-    _, mask = best
-    a = _mask_to_set(mask, cs.n)
-    cut = Cut(a, tuple(cs.cut_edges(mask)))
+            best = (key, a, mask)
+    _, a, mask = best
+    cut = Cut(a, tuple(cs.g.cut_edges(mask)))
     return cut, cs.matching(mask)
 
 
@@ -242,49 +221,50 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
         return WidthReport(0, "exact", None, None, None)
     cs = _CutSolver(g)
     full = cs.full
-    f = {}
-    choice = {}
-    masks_by_pc = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_pc[mask.bit_count()].append(mask)
-    for s in masks_by_pc[1]:
-        f[s] = cs.value(s)
-    for pc in range(2, n + 1):
-        for s in masks_by_pc[pc]:
-            low = s & -s
-            rest = s ^ low
-            best = None
-            best_t = None
-            sub = rest
-            while True:
-                sub = (sub - 1) & rest
-                t = low | sub
-                inner = max(f[t], f[s ^ t])
-                if best is None or inner < best:
-                    best = inner
-                    best_t = t
-                if sub == 0:
-                    break
-            f[s] = max(cs.value(s), best)
-            choice[s] = best_t
+    # Every proper submask of s is smaller than s, so ascending order
+    # solves both halves of each split before s itself.
+    f = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = s ^ low
+        if not rest:
+            f[s] = cs.value(s)
+            continue
+        best = None
+        best_t = None
+        sub = rest
+        while True:
+            sub = (sub - 1) & rest
+            t = low | sub
+            inner = max(f[t], f[s ^ t])
+            if best is None or inner < best:
+                best = inner
+                best_t = t
+            if sub == 0:
+                break
+        f[s] = max(cs.value(s), best)
+        choice[s] = best_t
 
-    def build(s):
-        if s.bit_count() == 1:
-            return s.bit_length() - 1
+    # Tree nodes top-down, then built bottom-up, without recursion.
+    sets = [full]
+    for s in sets:
+        if choice[s]:
+            sets += (choice[s], s ^ choice[s])
+    node = {}
+    for s in reversed(sets):
         t = choice[s]
-        return (build(t), build(s ^ t))
-
-    t = BranchDecomposition(build(full))
+        node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
+    t = BranchDecomposition(node[full])
     value = f[full]
     if value == 0:
-        cut = Cut(_mask_to_set(full, n), ())
+        cut = Cut(frozenset(range(n)), ())
         return WidthReport(0, "exact", t, cut, InducedMatching(cut.a_side, ()))
     cut, matching = _critical(cs, t)
     return WidthReport(value, "exact", t, cut, matching)
 
 
 def _order_width(cs, order):
-    n = cs.n
     worst = 0
     mask = 0
     for i, v in enumerate(order):
@@ -338,10 +318,7 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
         raise LimitExceeded(f"n={n} exceeds treewidth limit {limit}")
     if n == 0:
         return TreewidthReport(0, ())
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = g.nbr_masks
 
     def q(t_mask, v):
         # Number of vertices outside t_mask (and != v) reachable from v
@@ -366,27 +343,24 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
         return (out & ~t_mask & ~(1 << v)).bit_count()
 
     full = (1 << n) - 1
-    f = {0: 0}
-    choice = {}
-    masks_by_pc = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_pc[mask.bit_count()].append(mask)
-    for pc in range(1, n + 1):
-        for s in masks_by_pc[pc]:
-            best = None
-            best_v = None
-            rem = s
-            while rem:
-                low = rem & -rem
-                v = low.bit_length() - 1
-                rem ^= low
-                t_mask = s ^ low
-                val = max(f[t_mask], q(t_mask, v))
-                if best is None or val < best:
-                    best = val
-                    best_v = v
-            f[s] = best
-            choice[s] = best_v
+    # Ascending order: every s minus one vertex is solved before s.
+    f = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    for s in range(1, full + 1):
+        best = None
+        best_v = None
+        rem = s
+        while rem:
+            low = rem & -rem
+            v = low.bit_length() - 1
+            rem ^= low
+            t_mask = s ^ low
+            val = max(f[t_mask], q(t_mask, v))
+            if best is None or val < best:
+                best = val
+                best_v = v
+        f[s] = best
+        choice[s] = best_v
     order = []
     s = full
     while s:

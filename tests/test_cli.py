@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from mimlab import recognize
 from mimlab.cli import main
 
 
@@ -128,6 +129,19 @@ def test_sweep_deterministic(tmp_path, capsys):
     assert run(args + ["--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0].endswith("runtime_ms")
+
+
+@pytest.mark.parametrize(
+    "cls, gen, checker",
+    [("split", ["complete", "4"], "verify_clique"), ("chordal", ["cycle", "4"], "verify_cycle")],
+)
+def test_failed_certificate_exit_code(tmp_path, capsys, monkeypatch, cls, gen, checker):
+    f = tmp_path / "g.txt"
+    run(["gen", *gen, "--out", str(f)], capsys)
+    monkeypatch.setattr(recognize, checker, lambda *args: False)
+    code, _, err = run(["recognize", cls, str(f)], capsys)
+    assert code == 2
+    assert "violation" in err
 
 
 def test_bad_file_exit_code(tmp_path, capsys):

@@ -117,6 +117,17 @@ def test_enumerated_trees_are_valid():
         validate(t, g)
 
 
+def test_deep_caterpillar_without_recursion():
+    n = 1200
+    text = caterpillar_from_order(range(n)).to_text()
+    back = BranchDecomposition.from_text(text)
+    assert back.to_text() == text  # tuple == on a 1200-deep root would recurse
+    validate(back, path(n))
+    sets = subtree_leaf_sets(back)
+    assert len(sets) == 2 * n - 1
+    assert sets[0] == {0} and sets[-1] == frozenset(range(n))
+
+
 class TestSerialization:
     def test_canonical_child_order(self):
         a = BranchDecomposition(((2, 3), (0, 1)))

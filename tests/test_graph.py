@@ -14,10 +14,12 @@ from mimlab.graph import (
     degeneracy,
     graph_to_text,
     grid,
+    mask_to_set,
     parse_graph_text,
     path,
     random_bipartite,
     random_cubic,
+    set_to_mask,
     subdivide_all_edges,
     two_color,
 )
@@ -55,6 +57,21 @@ class TestGraph:
         g = path(4)
         assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
         assert g.adj[1] == frozenset({0, 2})
+
+
+class TestBitsetView:
+    def test_nbr_masks(self):
+        g = grid(2, 3)
+        assert [mask_to_set(m) for m in g.nbr_masks] == list(g.adj)
+
+    @given(small_graphs(), st.integers(0, 127))
+    def test_cut_edges_are_sorted_crossing_edges(self, g, mask):
+        mask &= (1 << g.n) - 1
+        a = mask_to_set(mask)
+        assert set_to_mask(a) == mask
+        assert g.cut_edges(mask) == [
+            e for e in g.sorted_edges() if (e[0] in a) != (e[1] in a)
+        ]
 
 
 class TestComplement:
@@ -217,6 +234,11 @@ class TestTextFormat:
         parsed = parse_graph_text(bipartite_to_text(b))
         assert isinstance(parsed, BipartiteGraph)
         assert parsed.x_class == b.x_class
+
+    def test_reader_skips_comment_lines(self):
+        assert parse_graph_text("# c\ngraph 2 1\n0 1\n") == Graph(2, [(0, 1)])
+        b = parse_graph_text("  # top\ngraph 3 1\n# mid\n1 2\nbip 0 1\n# end\n")
+        assert b.graph == Graph(3, [(1, 2)]) and b.x_class == {0, 1}
 
     def test_reader_accepts_unsorted(self):
         g = parse_graph_text("graph 3 2\n2 1\n2 0\n")

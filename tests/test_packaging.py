@@ -1,0 +1,45 @@
+"""The README's example runs as written, and the package needs nothing
+beyond the standard library at run time."""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import mimlab
+
+README = Path(__file__).parents[1] / "README.md"
+SRC = Path(mimlab.__file__).parents[1]
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0], {})
+    value, text = out.getvalue().splitlines()
+    assert value == "2"
+    assert text.startswith("(") and text.endswith(")")
+
+
+BLOCKED_NETWORKX = """
+import sys
+sys.modules["networkx"] = None  # any `import networkx` now raises ImportError
+import mimlab, mimlab.harness, mimlab.cli
+assert len(mimlab.harness.chordal_bipartite_corpus()) == 58
+sys.exit(mimlab.cli.main(["verify", "constructions"]))
+"""
+
+
+def test_runs_without_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_NETWORKX], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("family,parameter,n,")

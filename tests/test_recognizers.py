@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import all_graphs, brute_is_comparability
-from mimlab.errors import LimitExceeded
+from mimlab import recognize
+from mimlab.errors import CertificateViolation, LimitExceeded
 from mimlab.graph import (
     Graph,
     complement,
@@ -79,6 +80,19 @@ class TestSplit:
             if r.verdict:
                 assert verify_clique(g, r.certificate["clique"])
                 assert verify_independent(g, r.certificate["independent"])
+
+
+class TestCertificateSelfChecks:
+    # The self-checks raise instead of asserting, so `python -O` keeps them.
+    def test_split_partition_rejected(self, monkeypatch):
+        monkeypatch.setattr(recognize, "verify_clique", lambda g, vs: False)
+        with pytest.raises(CertificateViolation):
+            is_split(complete(4))
+
+    def test_chordless_cycle_rejected(self, monkeypatch):
+        monkeypatch.setattr(recognize, "verify_cycle", lambda g, cyc: False)
+        with pytest.raises(CertificateViolation):
+            is_chordal(cycle(4))
 
 
 class TestChordal:

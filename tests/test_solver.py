@@ -154,6 +154,9 @@ class TestMimwUpper:
             g = random_graph(random.Random(seed).randint(2, 7), 0.5, seed)
             assert mimw_upper(g, seed=seed).value >= mimw_exact(g).value
 
+    def test_long_path_without_recursion(self):
+        assert mimw_upper(path(1200), restarts=0, local_search=False).value == 1
+
     def test_deterministic_per_seed(self):
         g = random_graph(9, 0.4, 3)
         a = mimw_upper(g, seed=5)
