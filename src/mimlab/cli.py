@@ -51,8 +51,7 @@ class Limits:
     orient: int = recognize.DEFAULT_ORIENT_LIMIT
 
 
-def _limits_from_env():
-    lim = Limits()
+def _limits_from_env(lim):
     raw = os.environ.get("MIMLAB_LIMITS", "")
     for part in raw.split(","):
         part = part.strip()
@@ -68,14 +67,19 @@ def _limits_from_env():
     return lim
 
 
-def _resolve_limits(args):
-    lim = _limits_from_env()
+def _resolve_limits(args, **defaults):
+    """Limits from `defaults`, then MIMLAB_LIMITS, then the flags; each must
+    be positive."""
+    lim = _limits_from_env(Limits(**defaults))
     if getattr(args, "exact_limit", None) is not None:
         lim.exact = args.exact_limit
     if getattr(args, "tw_limit", None) is not None:
         lim.tw = args.tw_limit
     if getattr(args, "cycle_limit", None) is not None:
         lim.cycle = args.cycle_limit
+    for key, val in vars(lim).items():
+        if val <= 0:
+            raise InvalidParameter(f"{key} limit must be positive, got {val}")
     return lim
 
 
@@ -213,7 +217,10 @@ def cmd_embed(args):
 
 
 def cmd_verify(args):
-    lim = _resolve_limits(args)
+    # The eq1 corpus goes up to n=10, so that suite's exact limit defaults to 10.
+    lim = _resolve_limits(
+        args, exact=10 if args.suite == "eq1" else solver.DEFAULT_EXACT_LIMIT
+    )
     if args.suite == "lemma31":
         report = harness.verify_lemma31(
             trials=args.trials, n_max=args.n_max, seed=args.seed,
@@ -231,7 +238,7 @@ def cmd_verify(args):
             corpus, cycle_limit=lim.cycle, orient_limit=lim.orient
         )
     else:  # eq1
-        report = harness.verify_eq1(exact_limit=max(lim.exact, 10), tw_limit=lim.tw)
+        report = harness.verify_eq1(exact_limit=lim.exact, tw_limit=lim.tw)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     if report.violations:

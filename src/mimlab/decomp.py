@@ -103,11 +103,13 @@ class BranchDecomposition:
             raise GraphFormatError("unexpected end of decomposition text")
         return cls(open_nodes[0][0])
 
+    # Canonical roots have one text each; comparing nested tuples would
+    # recurse once per level.
     def __eq__(self, other):
-        return isinstance(other, BranchDecomposition) and self.root == other.root
+        return isinstance(other, BranchDecomposition) and self.to_text() == other.to_text()
 
     def __hash__(self):
-        return hash(self.root)
+        return hash(self.to_text())
 
     def __repr__(self):
         return f"BranchDecomposition({self.to_text()})"

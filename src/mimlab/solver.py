@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,6 +104,23 @@ def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     return True
 
 
+def _min_conflict(cand, conflict):
+    """Lowest index among the candidates with the fewest conflicts inside
+    `cand` (a bitmask of edge indices)."""
+    best = best_deg = None
+    rest = cand
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        deg = (conflict[i] & cand).bit_count()
+        if not deg:
+            return i
+        if best is None or deg < best_deg:
+            best, best_deg = i, deg
+        rest ^= low
+    return best
+
+
 class _CutSolver:
     """Per-graph memoized exact solver for cut mim-values (bitmask keyed)."""
 
@@ -154,10 +172,7 @@ class _CutSolver:
         cand = (1 << m) - 1
         greedy = []
         while cand:
-            v = min(
-                (i for i in range(m) if (cand >> i) & 1),
-                key=lambda i: (conflict[i] & cand).bit_count(),
-            )
+            v = _min_conflict(cand, conflict)
             greedy.append(v)
             cand &= ~(conflict[v] | (1 << v))
         best_size = len(greedy)
@@ -174,10 +189,7 @@ class _CutSolver:
                 return
             # Min-degree pivot: some optimal solution contains a member of
             # its closed conflict neighborhood, so branch only over those.
-            pivot = min(
-                (i for i in range(m) if (cand >> i) & 1),
-                key=lambda i: (conflict[i] & cand).bit_count(),
-            )
+            pivot = _min_conflict(cand, conflict)
             branch = conflict[pivot] & cand
             options = [pivot] + [i for i in range(m) if (branch >> i) & 1]
             for u in options:
@@ -310,65 +322,112 @@ def mimw_upper(
     return WidthReport(best_w, "upper", t, cut, matching)
 
 
+def _tw_family(nbr, n, k, choice):
+    """True iff f(V) <= k, for f and q as in `treewidth_exact`: grows the
+    sets S with f(S) <= k one size at a time from the empty set. Each
+    reached S gets its exact f(S) and, in `choice`, the smallest v
+    attaining it."""
+    full = (1 << n) - 1
+    f1 = bytearray(full + 1)  # f(S) + 1 for the reached sets, else 0
+    f1[0] = 1
+    cmask = [0] * n  # vertex of T -> its component of G[T]
+    cnbr = [0] * n  # vertex of T -> the neighbours of that component
+    level = array("Q", (0,))
+    for _ in range(n):
+        nxt = array("Q")
+        for t in level:
+            ft1 = f1[t]
+            # The components of G[T], each with the neighbours of its vertices.
+            rest = t
+            while rest:
+                comp = frontier = rest & -rest
+                around = 0
+                while frontier:
+                    grow = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        grow |= nbr[low.bit_length() - 1]
+                        frontier ^= low
+                    around |= grow
+                    frontier = grow & rest & ~comp
+                    comp |= frontier
+                rest ^= comp
+                c = comp
+                while c:
+                    low = c & -c
+                    u = low.bit_length() - 1
+                    cmask[u] = comp
+                    cnbr[u] = around
+                    c ^= low
+            out = full ^ t
+            rem = out
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                v = low.bit_length() - 1
+                # q(T, v): v's neighbours and those of the components it
+                # touches, outside T + v.
+                reach = nbr[v]
+                hit = reach & t
+                while hit:
+                    u = (hit & -hit).bit_length() - 1
+                    reach |= cnbr[u]
+                    hit &= ~cmask[u]
+                q = (reach & (out ^ low)).bit_count()
+                if q > k:
+                    continue
+                val1 = ft1 if ft1 > q else q + 1
+                s = t | low
+                old = f1[s]
+                if not old:
+                    nxt.append(s)
+                elif val1 > old or val1 == old and v > choice[s]:
+                    continue
+                f1[s] = val1
+                choice[s] = v
+        if not nxt:
+            return False
+        level = nxt
+    return True
+
+
 def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
-    """Exact treewidth by dynamic programming over vertex subsets along
-    elimination orders (Held-Karp-style recurrence), with a witness order."""
+    """Exact treewidth with a witness elimination order, by a threshold
+    search over vertex subsets (Bodlaender, Fomin, Koster, Kratsch and
+    Thilikos 2012; Tamaki 2017).
+
+    q(T, v) counts the vertices outside T + v that v reaches through G[T],
+    and f(S) = min over v in S of max(f(S - v), q(S - v, v)) is the width
+    of the best elimination order that starts with S; tw = f(V). For
+    k = degeneracy, degeneracy + 1, ... (tw >= degeneracy), the sets with
+    f(S) <= k are grown forward from the empty set one size at a time, and
+    the first k whose family reaches V is tw. q(T, v) comes from the
+    components of G[T], found once per T with their neighbourhoods.
+
+    Each reached S keeps its exact f(S) and, among the v attaining it, the
+    smallest, as the full 2^n table would: a v with f(S - v) > k cannot
+    attain f(S) <= k. So the witness order is the table's order. f and the
+    choice of v are bytearrays over the 2^n sets; a level is an array of
+    set masks.
+    """
     n = g.n
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds treewidth limit {limit}")
     if n == 0:
         return TreewidthReport(0, ())
-    adj = g.nbr_masks
-
-    def q(t_mask, v):
-        # Number of vertices outside t_mask (and != v) reachable from v
-        # through already-eliminated vertices.
-        reach = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & t_mask & ~reach
-            reach |= frontier
-        out = 0
-        r = reach
-        while r:
-            low = r & -r
-            out |= adj[low.bit_length() - 1]
-            r ^= low
-        return (out & ~t_mask & ~(1 << v)).bit_count()
-
-    full = (1 << n) - 1
-    # Ascending order: every s minus one vertex is solved before s.
-    f = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    for s in range(1, full + 1):
-        best = None
-        best_v = None
-        rem = s
-        while rem:
-            low = rem & -rem
-            v = low.bit_length() - 1
-            rem ^= low
-            t_mask = s ^ low
-            val = max(f[t_mask], q(t_mask, v))
-            if best is None or val < best:
-                best = val
-                best_v = v
-        f[s] = best
-        choice[s] = best_v
+    nbr = g.nbr_masks
+    choice = bytearray(1 << n)
+    k = degeneracy(g).d
+    while not _tw_family(nbr, n, k, choice):
+        k += 1
     order = []
-    s = full
+    s = (1 << n) - 1
     while s:
         v = choice[s]
         order.append(v)
         s ^= 1 << v
     order.reverse()
-    return TreewidthReport(f[full], tuple(order))
+    return TreewidthReport(k, tuple(order))
 
 
 def mimw_lower_eq1(g: Graph, tw_limit=DEFAULT_TW_LIMIT) -> Eq1Bound:

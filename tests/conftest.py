@@ -62,6 +62,50 @@ def brute_treewidth(g):
     return best if best is not None else 0
 
 
+def table_treewidth(g):
+    """Treewidth and witness order from the full table over all 2^n vertex
+    sets: f(S) = min over v in S of max(f(S - v), q(S - v, v)), where
+    q(T, v) counts the vertices outside T + v that v reaches through T.
+    The smallest v wins ties."""
+    from mimlab.solver import TreewidthReport
+
+    n = g.n
+    adj = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+
+    def around(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def q(t, v):
+        reach = frontier = 1 << v
+        while frontier:
+            frontier = around(frontier) & t & ~reach
+            reach |= frontier
+        return (around(reach) & ~t & ~(1 << v)).bit_count()
+
+    full = (1 << n) - 1
+    f = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    for s in range(1, full + 1):
+        best = None
+        for v in range(n):
+            if s >> v & 1:
+                val = max(f[s ^ 1 << v], q(s ^ 1 << v, v))
+                if best is None or val < best:
+                    best, choice[s] = val, v
+        f[s] = best
+    order = []
+    s = full
+    while s:
+        order.append(choice[s])
+        s ^= 1 << choice[s]
+    return TreewidthReport(f[full], tuple(reversed(order)))
+
+
 def simulate_elimination(g, order):
     """Max number of later neighbors while eliminating with fill-in."""
     adj = {v: set(g.adj[v]) for v in range(g.n)}

@@ -68,6 +68,22 @@ def test_env_limits_flags_win(tmp_path, capsys, monkeypatch):
     assert run(["mimw", "--exact", "--exact-limit", "9", str(f)], capsys)[0] == 3
 
 
+def test_verify_eq1_honours_exact_limit(capsys, monkeypatch):
+    # The corpus reaches n=10, so a limit of 3 stops it.
+    assert run(["verify", "eq1", "--exact-limit", "3"], capsys)[0] == 3
+    monkeypatch.setenv("MIMLAB_LIMITS", "exact=3")
+    assert run(["verify", "eq1"], capsys)[0] == 3
+
+
+def test_nonpositive_limits_rejected(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "p.txt"
+    run(["gen", "path", "4", "--out", str(f)], capsys)
+    code, _, err = run(["tw", "--tw-limit", "0", str(f)], capsys)
+    assert code == 4 and "positive" in err
+    monkeypatch.setenv("MIMLAB_LIMITS", "exact=-1")
+    assert run(["mimw", "--exact", str(f)], capsys)[0] == 4
+
+
 def test_mimw_lower(tmp_path, capsys):
     f = tmp_path / "k5.txt"
     run(["gen", "complete", "5", "--out", str(f)], capsys)

@@ -16,6 +16,7 @@ from mimlab.errors import (
     NotBinary,
 )
 from mimlab.graph import Graph, complete, path
+from mimlab.solver import WidthReport
 
 
 def test_validate_ok():
@@ -126,6 +127,17 @@ def test_deep_caterpillar_without_recursion():
     sets = subtree_leaf_sets(back)
     assert len(sets) == 2 * n - 1
     assert sets[0] == {0} and sets[-1] == frozenset(range(n))
+
+
+def test_deep_decompositions_compare_without_recursion():
+    n = 1200
+    a = caterpillar_from_order(range(n))
+    b = caterpillar_from_order(range(n))
+    assert a == b and hash(a) == hash(b)
+    assert a != caterpillar_from_order([*range(n - 2), n - 1, n - 2])
+    ra = WidthReport(1, "upper", a, None, None)
+    rb = WidthReport(1, "upper", b, None, None)
+    assert ra == rb and hash(ra) == hash(rb)
 
 
 class TestSerialization:

@@ -8,8 +8,10 @@ from conftest import (
     brute_mimw,
     brute_treewidth,
     simulate_elimination,
+    table_treewidth,
 )
 from mimlab.errors import LimitExceeded
+from mimlab.construct import complete_one_side
 from mimlab.graph import (
     Graph,
     complete,
@@ -18,6 +20,7 @@ from mimlab.graph import (
     grid,
     path,
     subdivide_all_edges,
+    two_color,
 )
 from mimlab.solver import (
     max_induced_matching_cut,
@@ -190,6 +193,33 @@ class TestTreewidth:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             treewidth_exact(Graph(17))
+
+    def test_matches_table_oracle_on_randoms(self):
+        # Same value and same elimination order as the full 2^n table;
+        # one graph in 16 has 11 or 12 vertices, where the table is slow.
+        for seed in range(320):
+            rng = random.Random(seed)
+            n = rng.randint(1, 10) if seed % 16 else rng.randint(11, 12)
+            g = random_graph(n, (1 + seed % 9) / 10, seed)
+            assert treewidth_exact(g) == table_treewidth(g), (n, seed)
+
+    @pytest.mark.parametrize("make, smallest", [(Graph, 0), (complete, 1), (path, 1), (cycle, 3)])
+    def test_matches_table_oracle_on_families(self, make, smallest):
+        for n in range(smallest, 11):
+            g = make(n)
+            assert treewidth_exact(g) == table_treewidth(g), n
+
+    def test_matches_table_oracle_on_grid34(self):
+        g = grid(3, 4)
+        assert treewidth_exact(g) == table_treewidth(g)
+
+    def test_sixteen_vertices_at_default_limit(self):
+        b = two_color(grid(4, 4))
+        for g, tw in ((b.graph, 4), (complete_one_side(b, "Y").result, 7)):
+            assert g.n == 16
+            rep = treewidth_exact(g)
+            assert rep.value == tw
+            assert simulate_elimination(g, rep.elimination_order) == tw
 
 
 class TestEq1Bound:
