@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invariant violation, 3 limit exceeded,
-4 I/O / parse / parameter error. Limits can be preset via the env var
-MIMLAB_LIMITS (e.g. "exact=10,tw=14,cycle=12"); explicit flags win.
+4 I/O / parse / parameter / usage error. The exponential solvers' limits
+can be preset via the env var MIMLAB_LIMITS (e.g. "exact=10,tw=14");
+explicit flags win. The recognizers are polynomial and take no limit.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ EXIT_IO = 4
 class Limits:
     exact: int = solver.DEFAULT_EXACT_LIMIT
     tw: int = solver.DEFAULT_TW_LIMIT
-    cycle: int = recognize.DEFAULT_CYCLE_LIMIT
-    orient: int = recognize.DEFAULT_ORIENT_LIMIT
 
 
 def _limits_from_env(lim):
@@ -58,7 +57,7 @@ def _limits_from_env(lim):
         if not part:
             continue
         key, _, val = part.partition("=")
-        if key not in ("exact", "tw", "cycle", "orient"):
+        if key not in ("exact", "tw"):
             raise InvalidParameter(f"unknown limit {key!r} in MIMLAB_LIMITS")
         try:
             setattr(lim, key, int(val))
@@ -75,8 +74,6 @@ def _resolve_limits(args, **defaults):
         lim.exact = args.exact_limit
     if getattr(args, "tw_limit", None) is not None:
         lim.tw = args.tw_limit
-    if getattr(args, "cycle_limit", None) is not None:
-        lim.cycle = args.cycle_limit
     for key, val in vars(lim).items():
         if val <= 0:
             raise InvalidParameter(f"{key} limit must be positive, got {val}")
@@ -140,20 +137,19 @@ def cmd_gen(args):
 
 
 RECOGNIZERS = {
-    "split": lambda g, lim: recognize.is_split(g),
-    "chordal": lambda g, lim: recognize.is_chordal(g),
-    "strongly-chordal": lambda g, lim: recognize.is_strongly_chordal(g, lim.cycle),
-    "chordal-bipartite": lambda g, lim: recognize.is_chordal_bipartite(g, lim.cycle),
-    "comparability": lambda g, lim: recognize.is_comparability(g, lim.orient),
-    "co-comparability": lambda g, lim: recognize.is_co_comparability(g, lim.orient),
+    "split": recognize.is_split,
+    "chordal": recognize.is_chordal,
+    "strongly-chordal": recognize.is_strongly_chordal,
+    "chordal-bipartite": recognize.is_chordal_bipartite,
+    "comparability": recognize.is_comparability,
+    "co-comparability": recognize.is_co_comparability,
 }
 
 
 def cmd_recognize(args):
-    lim = _resolve_limits(args)
     obj = load_graph(args.file)
     g = obj.graph if isinstance(obj, BipartiteGraph) else obj
-    result = RECOGNIZERS[args.cls](g, lim)
+    result = RECOGNIZERS[args.cls](g)
     lines = ["true" if result.verdict else "false"]
     for key in sorted(result.certificate):
         lines.append(f"{key}: {result.certificate[key]}")
@@ -234,9 +230,7 @@ def cmd_verify(args):
                 corpus.append(
                     (name, _load_bipartite(os.path.join(args.corpus, name)))
                 )
-        report = harness.verify_constructions(
-            corpus, cycle_limit=lim.cycle, orient_limit=lim.orient
-        )
+        report = harness.verify_constructions(corpus)
     else:  # eq1
         report = harness.verify_eq1(exact_limit=lim.exact, tw_limit=lim.tw)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
@@ -272,7 +266,6 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--exact-limit", type=int, default=None)
     common.add_argument("--tw-limit", type=int, default=None)
-    common.add_argument("--cycle-limit", type=int, default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None)
 
@@ -330,8 +323,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_IO if exc.code else EXIT_OK
     try:
         return args.func(args)
     except LimitExceeded as exc:

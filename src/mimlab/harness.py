@@ -197,7 +197,7 @@ def verify_lemma31(trials=200, n_max=9, seed=0, exact_limit=DEFAULT_EXACT_LIMIT)
     return ExperimentReport(rows, config, violations)
 
 
-def verify_constructions(corpus=None, cycle_limit=16, orient_limit=16):
+def verify_constructions(corpus=None):
     """Run the recognizer battery over construction outputs: one-side
     completions must be strongly chordal split graphs, double completions
     co-comparability graphs, and the 3-sun negative control must fail."""
@@ -208,7 +208,7 @@ def verify_constructions(corpus=None, cycle_limit=16, orient_limit=16):
     for name, b in corpus:
         rec = construct.complete_one_side(b, "Y")
         split = recognize.is_split(rec.result)
-        strong = recognize.is_strongly_chordal(rec.result, cycle_limit)
+        strong = recognize.is_strongly_chordal(rec.result)
         if not (split.verdict and strong.verdict):
             violations.append(
                 f"{name}: completion split={split.verdict} "
@@ -222,16 +222,14 @@ def verify_constructions(corpus=None, cycle_limit=16, orient_limit=16):
             comp_bip = False
         if not comp_bip:
             violations.append(f"{name}: complement of double completion not bipartite")
-        if both.result.n <= orient_limit:
-            cocomp = recognize.is_co_comparability(both.result, orient_limit)
-            if not cocomp.verdict:
-                violations.append(f"{name}: double completion not co-comparability")
+        if not recognize.is_co_comparability(both.result).verdict:
+            violations.append(f"{name}: double completion not co-comparability")
         rows.append(Row(family="constructions", parameter=name, n=b.n))
     # Negative control: completing one side of C6 gives the 3-sun, which is
     # chordal but not strongly chordal.
     sun = construct.complete_one_side(two_color(cycle(6)), "Y").result
     ch = recognize.is_chordal(sun)
-    strong = recognize.is_strongly_chordal(sun, cycle_limit)
+    strong = recognize.is_strongly_chordal(sun)
     ok = (
         ch.verdict
         and not strong.verdict
@@ -241,8 +239,7 @@ def verify_constructions(corpus=None, cycle_limit=16, orient_limit=16):
     if not ok:
         violations.append("3-sun negative control failed")
     rows.append(Row(family="constructions", parameter="3-sun-negative", n=6))
-    config = {"suite": "constructions", "corpus_size": len(corpus),
-              "cycle_limit": cycle_limit, "orient_limit": orient_limit}
+    config = {"suite": "constructions", "corpus_size": len(corpus)}
     return ExperimentReport(rows, config, violations)
 
 

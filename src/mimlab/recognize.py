@@ -2,20 +2,19 @@
 
 Each recognizer returns a RecognitionResult whose certificate either
 re-verifies independently (positive) or exhibits a concrete violation
-(negative). Strong chordality and chordal bipartiteness are decided by
-definition-level exhaustive cycle enumeration, which keeps the checkers
-auditable at desk scale.
+(negative). All run in polynomial time: strong chordality by deleting
+simple vertices (Farber 1983), chordal bipartiteness by the same test on
+the one-side completion, comparability by Golumbic's G-decomposition
+(1977).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateViolation, LimitExceeded, OddCycleFound
+from .construct import complete_one_side
+from .errors import CertificateViolation, OddCycleFound
 from .graph import Graph, complement, two_color
-
-DEFAULT_CYCLE_LIMIT = 16
-DEFAULT_ORIENT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -91,32 +90,6 @@ def verify_transitive_orientation(g, orientation):
             if (a, c) not in directed:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# cycle enumeration
-
-
-def enumerate_cycles(g: Graph, min_len=3):
-    """All simple cycles, each exactly once, as canonical vertex tuples:
-    smallest vertex first and second entry smaller than last."""
-    adj = [sorted(g.adj[v]) for v in range(g.n)]
-    for s in range(g.n):
-        path = [s]
-        on_path = {s}
-
-        def dfs(v):
-            for w in adj[v]:
-                if w == s and len(path) >= max(3, min_len) and path[1] < path[-1]:
-                    yield tuple(path)
-                elif w > s and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    yield from dfs(w)
-                    on_path.remove(w)
-                    path.pop()
-
-        yield from dfs(s)
 
 
 # ---------------------------------------------------------------------------
@@ -212,146 +185,159 @@ def is_chordal(g: Graph) -> RecognitionResult:
     return RecognitionResult(False, {"kind": "chordless_cycle", "cycle": cyc})
 
 
-def is_strongly_chordal(g: Graph, limit=DEFAULT_CYCLE_LIMIT) -> RecognitionResult:
-    """Chordal, and every even cycle of length >= 6 has an odd chord
-    (checked by exhaustive cycle enumeration)."""
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds cycle enumeration limit {limit}")
+def _bits(mask):
+    """The vertices of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _simple_elimination(nbr, rest):
+    """Delete simple vertices from the vertex set `rest`, sweeping it in
+    ascending order until a sweep deletes none. A vertex is simple if the
+    closed neighbourhoods of its closed neighbourhood form a chain; it stays
+    simple in every induced subgraph, so the order of deletion does not
+    matter. Returns the deletion order and the stuck remainder, which is 0
+    iff the set induces a strongly chordal graph (Farber 1983)."""
+    order = []
+    swept = True
+    while swept:
+        swept = False
+        for v in _bits(rest):
+            hoods = sorted(
+                ((nbr[u] | 1 << u) & rest for u in _bits((nbr[v] | 1 << v) & rest)),
+                key=int.bit_count,
+            )
+            if all(not a & ~b for a, b in zip(hoods, hoods[1:])):
+                rest ^= 1 << v
+                order.append(v)
+                swept = True
+    return order, rest
+
+
+def _sun_cycle(nbr, stuck):
+    """Shrink a stuck remainder to a minimal vertex set that still gets
+    stuck, dropping vertices in ascending order; a chordal minimal one is a
+    sun. Returns the sun's cycle u1 w1 u2 w2 ..., where the w are its
+    degree-2 vertices, from its smallest vertex towards the smaller
+    neighbour."""
+    for v in _bits(stuck):
+        if stuck >> v & 1:
+            rest = _simple_elimination(nbr, stuck ^ 1 << v)[1]
+            if rest:
+                stuck = rest
+    deg2 = sum(1 << v for v in _bits(stuck) if (nbr[v] & stuck).bit_count() == 2)
+    cyc = []
+    seen, prev, cur = 0, 0, stuck & -stuck
+    while cur and not cur & seen:
+        seen |= cur
+        v = cur.bit_length() - 1
+        cyc.append(v)
+        links = nbr[v] & (stuck if deg2 & cur else deg2) & ~prev
+        prev, cur = cur, links & -links
+    return cyc
+
+
+def verify_simple_elimination_order(g, order):
+    """True iff `order` lists every vertex once and each vertex is simple
+    among itself and the later ones (Farber's strong chordality
+    certificate)."""
+    if sorted(order) != list(range(g.n)):
+        return False
+    later = set(range(g.n))
+    for v in order:
+        hoods = sorted(
+            ((g.adj[u] | {u}) & later for u in (g.adj[v] | {v}) & later), key=len
+        )
+        if any(not a <= b for a, b in zip(hoods, hoods[1:])):
+            return False
+        later.remove(v)
+    return True
+
+
+def is_strongly_chordal(g: Graph, limit=None) -> RecognitionResult:
+    """Chordal and repeatedly reducible by simple vertices. The positive
+    certificate is the simple elimination order; the negative one is a
+    sun's 2k-cycle, an even cycle of length >= 6 with no odd chord.
+    `limit` is ignored."""
     chordal = is_chordal(g)
     if not chordal.verdict:
         return chordal
-    violating = None
-    checked = 0
-    for cyc in enumerate_cycles(g, min_len=6):
-        if len(cyc) % 2 != 0:
-            continue
-        checked += 1
-        if not has_odd_chord(g, cyc):
-            key = (len(cyc), cyc)
-            if violating is None or key < violating:
-                violating = key
-    if violating is not None:
-        cyc = list(violating[1])
+    order, stuck = _simple_elimination(g.nbr_masks, (1 << g.n) - 1)
+    if stuck:
+        cyc = _sun_cycle(g.nbr_masks, stuck)
+        if len(cyc) < 6 or len(cyc) % 2 or not verify_cycle(g, cyc) or has_odd_chord(g, cyc):
+            raise CertificateViolation(f"no even cycle without odd chord in the sun: {cyc}")
         return RecognitionResult(
             False,
-            {
-                "kind": "even_cycle_no_odd_chord",
-                "cycle": cyc,
-                "chords": cycle_chords(g, cyc),
-            },
+            {"kind": "even_cycle_no_odd_chord", "cycle": cyc, "chords": cycle_chords(g, cyc)},
         )
-    return RecognitionResult(
-        True,
-        {
-            "kind": "strongly_chordal",
-            "order": chordal.certificate["order"],
-            "even_cycles_checked": checked,
-        },
-    )
+    if not verify_simple_elimination_order(g, order):
+        raise CertificateViolation(f"simple elimination order {order} fails its check")
+    return RecognitionResult(True, {"kind": "strongly_chordal", "order": order})
 
 
-def is_chordal_bipartite(g: Graph, limit=DEFAULT_CYCLE_LIMIT) -> RecognitionResult:
-    """Bipartite, and every cycle of length >= 6 has a chord."""
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds cycle enumeration limit {limit}")
+def is_chordal_bipartite(g: Graph, limit=None) -> RecognitionResult:
+    """Bipartite, and completing one class to a clique gives a strongly
+    chordal graph; the completion's sun cycle is a chordless cycle of
+    length >= 6 in g. `limit` is ignored."""
     try:
         coloring = two_color(g)
     except OddCycleFound as exc:
         return RecognitionResult(False, {"kind": "odd_cycle", "cycle": list(exc.cycle)})
-    violating = None
-    for cyc in enumerate_cycles(g, min_len=6):
-        if not cycle_chords(g, cyc):
-            key = (len(cyc), cyc)
-            if violating is None or key < violating:
-                violating = key
-    if violating is not None:
-        return RecognitionResult(
-            False, {"kind": "chordless_long_cycle", "cycle": list(violating[1])}
-        )
+    nbr = complete_one_side(coloring, "Y").result.nbr_masks
+    stuck = _simple_elimination(nbr, (1 << g.n) - 1)[1]
+    if stuck:
+        cyc = _sun_cycle(nbr, stuck)
+        if len(cyc) < 6 or not verify_cycle(g, cyc) or cycle_chords(g, cyc):
+            raise CertificateViolation(f"no chordless long cycle in the sun: {cyc}")
+        return RecognitionResult(False, {"kind": "chordless_long_cycle", "cycle": cyc})
     return RecognitionResult(
         True,
         {"kind": "chordal_bipartite", "x_class": sorted(coloring.x_class)},
     )
 
 
-def _propagate(g, orient, queue):
-    """Force orientations implied by transitivity. `orient` maps each
-    oriented edge (normalized) to its (tail, head). Returns False on
-    contradiction."""
-
-    def force(a, b):
-        key = (a, b) if a < b else (b, a)
-        cur = orient.get(key)
-        if cur is None:
-            orient[key] = (a, b)
-            queue.append((a, b))
-            return True
-        return cur == (a, b)
-
-    while queue:
-        a, b = queue.pop()
-        for c in g.adj[b]:
-            if c == a:
-                continue
-            key = (b, c) if b < c else (c, b)
-            cur = orient.get(key)
-            if cur == (b, c):
-                # a -> b -> c needs a -> c.
-                if not g.has_edge(a, c) or not force(a, c):
-                    return False
-            elif cur is None and not g.has_edge(a, c):
-                # b -> c would need the nonexistent edge a-c.
-                if not force(c, b):
-                    return False
-        for c in g.adj[a]:
-            if c == b:
-                continue
-            key = (a, c) if a < c else (c, a)
-            cur = orient.get(key)
-            if cur == (c, a):
-                # c -> a -> b needs c -> b.
-                if not g.has_edge(c, b) or not force(c, b):
-                    return False
-            elif cur is None and not g.has_edge(c, b):
-                # c -> a would need the nonexistent edge c-b.
-                if not force(a, c):
-                    return False
-    return True
-
-
-def is_comparability(g: Graph, limit=DEFAULT_ORIENT_LIMIT) -> RecognitionResult:
-    """Transitive orientability via backtracking with implication-class
-    propagation; positive certificate re-verified over all 2-paths."""
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds orientation search limit {limit}")
-    edges = g.sorted_edges()
-
-    def search(orient):
-        pending = [e for e in edges if e not in orient]
-        if not pending:
-            ori = sorted(orient.values())
-            return ori if verify_transitive_orientation(g, ori) else None
-        u, v = pending[0]
-        for a, b in ((u, v), (v, u)):
-            trial = dict(orient)
-            trial[(u, v)] = (a, b)
-            if _propagate(g, trial, [(a, b)]):
-                got = search(trial)
-                if got is not None:
-                    return got
-        return None
-
-    got = search({})
-    if got is None:
-        return RecognitionResult(False, {"kind": "no_transitive_orientation"})
+def is_comparability(g: Graph) -> RecognitionResult:
+    """Transitive orientability by Golumbic's G-decomposition (1977): the
+    implication class of the smallest remaining edge, taken among the
+    remaining edges, either holds both directions of an edge (no transitive
+    orientation) or is oriented as it stands and removed. The union of the
+    classes is re-verified over all 2-paths."""
+    nbr = list(g.nbr_masks)
+    orientation = []
+    for u, v in g.sorted_edges():
+        if not nbr[u] >> v & 1:
+            continue
+        cls = {(u, v)}
+        todo = [(u, v)]
+        while todo:
+            a, b = todo.pop()
+            # ab forces ac when bc is no remaining edge, and cb when ca is none.
+            forced = [(a, c) for c in _bits(nbr[a] & ~nbr[b] & ~(1 << b))]
+            forced += [(c, b) for c in _bits(nbr[b] & ~nbr[a] & ~(1 << a))]
+            for x, y in forced:
+                if (y, x) in cls:
+                    return RecognitionResult(False, {"kind": "no_transitive_orientation"})
+                if (x, y) not in cls:
+                    cls.add((x, y))
+                    todo.append((x, y))
+        for a, b in cls:
+            nbr[a] &= ~(1 << b)
+            nbr[b] &= ~(1 << a)
+        orientation += cls
+    orientation.sort()
+    if not verify_transitive_orientation(g, orientation):
+        raise CertificateViolation("the G-decomposition's orientation is not transitive")
     return RecognitionResult(
-        True, {"kind": "transitive_orientation", "orientation": [list(e) for e in got]}
+        True, {"kind": "transitive_orientation", "orientation": [list(e) for e in orientation]}
     )
 
 
-def is_co_comparability(g: Graph, limit=DEFAULT_ORIENT_LIMIT) -> RecognitionResult:
+def is_co_comparability(g: Graph) -> RecognitionResult:
     """Complement is a comparability graph; certificate transferred."""
-    inner = is_comparability(complement(g), limit)
+    inner = is_comparability(complement(g))
     cert = dict(inner.certificate)
     cert["kind"] = "complement_" + cert["kind"]
     return RecognitionResult(inner.verdict, cert)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,6 +221,15 @@ def _critical(cs, decomposition):
     return cut, cs.matching(mask)
 
 
+def _check_limit(n, limit, what):
+    """Refuse n above the limit, and any n whose table over all 2^n vertex
+    sets could not even be indexed, whatever the limit."""
+    if n > limit:
+        raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
+    if 1 << n > sys.maxsize:
+        raise LimitExceeded(f"n={n}: a table over 2^{n} vertex sets cannot be indexed")
+
+
 def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     """Exact mim-width with a witness decomposition and critical cut.
 
@@ -227,8 +237,7 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     width 0 with an empty witness.
     """
     n = g.n
-    if n > limit:
-        raise LimitExceeded(f"n={n} exceeds exact mim-width limit {limit}")
+    _check_limit(n, limit, "exact mim-width")
     if n <= 1:
         return WidthReport(0, "exact", None, None, None)
     cs = _CutSolver(g)
@@ -411,8 +420,7 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     set masks.
     """
     n = g.n
-    if n > limit:
-        raise LimitExceeded(f"n={n} exceeds treewidth limit {limit}")
+    _check_limit(n, limit, "treewidth")
     if n == 0:
         return TreewidthReport(0, ())
     nbr = g.nbr_masks

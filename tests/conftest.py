@@ -140,6 +140,52 @@ def brute_is_comparability(g):
     return False
 
 
+def enumerate_cycles(g, min_len=3):
+    """All simple cycles, each exactly once, as canonical vertex tuples:
+    smallest vertex first and second entry smaller than last."""
+    adj = [sorted(g.adj[v]) for v in range(g.n)]
+    for s in range(g.n):
+        path = [s]
+        on_path = {s}
+
+        def dfs(v):
+            for w in adj[v]:
+                if w == s and len(path) >= max(3, min_len) and path[1] < path[-1]:
+                    yield tuple(path)
+                elif w > s and w not in on_path:
+                    path.append(w)
+                    on_path.add(w)
+                    yield from dfs(w)
+                    on_path.remove(w)
+                    path.pop()
+
+        yield from dfs(s)
+
+
+def brute_is_strongly_chordal(g):
+    """Chordal, and every even cycle of length >= 6 has an odd chord, by
+    enumerating every cycle."""
+    from mimlab.recognize import has_odd_chord, is_chordal
+
+    return is_chordal(g).verdict and all(
+        has_odd_chord(g, c) for c in enumerate_cycles(g, min_len=6) if len(c) % 2 == 0
+    )
+
+
+def brute_is_chordal_bipartite(g):
+    """Bipartite, and every cycle of length >= 6 has a chord, by enumerating
+    every cycle."""
+    from mimlab.errors import OddCycleFound
+    from mimlab.graph import two_color
+    from mimlab.recognize import cycle_chords
+
+    try:
+        two_color(g)
+    except OddCycleFound:
+        return False
+    return all(cycle_chords(g, c) for c in enumerate_cycles(g, min_len=6))
+
+
 def all_graphs(n):
     """Every labeled graph on n vertices."""
     from mimlab.graph import Graph

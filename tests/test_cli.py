@@ -84,6 +84,23 @@ def test_nonpositive_limits_rejected(tmp_path, capsys, monkeypatch):
     assert run(["mimw", "--exact", str(f)], capsys)[0] == 4
 
 
+def test_unindexable_tables_exit_limit(tmp_path, capsys):
+    # A table over 2^70 sets cannot be indexed. Do not test n in 30..62:
+    # those pass the check and really allocate gigabytes.
+    f = tmp_path / "p70.txt"
+    run(["gen", "path", "70", "--out", str(f)], capsys)
+    assert run(["mimw", "--exact", "--exact-limit", "70", str(f)], capsys)[0] == 3
+    assert run(["tw", "--tw-limit", "70", str(f)], capsys)[0] == 3
+
+
+def test_usage_errors_exit_4(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    run(["gen", "path", "4", "--out", str(f)], capsys)
+    assert run(["tw", "--tw-limit", "abc", str(f)], capsys)[0] == 4
+    assert run(["recognize", "strongly-chordal", "--cycle-limit", "5", str(f)], capsys)[0] == 4
+    assert run(["--help"], capsys)[0] == 0
+
+
 def test_mimw_lower(tmp_path, capsys):
     f = tmp_path / "k5.txt"
     run(["gen", "complete", "5", "--out", str(f)], capsys)
@@ -149,7 +166,11 @@ def test_sweep_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "cls, gen, checker",
-    [("split", ["complete", "4"], "verify_clique"), ("chordal", ["cycle", "4"], "verify_cycle")],
+    [
+        ("split", ["complete", "4"], "verify_clique"),
+        ("chordal", ["cycle", "4"], "verify_cycle"),
+        ("strongly-chordal", ["complete", "4"], "verify_simple_elimination_order"),
+    ],
 )
 def test_failed_certificate_exit_code(tmp_path, capsys, monkeypatch, cls, gen, checker):
     f = tmp_path / "g.txt"

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from conftest import all_graphs, brute_is_comparability
+from conftest import (
+    all_graphs,
+    brute_is_chordal_bipartite,
+    brute_is_comparability,
+    brute_is_strongly_chordal,
+    enumerate_cycles,
+)
 from mimlab import recognize
-from mimlab.errors import CertificateViolation, LimitExceeded
+from mimlab.construct import complete_both_sides, complete_one_side
+from mimlab.errors import CertificateViolation
 from mimlab.graph import (
     Graph,
     complement,
@@ -13,11 +20,11 @@ from mimlab.graph import (
     cycle,
     grid,
     path,
+    random_bipartite,
     two_color,
 )
 from mimlab.recognize import (
     cycle_chords,
-    enumerate_cycles,
     has_odd_chord,
     is_chordal,
     is_chordal_bipartite,
@@ -29,6 +36,7 @@ from mimlab.recognize import (
     verify_cycle,
     verify_elimination_order,
     verify_independent,
+    verify_simple_elimination_order,
     verify_transitive_orientation,
 )
 
@@ -38,6 +46,88 @@ def random_graph(n, p, seed):
     return Graph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def assert_certified(g, res):
+    """Re-check a recognizer's certificate with the independent verifiers."""
+    c = res.certificate
+    kind = c["kind"]
+    if kind == "strongly_chordal":
+        assert verify_simple_elimination_order(g, c["order"])
+    elif kind == "chordless_cycle":
+        cyc = c["cycle"]
+        assert len(cyc) >= 4 and verify_cycle(g, cyc) and not cycle_chords(g, cyc)
+    elif kind == "even_cycle_no_odd_chord":
+        cyc = c["cycle"]
+        assert len(cyc) >= 6 and len(cyc) % 2 == 0 and verify_cycle(g, cyc)
+        assert not has_odd_chord(g, cyc) and c["chords"] == cycle_chords(g, cyc)
+    elif kind == "chordal_bipartite":
+        x = set(c["x_class"])
+        assert verify_independent(g, x) and verify_independent(g, set(range(g.n)) - x)
+    elif kind == "odd_cycle":
+        assert len(c["cycle"]) % 2 == 1 and verify_cycle(g, c["cycle"])
+    elif kind == "chordless_long_cycle":
+        cyc = c["cycle"]
+        assert len(cyc) >= 6 and verify_cycle(g, cyc) and not cycle_chords(g, cyc)
+    elif kind == "transitive_orientation":
+        assert verify_transitive_orientation(g, c["orientation"])
+    else:
+        assert kind == "no_transitive_orientation"
+
+
+def assert_matches_oracles(g, comparability=True):
+    sc = is_strongly_chordal(g)
+    cb = is_chordal_bipartite(g)
+    assert sc.verdict == brute_is_strongly_chordal(g)
+    assert cb.verdict == brute_is_chordal_bipartite(g)
+    results = [sc, cb]
+    if comparability:
+        co = is_comparability(g)
+        assert co.verdict == brute_is_comparability(g)
+        results.append(co)
+    for res in results:
+        assert_certified(g, res)
+
+
+class TestOracles:
+    def test_all_small_graphs(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert_matches_oracles(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(4)
+        for seed in range(150):
+            g = random_graph(rng.randint(6, 9), rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
+            # The orientation oracle tries all 2^m orientations.
+            assert_matches_oracles(g, comparability=g.m <= 12)
+
+    def test_split_completions(self):
+        rng = random.Random(5)
+        for seed in range(60):
+            b = random_bipartite(rng.randint(3, 6), rng.randint(3, 6), rng.uniform(0.3, 0.7), seed)
+            split = complete_one_side(b, "Y").result
+            r = is_strongly_chordal(split)
+            assert r.verdict == brute_is_strongly_chordal(split)
+            assert r.verdict == is_chordal_bipartite(b.graph).verdict
+            assert_certified(split, r)
+            assert_matches_oracles(b.graph, comparability=False)
+
+
+class TestScale:
+    def test_completions_at_paper_scale(self):
+        split = complete_one_side(two_color(grid(10, 10)), "Y").result
+        r = is_strongly_chordal(split)
+        assert not r.verdict and r.certificate["kind"] == "even_cycle_no_odd_chord"
+        assert_certified(split, r)
+        split = complete_one_side(complete_bipartite(20, 20), "Y").result
+        r = is_strongly_chordal(split)
+        assert r.verdict
+        assert_certified(split, r)
+        both = complete_both_sides(two_color(grid(8, 8))).result
+        r = is_co_comparability(both)
+        assert r.verdict
+        assert verify_transitive_orientation(complement(both), r.certificate["orientation"])
 
 
 class TestCycleEnumeration:
@@ -138,10 +228,6 @@ class TestStronglyChordal:
 
     def test_complete_positive(self):
         assert is_strongly_chordal(complete(6)).verdict
-
-    def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            is_strongly_chordal(Graph(17))
 
     def test_deterministic(self, three_sun):
         assert (
