@@ -16,7 +16,6 @@ from .decomp import (
     Cut,
     caterpillar_from_order,
     cuts,
-    enumerate_decompositions,
     validate,
 )
 from .graph import (

@@ -88,49 +88,57 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _emit_report(report, args):
+    """Write a harness report; its violations go to stderr and exit 2."""
+    text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
+    _emit(text, args.out)
+    for v in report.violations:
+        print(f"violation: {v}", file=sys.stderr)
+    return EXIT_VIOLATION if report.violations else EXIT_OK
+
+
+def _number(text, kind=int):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameter(f"expected {kind.__name__}, got {text!r}") from None
+
+
+def _load_graph(filename):
+    obj = load_graph(filename)
+    return obj.graph if isinstance(obj, BipartiteGraph) else obj
+
+
 def _load_bipartite(filename):
     obj = load_graph(filename)
-    if isinstance(obj, BipartiteGraph):
-        return obj
-    return two_color(obj)
+    return obj if isinstance(obj, BipartiteGraph) else two_color(obj)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+# family -> (generator, parameter types, whether it takes --seed last)
+GENERATORS = {
+    "grid": (grid, (int, int), False),
+    "cycle": (cycle, (int,), False),
+    "path": (path, (int,), False),
+    "complete": (complete, (int,), False),
+    "complete-bipartite": (complete_bipartite, (int, int), False),
+    "random-bipartite": (random_bipartite, (int, int, float), True),
+    "cubic": (random_cubic, (int,), True),
+}
+
+
 def cmd_gen(args):
     fam = args.family
-    p = args.params
-    seed = args.seed
-
-    def want(k):
-        if len(p) != k:
-            raise InvalidParameter(f"family {fam!r} takes {k} parameter(s)")
-
-    if fam == "grid":
-        want(2)
-        obj = grid(int(p[0]), int(p[1]))
-    elif fam == "cycle":
-        want(1)
-        obj = cycle(int(p[0]))
-    elif fam == "path":
-        want(1)
-        obj = path(int(p[0]))
-    elif fam == "complete":
-        want(1)
-        obj = complete(int(p[0]))
-    elif fam == "complete-bipartite":
-        want(2)
-        obj = complete_bipartite(int(p[0]), int(p[1]))
-    elif fam == "random-bipartite":
-        want(3)
-        obj = random_bipartite(int(p[0]), int(p[1]), float(p[2]), seed)
-    elif fam == "cubic":
-        want(1)
-        obj = random_cubic(int(p[0]), seed)
-    else:
+    if fam not in GENERATORS:
         raise InvalidParameter(f"unknown family {fam!r}")
+    gen, kinds, seeded = GENERATORS[fam]
+    if len(args.params) != len(kinds):
+        raise InvalidParameter(f"family {fam!r} takes {len(kinds)} parameter(s)")
+    params = [_number(text, kind) for text, kind in zip(args.params, kinds)]
+    obj = gen(*params, args.seed) if seeded else gen(*params)
     text = bipartite_to_text(obj) if isinstance(obj, BipartiteGraph) else graph_to_text(obj)
     _emit(text, args.out)
     return EXIT_OK
@@ -147,8 +155,7 @@ RECOGNIZERS = {
 
 
 def cmd_recognize(args):
-    obj = load_graph(args.file)
-    g = obj.graph if isinstance(obj, BipartiteGraph) else obj
+    g = _load_graph(args.file)
     result = RECOGNIZERS[args.cls](g)
     lines = ["true" if result.verdict else "false"]
     for key in sorted(result.certificate):
@@ -159,8 +166,7 @@ def cmd_recognize(args):
 
 def cmd_mimw(args):
     lim = _resolve_limits(args)
-    obj = load_graph(args.file)
-    g = obj.graph if isinstance(obj, BipartiteGraph) else obj
+    g = _load_graph(args.file)
     if args.lower:
         bound = solver.mimw_lower_eq1(g, lim.tw)
         _emit(
@@ -180,8 +186,7 @@ def cmd_mimw(args):
 
 def cmd_tw(args):
     lim = _resolve_limits(args)
-    obj = load_graph(args.file)
-    g = obj.graph if isinstance(obj, BipartiteGraph) else obj
+    g = _load_graph(args.file)
     rep = solver.treewidth_exact(g, lim.tw)
     _emit(
         f"tw {rep.value}\norder {' '.join(str(v) for v in rep.elimination_order)}\n",
@@ -192,7 +197,7 @@ def cmd_tw(args):
 
 def cmd_construct(args):
     if args.kind == "circle":
-        b = construct.build_subdivided_family(int(args.arg), args.seed)
+        b = construct.build_subdivided_family(_number(args.arg), args.seed)
         _emit(bipartite_to_text(b), args.out)
         return EXIT_OK
     b = _load_bipartite(args.arg)
@@ -233,29 +238,17 @@ def cmd_verify(args):
         report = harness.verify_constructions(corpus)
     else:  # eq1
         report = harness.verify_eq1(exact_limit=lim.exact, tw_limit=lim.tw)
-    text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
-    _emit(text, args.out)
-    if report.violations:
-        for v in report.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _emit_report(report, args)
 
 
 def cmd_sweep(args):
     lim = _resolve_limits(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = [_number(s) for s in args.sizes.split(",")]
     report = harness.sweep(
         args.family, sizes, seed=args.seed,
         exact_limit=lim.exact, tw_limit=lim.tw,
     )
-    text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
-    _emit(text, args.out)
-    if report.violations:
-        for v in report.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _emit_report(report, args)
 
 
 # ---------------------------------------------------------------------------

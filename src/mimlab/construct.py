@@ -164,15 +164,20 @@ def verify_chord_diagram(d: ChordDiagram, b: BipartiteGraph):
     return None
 
 
-def completion_ratio(rec: CompletionRecord, limit=DEFAULT_EXACT_LIMIT) -> Fraction:
-    """mimw(result) / mimw(original) as an exact rational. Both widths zero
-    gives 1 by convention; a zero-width original with a nonzero result
-    yields the (vacuously large) numerator itself."""
-    num = mimw_exact(rec.result, limit).value
-    den = mimw_exact(rec.original.graph, limit).value
+def width_ratio(num, den) -> Fraction:
+    """num / den as an exact rational, for widths. Both zero gives 1 by
+    convention; a zero den with a nonzero num yields the (vacuously large)
+    num itself."""
     if den == 0:
         return Fraction(1) if num == 0 else Fraction(num)
     return Fraction(num, den)
+
+
+def completion_ratio(rec: CompletionRecord, limit=DEFAULT_EXACT_LIMIT) -> Fraction:
+    """mimw(result) / mimw(original) by `width_ratio`, with exact widths."""
+    return width_ratio(
+        mimw_exact(rec.result, limit).value, mimw_exact(rec.original.graph, limit).value
+    )
 
 
 def split_submatching_survives(rec: CompletionRecord, report) -> bool:

@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 from .errors import (
     GraphFormatError,
-    InvalidParameter,
     LabelMismatch,
-    LimitExceeded,
     NotAPermutation,
     NotBinary,
 )
 from .graph import set_to_mask
-
-DEFAULT_ENUM_LIMIT = 9
 
 
 def _fold(root, leaf, combine):
@@ -63,17 +59,6 @@ class BranchDecomposition:
 
     def __init__(self, root):
         self.root = _canon(root)
-
-    def leaves(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, tuple):
-                stack.extend(reversed(node))
-            else:
-                out.append(node)
-        return out
 
     def to_text(self):
         return _fold(self.root, str, lambda kids: "(" + " ".join(kids) + ")")[-1]
@@ -162,36 +147,3 @@ def caterpillar_from_order(order) -> BranchDecomposition:
     for v in order[2:]:
         node = (node, v)
     return BranchDecomposition(node)
-
-
-def _insertions(node, leaf):
-    # Attach `leaf` as sibling of every node (including the whole tree).
-    yield (node, leaf)
-    if isinstance(node, tuple):
-        left, right = node
-        for sub in _insertions(left, leaf):
-            yield (sub, right)
-        for sub in _insertions(right, leaf):
-            yield (left, sub)
-
-
-def enumerate_decompositions(n, limit=DEFAULT_ENUM_LIMIT):
-    """Yield every rooted binary tree with leaves 0..n-1 exactly once.
-
-    Generated by leaf insertion: leaf k can be attached at any of the
-    2k-3 nodes of a tree on k-1 leaves, which realizes the (2n-3)!! count.
-    """
-    if n < 2:
-        raise InvalidParameter("enumeration needs n >= 2")
-    if n > limit:
-        raise LimitExceeded(f"n={n} exceeds enumeration limit {limit}")
-
-    def rec(k):
-        if k == 2:
-            yield (0, 1)
-            return
-        for t in rec(k - 1):
-            yield from _insertions(t, k - 1)
-
-    for root in rec(n):
-        yield BranchDecomposition(root)

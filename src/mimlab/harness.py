@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import construct, recognize
 from .errors import (
     DiagramViolation,
+    InvalidParameter,
     LimitExceeded,
     OddCycleFound,
 )
@@ -163,6 +164,8 @@ def verify_lemma31(trials=200, n_max=9, seed=0, exact_limit=DEFAULT_EXACT_LIMIT)
     mimw(G') >= ceil(mimw(G)/2) with exact widths on both sides."""
     if n_max > exact_limit:
         raise LimitExceeded(f"n_max={n_max} exceeds exact limit {exact_limit}")
+    if n_max < 2:
+        raise InvalidParameter(f"n_max={n_max}: a bipartite graph needs n >= 2")
     rng = random.Random(seed)
     ps = (0.2, 0.5, 0.8)
     rows = []
@@ -181,7 +184,6 @@ def verify_lemma31(trials=200, n_max=9, seed=0, exact_limit=DEFAULT_EXACT_LIMIT)
             )
         if not construct.split_submatching_survives(rec, rep_g):
             violations.append(f"trial {t}: sub-matching check failed")
-        ratio = construct.completion_ratio(rec, exact_limit)
         rows.append(
             Row(
                 family="lemma31",
@@ -189,7 +191,7 @@ def verify_lemma31(trials=200, n_max=9, seed=0, exact_limit=DEFAULT_EXACT_LIMIT)
                 n=total,
                 mimw_mode="exact",
                 mimw_value=rep_gp.value,
-                ratio=ratio,
+                ratio=construct.width_ratio(rep_gp.value, rep_g.value),
             )
         )
     config = {"suite": "lemma31", "trials": trials, "n_max": n_max, "seed": seed,
@@ -273,7 +275,7 @@ def verify_eq1(corpus=None, exact_limit=10, tw_limit=DEFAULT_TW_LIMIT):
 SWEEP_FAMILIES = ("split-grid", "cocomp-grid", "circle-cubic")
 
 
-def _width_rows(family, parameter, g, seed, exact_limit, tw_limit, restarts, ratio=None):
+def _width_rows(family, parameter, g, seed, exact_limit, tw_limit, restarts):
     if g.n <= exact_limit:
         rep = mimw_exact(g, exact_limit)
     else:
@@ -292,7 +294,6 @@ def _width_rows(family, parameter, g, seed, exact_limit, tw_limit, restarts, rat
         tw=tw_val,
         degeneracy=deg,
         eq1_bound=eq1,
-        ratio=ratio,
     )
 
 
@@ -323,15 +324,14 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
             rep_base, row_base = _width_rows(
                 family, f"{k}:base", b.graph, seed, exact_limit, tw_limit, restarts
             )
-            ratio = None
-            if b.n <= exact_limit:
-                ratio = construct.completion_ratio(rec, exact_limit)
-                if 2 * ratio < 1:
-                    violations.append(f"k={k}: completion ratio {ratio} < 1/2")
-            _, row_comp = _width_rows(
+            rep_comp, row_comp = _width_rows(
                 family, f"{k}:completed", rec.result, seed, exact_limit, tw_limit,
-                restarts, ratio=ratio,
+                restarts,
             )
+            if b.n <= exact_limit:
+                row_comp.ratio = construct.width_ratio(rep_comp.value, rep_base.value)
+                if 2 * row_comp.ratio < 1:
+                    violations.append(f"k={k}: completion ratio {row_comp.ratio} < 1/2")
             rows.extend([row_base, row_comp])
         else:  # circle-cubic
             b = construct.build_subdivided_family(k, seed)

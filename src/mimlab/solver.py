@@ -230,17 +230,22 @@ def _check_limit(n, limit, what):
         raise LimitExceeded(f"n={n}: a table over 2^{n} vertex sets cannot be indexed")
 
 
-def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
-    """Exact mim-width with a witness decomposition and critical cut.
-
-    Convention: graphs with n <= 1 have no branch decomposition and get
-    width 0 with an empty witness.
-    """
-    n = g.n
-    _check_limit(n, limit, "exact mim-width")
-    if n <= 1:
-        return WidthReport(0, "exact", None, None, None)
+def _width_report(g, mode, search, *args) -> WidthReport:
+    """Report `search(cs, *args)` -> (width, decomposition) with its
+    critical cut, under the n <= 1 convention of `mimw_exact`."""
+    if g.n <= 1:
+        return WidthReport(0, mode, None, None, None)
     cs = _CutSolver(g)
+    value, t = search(cs, *args)
+    if value == 0:
+        cut = Cut(frozenset(range(g.n)), ())
+        return WidthReport(0, mode, t, cut, InducedMatching(cut.a_side, ()))
+    cut, matching = _critical(cs, t)
+    return WidthReport(value, mode, t, cut, matching)
+
+
+def _exact_search(cs):
+    """The subset DP above: f(V) and a decomposition attaining it."""
     full = cs.full
     # Every proper submask of s is smaller than s, so ascending order
     # solves both halves of each split before s itself.
@@ -276,13 +281,17 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     for s in reversed(sets):
         t = choice[s]
         node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
-    t = BranchDecomposition(node[full])
-    value = f[full]
-    if value == 0:
-        cut = Cut(frozenset(range(n)), ())
-        return WidthReport(0, "exact", t, cut, InducedMatching(cut.a_side, ()))
-    cut, matching = _critical(cs, t)
-    return WidthReport(value, "exact", t, cut, matching)
+    return f[full], BranchDecomposition(node[full])
+
+
+def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
+    """Exact mim-width with a witness decomposition and critical cut.
+
+    Convention: graphs with n <= 1 have no branch decomposition and get
+    width 0 with an empty witness (from `mimw_upper` too).
+    """
+    _check_limit(g.n, limit, "exact mim-width")
+    return _width_report(g, "exact", _exact_search)
 
 
 def _order_width(cs, order):
@@ -296,21 +305,15 @@ def _order_width(cs, order):
     return worst
 
 
-def mimw_upper(
-    g: Graph, restarts=8, local_search=True, seed=0, cut_solver=None
-) -> WidthReport:
-    """Heuristic upper bound: best caterpillar among the identity order and
-    seeded random orders, then adjacent-transposition hill climbing."""
-    n = g.n
-    if n <= 1:
-        return WidthReport(0, "upper", None, None, None)
-    cs = cut_solver if cut_solver is not None else _CutSolver(g)
+def _upper_search(cs, restarts, local_search, seed):
+    n = cs.n
     rng = random.Random(seed)
     orders = [list(range(n))]
     for _ in range(restarts):
         orders.append(rng.sample(range(n), n))
-    best_order = min(orders, key=lambda o: _order_width(cs, o))
-    best_w = _order_width(cs, best_order)
+    widths = [_order_width(cs, o) for o in orders]
+    best_w = min(widths)
+    best_order = orders[widths.index(best_w)]  # the first of least width
     if local_search:
         improved = True
         while improved and best_w > 0:
@@ -323,12 +326,13 @@ def mimw_upper(
                     best_order, best_w = cand, w
                     improved = True
                     break
-    t = caterpillar_from_order(best_order)
-    if best_w == 0:
-        cut = Cut(frozenset(range(n)), ())
-        return WidthReport(0, "upper", t, cut, InducedMatching(cut.a_side, ()))
-    cut, matching = _critical(cs, t)
-    return WidthReport(best_w, "upper", t, cut, matching)
+    return best_w, caterpillar_from_order(best_order)
+
+
+def mimw_upper(g: Graph, restarts=8, local_search=True, seed=0) -> WidthReport:
+    """Heuristic upper bound: best caterpillar among the identity order and
+    seeded random orders, then adjacent-transposition hill climbing."""
+    return _width_report(g, "upper", _upper_search, restarts, local_search, seed)
 
 
 def _tw_family(nbr, n, k, choice):

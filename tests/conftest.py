@@ -35,10 +35,49 @@ def brute_max_induced_matching(g, a):
     return best
 
 
+DEFAULT_ENUM_LIMIT = 9
+
+
+def _insertions(node, leaf):
+    # Attach `leaf` as sibling of every node (including the whole tree).
+    yield (node, leaf)
+    if isinstance(node, tuple):
+        left, right = node
+        for sub in _insertions(left, leaf):
+            yield (sub, right)
+        for sub in _insertions(right, leaf):
+            yield (left, sub)
+
+
+def enumerate_decompositions(n, limit=DEFAULT_ENUM_LIMIT):
+    """Yield every rooted binary tree with leaves 0..n-1 exactly once.
+
+    Generated by leaf insertion: leaf k can be attached at any of the
+    2k-3 nodes of a tree on k-1 leaves, which realizes the (2n-3)!! count.
+    """
+    from mimlab.decomp import BranchDecomposition
+    from mimlab.errors import InvalidParameter, LimitExceeded
+
+    if n < 2:
+        raise InvalidParameter("enumeration needs n >= 2")
+    if n > limit:
+        raise LimitExceeded(f"n={n} exceeds enumeration limit {limit}")
+
+    def rec(k):
+        if k == 2:
+            yield (0, 1)
+            return
+        for t in rec(k - 1):
+            yield from _insertions(t, k - 1)
+
+    for root in rec(n):
+        yield BranchDecomposition(root)
+
+
 def brute_mimw(g):
     """Min over explicitly enumerated decompositions of the max brute-force
     cut matching size."""
-    from mimlab.decomp import enumerate_decompositions, subtree_leaf_sets
+    from mimlab.decomp import subtree_leaf_sets
 
     if g.n <= 1:
         return 0

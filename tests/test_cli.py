@@ -101,6 +101,23 @@ def test_usage_errors_exit_4(tmp_path, capsys):
     assert run(["--help"], capsys)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "grid", "a", "3"],
+        ["gen", "grid", "2.5", "3"],
+        ["gen", "random-bipartite", "2", "2", "x"],
+        ["construct", "circle", "x"],
+        ["sweep", "--family", "split-grid", "--sizes", "2,x"],
+        ["verify", "lemma31", "--n-max", "1"],
+    ],
+)
+def test_bad_numeric_input_exit_4(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert out == "" and err.startswith("error: ")
+
+
 def test_mimw_lower(tmp_path, capsys):
     f = tmp_path / "k5.txt"
     run(["gen", "complete", "5", "--out", str(f)], capsys)

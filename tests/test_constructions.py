@@ -13,6 +13,7 @@ from mimlab.construct import (
     embed_chord_diagram,
     split_submatching_survives,
     verify_chord_diagram,
+    width_ratio,
 )
 from mimlab.errors import (
     DegreeViolation,
@@ -201,6 +202,29 @@ class TestCompletionRatio:
         b = BipartiteGraph(Graph(2), {0}, {1})
         rec = CompletionRecord(b, Graph(2), frozenset())
         assert completion_ratio(rec) == 1
+
+    def test_width_ratio_conventions(self):
+        assert width_ratio(0, 0) == 1
+        assert width_ratio(3, 0) == 3
+        assert width_ratio(2, 4) == Fraction(1, 2)
+
+    def test_harness_solves_each_graph_once(self, monkeypatch):
+        from mimlab import construct, harness, solver
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solver.mimw_exact(*args, **kwargs)
+
+        for mod in (harness, construct):
+            monkeypatch.setattr(mod, "mimw_exact", counted)
+        harness.verify_lemma31(trials=10)
+        assert len(calls) == 20  # G and G' of each trial
+        for family in ("split-grid", "cocomp-grid"):
+            calls.clear()
+            harness.sweep(family, [2, 3])
+            assert len(calls) == 4  # base and completed graph of each size
 
     def test_random_trials_at_least_half(self):
         rng = random.Random(12)

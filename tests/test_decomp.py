@@ -1,10 +1,10 @@
 import pytest
 
+from conftest import enumerate_decompositions
 from mimlab.decomp import (
     BranchDecomposition,
     caterpillar_from_order,
     cuts,
-    enumerate_decompositions,
     subtree_leaf_sets,
     validate,
 )

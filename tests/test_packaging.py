@@ -5,11 +5,13 @@ import contextlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import mimlab
+from mimlab.cli import build_parser
 
 README = Path(__file__).parents[1] / "README.md"
 SRC = Path(mimlab.__file__).parents[1]
@@ -24,6 +26,22 @@ def test_readme_python_example_runs():
     value, text = out.getvalue().splitlines()
     assert value == "2"
     assert text.startswith("(") and text.endswith(")")
+
+
+def test_readme_cli_block_parses():
+    text = README.read_text()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", text, re.S).group(1)
+    commands = []
+    for line in block.splitlines():
+        command = re.split(r"\s{2,}", line)[0]  # the description follows
+        head, _, last = command.rpartition(" ")
+        commands += [f"{head} {alt}" for alt in last.split("|")]  # a|b: both
+    assert len(commands) == 13
+    parser = build_parser()
+    for command in commands:
+        prog, *argv = shlex.split(command)
+        assert prog == "mimlab"
+        assert callable(parser.parse_args(argv).func), command
 
 
 BLOCKED_NETWORKX = """
