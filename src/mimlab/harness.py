@@ -166,6 +166,8 @@ def verify_lemma31(trials=200, n_max=9, seed=0, exact_limit=DEFAULT_EXACT_LIMIT)
         raise LimitExceeded(f"n_max={n_max} exceeds exact limit {exact_limit}")
     if n_max < 2:
         raise InvalidParameter(f"n_max={n_max}: a bipartite graph needs n >= 2")
+    if trials < 0:
+        raise InvalidParameter(f"trials={trials}: a trial count cannot be negative")
     rng = random.Random(seed)
     ps = (0.2, 0.5, 0.8)
     rows = []

@@ -10,8 +10,17 @@ subtree with leaf set S is
 
 which ranges over exactly the subtrees realizable by rooted binary trees,
 so f(V) equals the minimum over all (2n-3)!! decompositions (the tests
-cross-check this against explicit enumeration). Cut values are memoized by
-vertex-set key and shared between the exact and heuristic solvers.
+cross-check this against explicit enumeration).
+
+One per-graph cut solver serves both mim-width solvers, memoized by
+vertex-set key. It answers two kinds of query by branch and bound over the
+cut edges' conflict graph: the exact value, which the subset DP uses, and
+the threshold query "mim >= t?", which is all the heuristic asks. A
+threshold search stops at the first matching of t edges and prunes every
+branch that cannot reach t; each key keeps the lower and upper bounds its
+searches proved. Both searches also prune by the endpoint bound: an
+induced matching uses each vertex at most once, so the candidate edges
+add at most min(#ends inside, #ends outside) to it.
 """
 
 from __future__ import annotations
@@ -123,13 +132,17 @@ def _min_conflict(cand, conflict):
 
 
 class _CutSolver:
-    """Per-graph memoized exact solver for cut mim-values (bitmask keyed)."""
+    """Per-graph memoized solver for cut mim-values (bitmask keyed): exact
+    values, and threshold queries that prove only mim >= t or mim < t.
+    `nodes` counts the branch-and-bound nodes of every search it ran."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
         self.full = (1 << g.n) - 1
-        self.memo = {}
+        self.memo = {}  # key -> exact value
+        self.bounds = {}  # key -> (proven lower bound, proven upper bound)
+        self.nodes = 0
 
     def value(self, mask):
         key = min(mask, self.full ^ mask)
@@ -139,13 +152,37 @@ class _CutSolver:
             self.memo[key] = got
         return got
 
+    def at_least(self, mask, t):
+        """Whether the cut at `mask` has an induced matching of t edges."""
+        key = min(mask, self.full ^ mask)
+        got = self.memo.get(key)
+        if got is not None:
+            return got >= t
+        lo, hi = self.bounds.get(key, (0, self.n))
+        if lo >= t:
+            return True
+        if hi < t:
+            return False
+        size = len(self._max_induced_matching(mask, t))
+        if size >= t:
+            lo = size
+        else:
+            lo, hi = max(lo, size), t - 1
+        if lo == hi:
+            self.memo[key] = lo
+        else:
+            self.bounds[key] = (lo, hi)
+        return size >= t
+
     def matching(self, mask) -> InducedMatching:
         return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
 
-    def _max_induced_matching(self, mask):
-        """Maximum induced matching among the edges leaving `mask`, in
-        sorted order; exact via branch-and-bound maximum independent set on
-        the conflict graph."""
+    def _max_induced_matching(self, mask, t=0):
+        """An induced matching among the edges leaving `mask`, in sorted
+        order, by branch-and-bound maximum independent set on the conflict
+        graph. With t = 0 it is a maximum one. With t > 0 the search stops
+        at the first one of t edges and prunes every branch that cannot
+        reach t, so a smaller result proves only that the maximum is < t."""
         ce = self.g.cut_edges(mask)
         m = len(ce)
         if m <= 1:
@@ -156,9 +193,11 @@ class _CutSolver:
         nbr = self.g.nbr_masks
         across = (mask, self.full ^ mask)  # by membership in mask: the other side
         touch = [0] * self.n  # vertex -> bitmask of the cut edges at it
+        ends = []  # edge index -> bitmask of its two ends
         for i, (u, v) in enumerate(ce):
             touch[u] |= 1 << i
             touch[v] |= 1 << i
+            ends.append(1 << u | 1 << v)
         conflict = []
         for i, (u, v) in enumerate(ce):
             near = nbr[u] & across[mask >> u & 1] | nbr[v] & across[mask >> v & 1]
@@ -169,36 +208,60 @@ class _CutSolver:
                 near ^= low
             conflict.append(hit & ~(1 << i))
 
+        goal = t or m + 1  # the search stops once it holds this many edges
         # Greedy initial solution: repeatedly take a min-conflict edge.
         cand = (1 << m) - 1
         greedy = []
-        while cand:
+        while cand and len(greedy) < goal:
             v = _min_conflict(cand, conflict)
             greedy.append(v)
             cand &= ~(conflict[v] | (1 << v))
         best_size = len(greedy)
         best_set = greedy
+        if best_size >= goal:
+            return tuple(ce[i] for i in sorted(best_set))
+        floor = max(best_size, t - 1)  # prune what cannot exceed this
+        nodes = 0
 
         def rec(cand, cur, cur_size):
-            nonlocal best_size, best_set
+            nonlocal best_size, best_set, floor, nodes
+            nodes += 1
             if cand == 0:
                 if cur_size > best_size:
                     best_size = cur_size
                     best_set = list(cur)
+                    # At the goal, floor m prunes every remaining branch.
+                    floor = m if cur_size >= goal else max(floor, cur_size)
                 return
-            if cur_size + cand.bit_count() <= best_size:
+            if cur_size + cand.bit_count() <= floor:
+                return
+            # Each end takes part in at most one matching edge, so the
+            # candidates add at most min(#ends in mask, #ends outside).
+            covered = 0
+            rest = cand
+            while rest:
+                low = rest & -rest
+                covered |= ends[low.bit_length() - 1]
+                rest ^= low
+            inside = (covered & mask).bit_count()
+            if cur_size + min(inside, covered.bit_count() - inside) <= floor:
                 return
             # Min-degree pivot: some optimal solution contains a member of
             # its closed conflict neighborhood, so branch only over those.
             pivot = _min_conflict(cand, conflict)
+            options = [pivot]
             branch = conflict[pivot] & cand
-            options = [pivot] + [i for i in range(m) if (branch >> i) & 1]
+            while branch:
+                low = branch & -branch
+                options.append(low.bit_length() - 1)
+                branch ^= low
             for u in options:
                 cur.append(u)
                 rec(cand & ~(conflict[u] | (1 << u)), cur, cur_size + 1)
                 cur.pop()
 
         rec((1 << m) - 1, [], 0)
+        self.nodes += nodes
         return tuple(ce[i] for i in sorted(best_set))
 
 
@@ -207,14 +270,14 @@ def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     return _CutSolver(g).matching(set_to_mask(a))
 
 
-def _critical(cs, decomposition):
-    """Locate the cut of maximum mim-value in a decomposition; ties broken
-    by the lexicographically smallest sorted a_side."""
+def _critical(cs, decomposition, width):
+    """Locate a cut of mim-value `width`, the decomposition's width: the
+    lexicographically smallest sorted a_side among them."""
     best = None
     for a in subtree_leaf_sets(decomposition):
         mask = set_to_mask(a)
-        key = (-cs.value(mask), tuple(sorted(a)))
-        if best is None or key < best[0]:
+        key = tuple(sorted(a))
+        if (best is None or key < best[0]) and cs.at_least(mask, width):
             best = (key, a, mask)
     _, a, mask = best
     cut = Cut(a, tuple(cs.g.cut_edges(mask)))
@@ -240,7 +303,7 @@ def _width_report(g, mode, search, *args) -> WidthReport:
     if value == 0:
         cut = Cut(frozenset(range(g.n)), ())
         return WidthReport(0, mode, t, cut, InducedMatching(cut.a_side, ()))
-    cut, matching = _critical(cs, t)
+    cut, matching = _critical(cs, t, value)
     return WidthReport(value, mode, t, cut, matching)
 
 
@@ -294,14 +357,18 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     return _width_report(g, "exact", _exact_search)
 
 
-def _order_width(cs, order):
+def _order_width(cs, order, cap):
+    """Width of the caterpillar on `order` if it is below `cap`, else some
+    value >= cap: the evaluation stops once the order cannot win."""
     worst = 0
     mask = 0
-    for i, v in enumerate(order):
-        worst = max(worst, cs.value(1 << v))
+    for v in order:
         mask |= 1 << v
-        if i >= 1:
-            worst = max(worst, cs.value(mask))
+        for cut in (1 << v, mask):
+            while cs.at_least(cut, worst + 1):
+                worst += 1
+                if worst >= cap:
+                    return worst
     return worst
 
 
@@ -311,9 +378,11 @@ def _upper_search(cs, restarts, local_search, seed):
     orders = [list(range(n))]
     for _ in range(restarts):
         orders.append(rng.sample(range(n), n))
-    widths = [_order_width(cs, o) for o in orders]
-    best_w = min(widths)
-    best_order = orders[widths.index(best_w)]  # the first of least width
+    best_w = n  # above any width
+    for o in orders:
+        w = _order_width(cs, o, best_w)
+        if w < best_w:  # the first order of least width
+            best_order, best_w = o, w
     if local_search:
         improved = True
         while improved and best_w > 0:
@@ -321,7 +390,7 @@ def _upper_search(cs, restarts, local_search, seed):
             for i in range(n - 1):
                 cand = list(best_order)
                 cand[i], cand[i + 1] = cand[i + 1], cand[i]
-                w = _order_width(cs, cand)
+                w = _order_width(cs, cand, best_w)
                 if w < best_w:
                     best_order, best_w = cand, w
                     improved = True
@@ -331,7 +400,9 @@ def _upper_search(cs, restarts, local_search, seed):
 
 def mimw_upper(g: Graph, restarts=8, local_search=True, seed=0) -> WidthReport:
     """Heuristic upper bound: best caterpillar among the identity order and
-    seeded random orders, then adjacent-transposition hill climbing."""
+    seeded random orders, then adjacent-transposition hill climbing. Each
+    order is evaluated by threshold queries against the best width so far,
+    and its evaluation stops as soon as it cannot be narrower."""
     return _width_report(g, "upper", _upper_search, restarts, local_search, seed)
 
 

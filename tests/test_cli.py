@@ -110,6 +110,7 @@ def test_usage_errors_exit_4(tmp_path, capsys):
         ["construct", "circle", "x"],
         ["sweep", "--family", "split-grid", "--sizes", "2,x"],
         ["verify", "lemma31", "--n-max", "1"],
+        ["verify", "lemma31", "--trials", "-1"],
     ],
 )
 def test_bad_numeric_input_exit_4(argv, capsys):

@@ -226,6 +226,13 @@ class TestCompletionRatio:
             harness.sweep(family, [2, 3])
             assert len(calls) == 4  # base and completed graph of each size
 
+    def test_negative_trials_rejected(self):
+        from mimlab import harness
+
+        with pytest.raises(InvalidParameter):
+            harness.verify_lemma31(trials=-1)
+        assert harness.verify_lemma31(trials=0).rows == []
+
     def test_random_trials_at_least_half(self):
         rng = random.Random(12)
         for _ in range(20):

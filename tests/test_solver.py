@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,14 +11,16 @@ from conftest import (
     simulate_elimination,
     table_treewidth,
 )
+from mimlab import solver
 from mimlab.errors import LimitExceeded
-from mimlab.construct import complete_one_side
+from mimlab.construct import build_subdivided_family, complete_one_side
 from mimlab.graph import (
     Graph,
     complete,
     complete_bipartite,
     cycle,
     grid,
+    mask_to_set,
     path,
     subdivide_all_edges,
     two_color,
@@ -86,6 +89,79 @@ class TestMaxInducedMatchingCut:
             assert len(max_induced_matching_cut(g, a).edges) == len(
                 max_induced_matching_cut(g, comp).edges
             )
+
+
+class TestThresholdQueries:
+    def test_at_least_matches_brute_force(self):
+        rng = random.Random(0)
+        graphs = [
+            random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
+            for seed in range(12)
+        ]
+        # The greedy start falls short of the maximum on some cuts of these,
+        # so some threshold searches there must prove more than it found.
+        graphs += [
+            random_graph(8, p, seed) for p, seed in ((0.3, 7), (0.5, 73), (0.5, 89))
+        ]
+        for g in graphs:
+            n = g.n
+            brute = {
+                a: brute_max_induced_matching(g, mask_to_set(a)) for a in range(1 << n)
+            }
+            queries = [(a, t) for a in brute for t in range(n // 2 + 2)]
+            for _ in range(3):  # a solver per order: each meets its bounds anew
+                cs = solver._CutSolver(g)
+                rng.shuffle(queries)
+                for a, t in queries:
+                    assert cs.at_least(a, t) == (brute[a] >= t), (g.edges, a, t)
+                for a, want in brute.items():
+                    assert cs.value(a) == want
+
+
+class TestUpperWork:
+    # Branch-and-bound nodes of mimw_upper(restarts=4, seed=0); exact
+    # counts, so a change that makes the search do more work fails here.
+    @pytest.mark.parametrize(
+        "make, nodes",
+        [
+            (lambda: build_subdivided_family(10, 0).graph, 2264),
+            (lambda: build_subdivided_family(14, 0).graph, 18134),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 1170),
+        ],
+        ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
+    )
+    def test_node_count(self, monkeypatch, make, nodes):
+        made = []
+
+        class Recording(solver._CutSolver):
+            def __init__(self, g):
+                super().__init__(g)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_CutSolver", Recording)
+        mimw_upper(make(), restarts=4, seed=0)
+        (cs,) = made
+        assert cs.nodes == nodes
+
+    # sha256 prefixes of report JSON, recorded when every cut was solved
+    # exactly: pruning the cut search must not change a report byte.
+    REPORTS = {
+        (10, 0): "0617218a77e5a45b",
+        (10, 1): "8f9ec3768d9dc7c7",
+        (10, 2): "9097498f1707b577",
+        (12, 0): "24830976e2f0f1d6",
+        (12, 1): "5b019fcb96a96d0f",
+        (12, 2): "f96e25fcd7e6826f",
+        (14, 0): "a5c63fcbb05fa4ab",
+        (14, 1): "9aaed1eee2042f24",
+        (14, 2): "f2ef0983265e5f4e",
+    }
+
+    def test_circle_cubic_report_bytes(self):
+        for (k, seed), want in self.REPORTS.items():
+            g = build_subdivided_family(k, seed).graph
+            text = mimw_upper(g, restarts=4, seed=seed).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (k, seed)
 
 
 class TestMimwExact:
