@@ -10,17 +10,27 @@ subtree with leaf set S is
 
 which ranges over exactly the subtrees realizable by rooted binary trees,
 so f(V) equals the minimum over all (2n-3)!! decompositions (the tests
-cross-check this against explicit enumeration).
+cross-check this against explicit enumeration). A set's scan over its
+splits stops at the first split with max(f(T), f(S-T)) <= cutvalue(S),
+since that settles f(S) = cutvalue(S); f stays exact for every set. Only
+the tree's n - 1 internal nodes then need a split, and they get it top
+down, from a full scan for the first minimizing split.
 
 One per-graph cut solver serves both mim-width solvers, memoized by
 vertex-set key. It answers two kinds of query by branch and bound over the
-cut edges' conflict graph: the exact value, which the subset DP uses, and
-the threshold query "mim >= t?", which is all the heuristic asks. A
-threshold search stops at the first matching of t edges and prunes every
-branch that cannot reach t; each key keeps the lower and upper bounds its
-searches proved. Both searches also prune by the endpoint bound: an
-induced matching uses each vertex at most once, so the candidate edges
-add at most min(#ends inside, #ends outside) to it.
+conflict graph of the cut's edges: the exact value, which the subset DP
+uses, and the threshold query "mim >= t?", which is all the heuristic
+asks. A threshold search stops at the first matching of t edges and prunes
+every branch that cannot reach t; each key keeps the lower and upper
+bounds its searches proved. Both searches also prune by the endpoint
+bound: an induced matching uses each vertex at most once, so the
+candidate edges add at most min(#ends inside, #ends outside) to it.
+
+A cut edge is an arc from the side in the mask to the other side, and two
+arcs a->b and c->d conflict iff b ~ c or d ~ a, whatever the cut. So the
+solver builds its arc tables once per graph: the arcs leaving and
+entering each vertex, and each arc's conflicts and ends. A cut's arcs are
+then those leaving one side and not entering it, in sorted-edge order.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +48,8 @@ from .graph import Graph, degeneracy, mask_to_set, set_to_mask
 
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TW_LIMIT = 16
+# Bytes that the up-front tables over all 2^n vertex sets may take.
+TABLE_BUDGET = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
 
 def _min_conflict(cand, conflict):
     """Lowest index among the candidates with the fewest conflicts inside
-    `cand` (a bitmask of edge indices)."""
+    `cand` (a bitmask of arc indices)."""
     best = best_deg = None
     rest = cand
     while rest:
@@ -138,11 +149,41 @@ class _CutSolver:
 
     def __init__(self, g: Graph):
         self.g = g
-        self.n = g.n
-        self.full = (1 << g.n) - 1
+        n = self.n = g.n
+        self.full = (1 << n) - 1
         self.memo = {}  # key -> exact value
         self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
+        self.splits = 0  # split pairs examined by the subset DP
+        # Arc 2j + r is sorted edge j = (u, v) leaving u (r = 0) or v (r = 1).
+        self.edges = edges = g.sorted_edges()
+        tail = [0] * n  # vertex -> bitmask of the arcs leaving it
+        head = [0] * n  # vertex -> bitmask of the arcs entering it
+        ends = []  # arc -> bitmask of its two ends
+        for j, (u, v) in enumerate(edges):
+            tail[u] |= 1 << 2 * j
+            head[v] |= 1 << 2 * j
+            tail[v] |= 2 << 2 * j
+            head[u] |= 2 << 2 * j
+            ends += (1 << u | 1 << v,) * 2
+        # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
+        # end is one such adjacency. So the relation holds for every cut.
+        nbr = g.nbr_masks
+        heads_near = [0] * n  # vertex -> the arcs entering its neighbors
+        tails_near = [0] * n  # vertex -> the arcs leaving its neighbors
+        for x in range(n):
+            rest = nbr[x]
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                heads_near[x] |= head[w]
+                tails_near[x] |= tail[w]
+                rest ^= low
+        conflict = []  # arc -> bitmask of the arcs it conflicts with
+        for j, (u, v) in enumerate(edges):
+            conflict.append((heads_near[u] | tails_near[v]) & ~(1 << 2 * j))
+            conflict.append((heads_near[v] | tails_near[u]) & ~(2 << 2 * j))
+        self.tail, self.head, self.ends, self.conflict = tail, head, ends, conflict
 
     def value(self, mask):
         key = min(mask, self.full ^ mask)
@@ -177,40 +218,40 @@ class _CutSolver:
     def matching(self, mask) -> InducedMatching:
         return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
 
+    def arcs(self, mask):
+        """Bitmask of the arcs leaving `mask`, by one walk over the smaller
+        side: those leaving it and not entering it, or the mirror."""
+        other = self.full ^ mask
+        if mask.bit_count() <= other.bit_count():
+            side, out, into = mask, self.tail, self.head
+        else:
+            side, out, into = other, self.head, self.tail
+        leave = enter = 0
+        while side:
+            low = side & -side
+            v = low.bit_length() - 1
+            leave |= out[v]
+            enter |= into[v]
+            side ^= low
+        return leave & ~enter
+
     def _max_induced_matching(self, mask, t=0):
         """An induced matching among the edges leaving `mask`, in sorted
         order, by branch-and-bound maximum independent set on the conflict
-        graph. With t = 0 it is a maximum one. With t > 0 the search stops
-        at the first one of t edges and prunes every branch that cannot
-        reach t, so a smaller result proves only that the maximum is < t."""
-        ce = self.g.cut_edges(mask)
-        m = len(ce)
+        graph of the cut's arcs. With t = 0 it is a maximum one. With t > 0
+        the search stops at the first one of t edges and prunes every
+        branch that cannot reach t, so a smaller result proves only that
+        the maximum is < t."""
+        edges = self.edges
+        arcs = self.arcs(mask)
+        m = arcs.bit_count()
         if m <= 1:
-            return tuple(ce)
-        # Cut edges conflict iff they share an end or an end of one is a
-        # neighbor across the cut of an end of the other. Each end's
-        # neighbors across the cut include the edge's other end.
-        nbr = self.g.nbr_masks
-        across = (mask, self.full ^ mask)  # by membership in mask: the other side
-        touch = [0] * self.n  # vertex -> bitmask of the cut edges at it
-        ends = []  # edge index -> bitmask of its two ends
-        for i, (u, v) in enumerate(ce):
-            touch[u] |= 1 << i
-            touch[v] |= 1 << i
-            ends.append(1 << u | 1 << v)
-        conflict = []
-        for i, (u, v) in enumerate(ce):
-            near = nbr[u] & across[mask >> u & 1] | nbr[v] & across[mask >> v & 1]
-            hit = 0
-            while near:
-                low = near & -near
-                hit |= touch[low.bit_length() - 1]
-                near ^= low
-            conflict.append(hit & ~(1 << i))
+            return (edges[(arcs.bit_length() - 1) >> 1],) if m else ()
+        ends, conflict = self.ends, self.conflict
 
         goal = t or m + 1  # the search stops once it holds this many edges
         # Greedy initial solution: repeatedly take a min-conflict edge.
-        cand = (1 << m) - 1
+        cand = arcs
         greedy = []
         while cand and len(greedy) < goal:
             v = _min_conflict(cand, conflict)
@@ -219,7 +260,7 @@ class _CutSolver:
         best_size = len(greedy)
         best_set = greedy
         if best_size >= goal:
-            return tuple(ce[i] for i in sorted(best_set))
+            return tuple(edges[i >> 1] for i in sorted(best_set))
         floor = max(best_size, t - 1)  # prune what cannot exceed this
         nodes = 0
 
@@ -260,9 +301,9 @@ class _CutSolver:
                 rec(cand & ~(conflict[u] | (1 << u)), cur, cur_size + 1)
                 cur.pop()
 
-        rec((1 << m) - 1, [], 0)
+        rec(arcs, [], 0)
         self.nodes += nodes
-        return tuple(ce[i] for i in sorted(best_set))
+        return tuple(edges[i >> 1] for i in sorted(best_set))
 
 
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
@@ -284,13 +325,17 @@ def _critical(cs, decomposition, width):
     return cut, cs.matching(mask)
 
 
-def _check_limit(n, limit, what):
-    """Refuse n above the limit, and any n whose table over all 2^n vertex
-    sets could not even be indexed, whatever the limit."""
+def _check_limit(n, limit, what, tables):
+    """Refuse n above the limit, and any n whose `tables` up-front byte
+    tables over all 2^n vertex sets exceed TABLE_BUDGET, whatever the
+    limit."""
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
-    if 1 << n > sys.maxsize:
-        raise LimitExceeded(f"n={n}: a table over 2^{n} vertex sets cannot be indexed")
+    if tables << n > TABLE_BUDGET:
+        raise LimitExceeded(
+            f"n={n}: {tables} table(s) over 2^{n} vertex sets exceed "
+            f"{TABLE_BUDGET >> 20} MiB"
+        )
 
 
 def _width_report(g, mode, search, *args) -> WidthReport:
@@ -307,42 +352,67 @@ def _width_report(g, mode, search, *args) -> WidthReport:
     return WidthReport(value, mode, t, cut, matching)
 
 
+def _first_split(f, s):
+    """The first split t of `s` in the scan order, over the t that hold
+    the lowest bit of s, that minimizes max(f(t), f(s - t))."""
+    low = s & -s
+    rest = s ^ low
+    best = best_t = None
+    sub = rest
+    while True:
+        sub = (sub - 1) & rest
+        t = low | sub
+        inner = max(f[t], f[s ^ t])
+        if best is None or inner < best:
+            best = inner
+            best_t = t
+        if sub == 0:
+            return best_t
+
+
 def _exact_search(cs):
     """The subset DP above: f(V) and a decomposition attaining it."""
     full = cs.full
+    value = cs.value
     # Every proper submask of s is smaller than s, so ascending order
-    # solves both halves of each split before s itself.
-    f = [0] * (full + 1)
-    choice = [0] * (full + 1)
+    # solves both halves of each split before s itself. A split with
+    # max(f(T), f(S-T)) <= cutvalue(S) settles f(S) = cutvalue(S), so the
+    # scan stops there; f stays exact for every set either way.
+    f = bytearray(full + 1)
+    splits = 0
     for s in range(1, full + 1):
         low = s & -s
         rest = s ^ low
+        cut = value(s)
         if not rest:
-            f[s] = cs.value(s)
+            f[s] = cut
             continue
-        best = None
-        best_t = None
+        best = cs.n  # above any f
         sub = rest
-        while True:
+        while sub and best > cut:
             sub = (sub - 1) & rest
             t = low | sub
-            inner = max(f[t], f[s ^ t])
-            if best is None or inner < best:
+            splits += 1
+            inner = f[t]
+            other = f[s ^ t]
+            if other > inner:
+                inner = other
+            if inner < best:
                 best = inner
-                best_t = t
-            if sub == 0:
-                break
-        f[s] = max(cs.value(s), best)
-        choice[s] = best_t
+        f[s] = best if best > cut else cut
+    cs.splits += splits
 
-    # Tree nodes top-down, then built bottom-up, without recursion.
+    # Only the tree's internal nodes need their split: top-down by the
+    # first minimum, then built bottom-up, without recursion.
+    split = {}
     sets = [full]
     for s in sets:
-        if choice[s]:
-            sets += (choice[s], s ^ choice[s])
+        if s & (s - 1):
+            t = split[s] = _first_split(f, s)
+            sets += (t, s ^ t)
     node = {}
     for s in reversed(sets):
-        t = choice[s]
+        t = split.get(s)
         node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
     return f[full], BranchDecomposition(node[full])
 
@@ -353,7 +423,7 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     Convention: graphs with n <= 1 have no branch decomposition and get
     width 0 with an empty witness (from `mimw_upper` too).
     """
-    _check_limit(g.n, limit, "exact mim-width")
+    _check_limit(g.n, limit, "exact mim-width", 1)
     return _width_report(g, "exact", _exact_search)
 
 
@@ -495,7 +565,7 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     set masks.
     """
     n = g.n
-    _check_limit(n, limit, "treewidth")
+    _check_limit(n, limit, "treewidth", 2)
     if n == 0:
         return TreewidthReport(0, ())
     nbr = g.nbr_masks

@@ -91,6 +91,56 @@ def brute_mimw(g):
     return best
 
 
+def table_mimw(g):
+    """Exact mim-width report from the full subset DP: every split of
+    every vertex set is scanned, and each set keeps its first minimum
+    split."""
+    from mimlab.decomp import BranchDecomposition
+    from mimlab.solver import _width_report
+
+    def _exact_search(cs):
+        """The subset DP of `mimlab.solver`: f(V) and a decomposition
+        attaining it."""
+        full = cs.full
+        # Every proper submask of s is smaller than s, so ascending order
+        # solves both halves of each split before s itself.
+        f = [0] * (full + 1)
+        choice = [0] * (full + 1)
+        for s in range(1, full + 1):
+            low = s & -s
+            rest = s ^ low
+            if not rest:
+                f[s] = cs.value(s)
+                continue
+            best = None
+            best_t = None
+            sub = rest
+            while True:
+                sub = (sub - 1) & rest
+                t = low | sub
+                inner = max(f[t], f[s ^ t])
+                if best is None or inner < best:
+                    best = inner
+                    best_t = t
+                if sub == 0:
+                    break
+            f[s] = max(cs.value(s), best)
+            choice[s] = best_t
+
+        # Tree nodes top-down, then built bottom-up, without recursion.
+        sets = [full]
+        for s in sets:
+            if choice[s]:
+                sets += (choice[s], s ^ choice[s])
+        node = {}
+        for s in reversed(sets):
+            t = choice[s]
+            node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
+        return f[full], BranchDecomposition(node[full])
+
+    return _width_report(g, "exact", _exact_search)
+
+
 def brute_treewidth(g):
     """Min over all elimination orders of the max fill-in degree."""
     best = None

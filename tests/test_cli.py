@@ -85,12 +85,22 @@ def test_nonpositive_limits_rejected(tmp_path, capsys, monkeypatch):
 
 
 def test_unindexable_tables_exit_limit(tmp_path, capsys):
-    # A table over 2^70 sets cannot be indexed. Do not test n in 30..62:
-    # those pass the check and really allocate gigabytes.
+    # A table over 2^70 sets cannot be indexed.
     f = tmp_path / "p70.txt"
     run(["gen", "path", "70", "--out", str(f)], capsys)
     assert run(["mimw", "--exact", "--exact-limit", "70", str(f)], capsys)[0] == 3
     assert run(["tw", "--tw-limit", "70", str(f)], capsys)[0] == 3
+
+
+def test_oversized_tables_exit_limit(tmp_path, capsys):
+    # Tables over 2^40 sets exceed the byte budget: refused before any
+    # allocation, whatever the limit.
+    f = tmp_path / "p40.txt"
+    run(["gen", "path", "40", "--out", str(f)], capsys)
+    code, _, err = run(["mimw", "--exact", "--exact-limit", "40", str(f)], capsys)
+    assert code == 3 and "MiB" in err
+    code, _, err = run(["tw", "--tw-limit", "40", str(f)], capsys)
+    assert code == 3 and "MiB" in err
 
 
 def test_usage_errors_exit_4(tmp_path, capsys):

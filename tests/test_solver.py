@@ -8,12 +8,18 @@ from conftest import (
     brute_max_induced_matching,
     brute_mimw,
     brute_treewidth,
+    cut_edge_list,
     simulate_elimination,
+    table_mimw,
     table_treewidth,
 )
 from mimlab import solver
 from mimlab.errors import LimitExceeded
-from mimlab.construct import build_subdivided_family, complete_one_side
+from mimlab.construct import (
+    build_subdivided_family,
+    complete_both_sides,
+    complete_one_side,
+)
 from mimlab.graph import (
     Graph,
     complete,
@@ -46,6 +52,20 @@ def random_graph(n, p, seed):
             if rng.random() < p
         ],
     )
+
+
+@pytest.fixture
+def made_solvers(monkeypatch):
+    """The cut solvers created during the test, in order."""
+    made = []
+
+    class Recording(solver._CutSolver):
+        def __init__(self, g):
+            super().__init__(g)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "_CutSolver", Recording)
+    return made
 
 
 class TestMaxInducedMatchingCut:
@@ -91,6 +111,30 @@ class TestMaxInducedMatchingCut:
             )
 
 
+class TestArcTables:
+    def test_cut_arcs_and_conflicts_match_brute_force(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
+            cs = solver._CutSolver(g)
+            for mask in range(1 << g.n):
+                arcs = cs.arcs(mask)
+                ids = [i for i in range(2 * g.m) if arcs >> i & 1]
+                ce = [cs.edges[i >> 1] for i in ids]
+                assert ce == g.cut_edges(mask), (seed, mask)
+                assert ce == cut_edge_list(g, mask_to_set(mask))
+                cut_set = set(ce)
+                for i in ids:
+                    for j in ids:
+                        if i == j:
+                            continue
+                        e, f = cs.edges[i >> 1], cs.edges[j >> 1]
+                        want = bool(set(e) & set(f)) or any(
+                            (min(p, q), max(p, q)) in cut_set for p in e for q in f
+                        )
+                        assert bool(cs.conflict[i] >> j & 1) == want, (seed, mask, e, f)
+
+
 class TestThresholdQueries:
     def test_at_least_matches_brute_force(self):
         rng = random.Random(0)
@@ -130,17 +174,9 @@ class TestUpperWork:
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
-    def test_node_count(self, monkeypatch, make, nodes):
-        made = []
-
-        class Recording(solver._CutSolver):
-            def __init__(self, g):
-                super().__init__(g)
-                made.append(self)
-
-        monkeypatch.setattr(solver, "_CutSolver", Recording)
+    def test_node_count(self, made_solvers, make, nodes):
         mimw_upper(make(), restarts=4, seed=0)
-        (cs,) = made
+        (cs,) = made_solvers
         assert cs.nodes == nodes
 
     # sha256 prefixes of report JSON, recorded when every cut was solved
@@ -162,6 +198,38 @@ class TestUpperWork:
             g = build_subdivided_family(k, seed).graph
             text = mimw_upper(g, restarts=4, seed=seed).to_json()
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (k, seed)
+
+
+def frontier_mimw_graphs():
+    b = two_color(grid(3, 4))
+    return {
+        "grid-3x4": b.graph,
+        "split-grid-3x4": complete_one_side(b, "Y").result,
+        "cocomp-grid-3x4": complete_both_sides(b).result,
+        "subdivided-K4": subdivide_all_edges(complete(4)).graph,
+        "circle-cubic-4": build_subdivided_family(4, 0).graph,
+    }
+
+
+class TestExactWork:
+    # Branch-and-bound nodes and split pairs examined by mimw_exact. The
+    # node counts are also those of the DP that scans every split, so the
+    # early stop leaves the cut search as it was; the split pairs pin the
+    # early stop itself.
+    @pytest.mark.parametrize(
+        "name, nodes, splits",
+        [
+            ("grid-3x4", 24281, 23852),
+            ("split-grid-3x4", 33033, 8151),
+            ("cocomp-grid-3x4", 60947, 20751),
+            ("circle-cubic-4", 2518, 8715),
+        ],
+    )
+    def test_work_counts(self, made_solvers, name, nodes, splits):
+        g = frontier_mimw_graphs()[name]
+        mimw_exact(g, limit=g.n)
+        (cs,) = made_solvers
+        assert (cs.nodes, cs.splits) == (nodes, splits)
 
 
 class TestMimwExact:
@@ -186,6 +254,30 @@ class TestMimwExact:
         with pytest.raises(LimitExceeded):
             mimw_exact(Graph(10))
         assert mimw_exact(Graph(10), limit=10).value == 0
+
+    def test_table_budget(self, monkeypatch):
+        # Refused before any table is allocated, whatever the limit.
+        with pytest.raises(LimitExceeded, match="MiB"):
+            mimw_exact(Graph(40), limit=40)
+        with pytest.raises(LimitExceeded, match="MiB"):
+            mimw_exact(Graph(29), limit=29)
+        # One byte table for mimw_exact: n = 10 fills a 1 KiB budget.
+        monkeypatch.setattr(solver, "TABLE_BUDGET", 1 << 10)
+        assert mimw_exact(Graph(10), limit=10).value == 0
+        with pytest.raises(LimitExceeded):
+            mimw_exact(Graph(11), limit=11)
+
+    def test_matches_table_oracle_on_randoms(self):
+        # Same report bytes as the DP that scans every split of every set.
+        for seed in range(180):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 10), (1 + seed % 9) / 10, seed)
+            assert mimw_exact(g, limit=10).to_json() == table_mimw(g).to_json(), seed
+
+    @pytest.mark.parametrize("name", sorted(frontier_mimw_graphs()))
+    def test_matches_table_oracle_on_frontier(self, name):
+        g = frontier_mimw_graphs()[name]
+        assert mimw_exact(g, limit=g.n).to_json() == table_mimw(g).to_json()
 
     def test_small_convention(self):
         assert mimw_exact(Graph(1)).value == 0
@@ -269,6 +361,18 @@ class TestTreewidth:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             treewidth_exact(Graph(17))
+
+    def test_table_budget(self, monkeypatch):
+        # Refused before any table is allocated, whatever the limit.
+        with pytest.raises(LimitExceeded, match="MiB"):
+            treewidth_exact(Graph(40), limit=40)
+        with pytest.raises(LimitExceeded, match="MiB"):
+            treewidth_exact(Graph(28), limit=28)
+        # Two byte tables for treewidth_exact: n = 9 fills a 1 KiB budget.
+        monkeypatch.setattr(solver, "TABLE_BUDGET", 1 << 10)
+        assert treewidth_exact(Graph(9), limit=9).value == 0
+        with pytest.raises(LimitExceeded):
+            treewidth_exact(Graph(10), limit=10)
 
     def test_matches_table_oracle_on_randoms(self):
         # Same value and same elimination order as the full 2^n table;
