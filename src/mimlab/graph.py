@@ -22,7 +22,7 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Undirected simple graph. Vertices are the dense range 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_nbr_masks")
+    __slots__ = ("n", "edges", "_adj", "_nbr_masks", "_arc_tables")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -36,6 +36,7 @@ class Graph:
         self.edges = frozenset(es)
         self._adj = None
         self._nbr_masks = None
+        self._arc_tables = None
 
     @property
     def m(self):
@@ -64,19 +65,52 @@ class Graph:
             self._nbr_masks = tuple(masks)
         return self._nbr_masks
 
+    @property
+    def arc_tables(self):
+        """(sorted edges, tail, head). Arc 2j + r is sorted edge j = (u, v)
+        leaving u (r = 0) or v (r = 1); tail[v] and head[v] are the
+        bitmasks of the arcs leaving and entering vertex v."""
+        if self._arc_tables is None:
+            edges = tuple(sorted(self.edges))
+            tail = [0] * self.n
+            head = [0] * self.n
+            for j, (u, v) in enumerate(edges):
+                tail[u] |= 1 << 2 * j
+                head[v] |= 1 << 2 * j
+                tail[v] |= 2 << 2 * j
+                head[u] |= 2 << 2 * j
+            self._arc_tables = (edges, tuple(tail), tuple(head))
+        return self._arc_tables
+
+    def cut_arcs(self, mask):
+        """Bitmask of the arcs from the vertex set `mask` to the rest, by
+        one walk over the smaller side: the arcs leaving that side and not
+        entering it, or the mirror."""
+        _, tail, head = self.arc_tables
+        other = ((1 << self.n) - 1) ^ mask
+        if mask.bit_count() <= other.bit_count():
+            side, out, into = mask, tail, head
+        else:
+            side, out, into = other, head, tail
+        leave = enter = 0
+        while side:
+            low = side & -side
+            v = low.bit_length() - 1
+            leave |= out[v]
+            enter |= into[v]
+            side ^= low
+        return leave & ~enter
+
     def cut_edges(self, mask):
         """Edges with exactly one end in the vertex set `mask`, in sorted
-        order: for ascending v, the neighbors w > v on the other side."""
-        nbr = self.nbr_masks
-        rest = ((1 << self.n) - 1) ^ mask
+        order: the edges of its arcs, which ascend with the edge index."""
+        edges = self.arc_tables[0]
+        arcs = self.cut_arcs(mask)
         out = []
-        for v in range(self.n):
-            # -(2 << v) keeps the bits above v.
-            across = nbr[v] & (rest if mask >> v & 1 else mask) & -(2 << v)
-            while across:
-                low = across & -across
-                out.append((v, low.bit_length() - 1))
-                across ^= low
+        while arcs:
+            low = arcs & -arcs
+            out.append(edges[(low.bit_length() - 1) >> 1])
+            arcs ^= low
         return out
 
     def has_edge(self, u, v):

@@ -14,7 +14,8 @@ cross-check this against explicit enumeration). A set's scan over its
 splits stops at the first split with max(f(T), f(S-T)) <= cutvalue(S),
 since that settles f(S) = cutvalue(S); f stays exact for every set. Only
 the tree's n - 1 internal nodes then need a split, and they get it top
-down, from a full scan for the first minimizing split.
+down, from a full scan for the first minimizing split. f and the cut
+values (one per pair S, V-S) are byte tables, within TABLE_BUDGET.
 
 One per-graph cut solver serves both mim-width solvers, memoized by
 vertex-set key. It answers two kinds of query by branch and bound over the
@@ -26,11 +27,12 @@ bounds its searches proved. Both searches also prune by the endpoint
 bound: an induced matching uses each vertex at most once, so the
 candidate edges add at most min(#ends inside, #ends outside) to it.
 
-A cut edge is an arc from the side in the mask to the other side, and two
-arcs a->b and c->d conflict iff b ~ c or d ~ a, whatever the cut. So the
-solver builds its arc tables once per graph: the arcs leaving and
-entering each vertex, and each arc's conflicts and ends. A cut's arcs are
-then those leaving one side and not entering it, in sorted-edge order.
+A cut edge is an arc from the side in the mask to the other side
+(`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
+conflict iff b ~ c or d ~ a, whatever the cut. So the solver builds, once
+per graph, the arcs entering and leaving the neighbors of each vertex; an
+arc's conflicts are the OR of two of them, and the tables take O(n m)
+bits.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     return True
 
 
-def _min_conflict(cand, conflict):
+def _min_conflict(cand, enter, leave):
     """Lowest index among the candidates with the fewest conflicts inside
     `cand` (a bitmask of arc indices)."""
     best = best_deg = None
@@ -133,8 +135,8 @@ def _min_conflict(cand, conflict):
     while rest:
         low = rest & -rest
         i = low.bit_length() - 1
-        deg = (conflict[i] & cand).bit_count()
-        if not deg:
+        deg = ((enter[i] | leave[i]) & cand).bit_count()  # i itself included
+        if deg == 1:
             return i
         if best is None or deg < best_deg:
             best, best_deg = i, deg
@@ -155,19 +157,14 @@ class _CutSolver:
         self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
         self.splits = 0  # split pairs examined by the subset DP
-        # Arc 2j + r is sorted edge j = (u, v) leaving u (r = 0) or v (r = 1).
-        self.edges = edges = g.sorted_edges()
-        tail = [0] * n  # vertex -> bitmask of the arcs leaving it
-        head = [0] * n  # vertex -> bitmask of the arcs entering it
+        self.edges, tail, head = g.arc_tables
         ends = []  # arc -> bitmask of its two ends
-        for j, (u, v) in enumerate(edges):
-            tail[u] |= 1 << 2 * j
-            head[v] |= 1 << 2 * j
-            tail[v] |= 2 << 2 * j
-            head[u] |= 2 << 2 * j
+        for u, v in self.edges:
             ends += (1 << u | 1 << v,) * 2
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
-        # end is one such adjacency. So the relation holds for every cut.
+        # end is one such adjacency. So arc i conflicts, whatever the cut,
+        # with enter[i] | leave[i] (itself included). Those are masks
+        # shared per vertex: O(n m) bits in all, not an O(m)-bit row per arc.
         nbr = g.nbr_masks
         heads_near = [0] * n  # vertex -> the arcs entering its neighbors
         tails_near = [0] * n  # vertex -> the arcs leaving its neighbors
@@ -179,11 +176,12 @@ class _CutSolver:
                 heads_near[x] |= head[w]
                 tails_near[x] |= tail[w]
                 rest ^= low
-        conflict = []  # arc -> bitmask of the arcs it conflicts with
-        for j, (u, v) in enumerate(edges):
-            conflict.append((heads_near[u] | tails_near[v]) & ~(1 << 2 * j))
-            conflict.append((heads_near[v] | tails_near[u]) & ~(2 << 2 * j))
-        self.tail, self.head, self.ends, self.conflict = tail, head, ends, conflict
+        enter = []  # arc a->b -> the arcs entering a neighbor of a
+        leave = []  # arc a->b -> the arcs leaving a neighbor of b
+        for u, v in self.edges:
+            enter += (heads_near[u], heads_near[v])
+            leave += (tails_near[v], tails_near[u])
+        self.ends, self.enter, self.leave = ends, enter, leave
 
     def value(self, mask):
         key = min(mask, self.full ^ mask)
@@ -218,23 +216,6 @@ class _CutSolver:
     def matching(self, mask) -> InducedMatching:
         return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
 
-    def arcs(self, mask):
-        """Bitmask of the arcs leaving `mask`, by one walk over the smaller
-        side: those leaving it and not entering it, or the mirror."""
-        other = self.full ^ mask
-        if mask.bit_count() <= other.bit_count():
-            side, out, into = mask, self.tail, self.head
-        else:
-            side, out, into = other, self.head, self.tail
-        leave = enter = 0
-        while side:
-            low = side & -side
-            v = low.bit_length() - 1
-            leave |= out[v]
-            enter |= into[v]
-            side ^= low
-        return leave & ~enter
-
     def _max_induced_matching(self, mask, t=0):
         """An induced matching among the edges leaving `mask`, in sorted
         order, by branch-and-bound maximum independent set on the conflict
@@ -243,20 +224,20 @@ class _CutSolver:
         branch that cannot reach t, so a smaller result proves only that
         the maximum is < t."""
         edges = self.edges
-        arcs = self.arcs(mask)
+        arcs = self.g.cut_arcs(mask)
         m = arcs.bit_count()
         if m <= 1:
             return (edges[(arcs.bit_length() - 1) >> 1],) if m else ()
-        ends, conflict = self.ends, self.conflict
+        ends, enter, leave = self.ends, self.enter, self.leave
 
         goal = t or m + 1  # the search stops once it holds this many edges
         # Greedy initial solution: repeatedly take a min-conflict edge.
         cand = arcs
         greedy = []
         while cand and len(greedy) < goal:
-            v = _min_conflict(cand, conflict)
+            v = _min_conflict(cand, enter, leave)
             greedy.append(v)
-            cand &= ~(conflict[v] | (1 << v))
+            cand &= ~(enter[v] | leave[v])
         best_size = len(greedy)
         best_set = greedy
         if best_size >= goal:
@@ -289,16 +270,16 @@ class _CutSolver:
                 return
             # Min-degree pivot: some optimal solution contains a member of
             # its closed conflict neighborhood, so branch only over those.
-            pivot = _min_conflict(cand, conflict)
+            pivot = _min_conflict(cand, enter, leave)
             options = [pivot]
-            branch = conflict[pivot] & cand
+            branch = (enter[pivot] | leave[pivot]) & cand ^ (1 << pivot)
             while branch:
                 low = branch & -branch
                 options.append(low.bit_length() - 1)
                 branch ^= low
             for u in options:
                 cur.append(u)
-                rec(cand & ~(conflict[u] | (1 << u)), cur, cur_size + 1)
+                rec(cand & ~(enter[u] | leave[u]), cur, cur_size + 1)
                 cur.pop()
 
         rec(arcs, [], 0)
@@ -373,17 +354,24 @@ def _first_split(f, s):
 def _exact_search(cs):
     """The subset DP above: f(V) and a decomposition attaining it."""
     full = cs.full
-    value = cs.value
+    search = cs._max_induced_matching
     # Every proper submask of s is smaller than s, so ascending order
     # solves both halves of each split before s itself. A split with
     # max(f(T), f(S-T)) <= cutvalue(S) settles f(S) = cutvalue(S), so the
     # scan stops there; f stays exact for every set either way.
     f = bytearray(full + 1)
+    # The cut value of each key min(S, V-S) < 2^(n-1); ascending order
+    # meets the key before its complement.
+    cut_of = bytearray((full + 1) >> 1)
     splits = 0
     for s in range(1, full + 1):
         low = s & -s
         rest = s ^ low
-        cut = value(s)
+        key = full ^ s
+        if key < s:
+            cut = cut_of[key]
+        else:
+            cut = cut_of[s] = len(search(s))
         if not rest:
             f[s] = cut
             continue
@@ -414,6 +402,8 @@ def _exact_search(cs):
     for s in reversed(sets):
         t = split.get(s)
         node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
+        key = min(s, full ^ s)
+        cs.memo[key] = cut_of[key]  # for the critical-cut queries
     return f[full], BranchDecomposition(node[full])
 
 
@@ -423,7 +413,9 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     Convention: graphs with n <= 1 have no branch decomposition and get
     width 0 with an empty witness (from `mimw_upper` too).
     """
-    _check_limit(g.n, limit, "exact mim-width", 1)
+    # f over the 2^n sets and the cut values over 2^(n-1) keys: within
+    # two tables.
+    _check_limit(g.n, limit, "exact mim-width", 2)
     return _width_report(g, "exact", _exact_search)
 
 

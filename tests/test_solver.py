@@ -117,22 +117,21 @@ class TestArcTables:
             rng = random.Random(seed)
             g = random_graph(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
             cs = solver._CutSolver(g)
+            edges = g.arc_tables[0]
             for mask in range(1 << g.n):
-                arcs = cs.arcs(mask)
+                arcs = g.cut_arcs(mask)
                 ids = [i for i in range(2 * g.m) if arcs >> i & 1]
-                ce = [cs.edges[i >> 1] for i in ids]
-                assert ce == g.cut_edges(mask), (seed, mask)
+                ce = [edges[i >> 1] for i in ids]
                 assert ce == cut_edge_list(g, mask_to_set(mask))
                 cut_set = set(ce)
                 for i in ids:
+                    row = cs.enter[i] | cs.leave[i]  # itself included
                     for j in ids:
-                        if i == j:
-                            continue
-                        e, f = cs.edges[i >> 1], cs.edges[j >> 1]
+                        e, f = edges[i >> 1], edges[j >> 1]
                         want = bool(set(e) & set(f)) or any(
                             (min(p, q), max(p, q)) in cut_set for p in e for q in f
                         )
-                        assert bool(cs.conflict[i] >> j & 1) == want, (seed, mask, e, f)
+                        assert bool(row >> j & 1) == want, (seed, mask, e, f)
 
 
 class TestThresholdQueries:
@@ -260,12 +259,21 @@ class TestMimwExact:
         with pytest.raises(LimitExceeded, match="MiB"):
             mimw_exact(Graph(40), limit=40)
         with pytest.raises(LimitExceeded, match="MiB"):
-            mimw_exact(Graph(29), limit=29)
-        # One byte table for mimw_exact: n = 10 fills a 1 KiB budget.
+            mimw_exact(Graph(28), limit=28)
+        # f and the cut values count as two byte tables: n = 9 fills a
+        # 1 KiB budget.
         monkeypatch.setattr(solver, "TABLE_BUDGET", 1 << 10)
-        assert mimw_exact(Graph(10), limit=10).value == 0
+        assert mimw_exact(Graph(9), limit=9).value == 0
         with pytest.raises(LimitExceeded):
-            mimw_exact(Graph(11), limit=11)
+            mimw_exact(Graph(10), limit=10)
+
+    def test_cut_values_live_in_the_table(self, made_solvers):
+        # The DP keeps its 2^(n-1) cut values in a counted byte table; the
+        # memo gets only the keys of the tree's 2n - 1 sets.
+        g = frontier_mimw_graphs()["grid-3x4"]
+        mimw_exact(g, limit=g.n)
+        (cs,) = made_solvers
+        assert len(cs.memo) <= 2 * g.n - 1
 
     def test_matches_table_oracle_on_randoms(self):
         # Same report bytes as the DP that scans every split of every set.
