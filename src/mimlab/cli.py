@@ -17,11 +17,9 @@ from . import construct, harness, recognize, solver
 from .errors import (
     CertificateViolation,
     DiagramViolation,
-    GraphFormatError,
     InvalidParameter,
     LimitExceeded,
     MimlabError,
-    OddCycleFound,
 )
 from .graph import (
     BipartiteGraph,
@@ -218,10 +216,8 @@ def cmd_embed(args):
 
 
 def cmd_verify(args):
-    # The eq1 corpus goes up to n=10, so that suite's exact limit defaults to 10.
-    lim = _resolve_limits(
-        args, exact=10 if args.suite == "eq1" else solver.DEFAULT_EXACT_LIMIT
-    )
+    defaults = {"exact": harness.EQ1_EXACT_LIMIT} if args.suite == "eq1" else {}
+    lim = _resolve_limits(args, **defaults)
     if args.suite == "lemma31":
         report = harness.verify_lemma31(
             trials=args.trials, n_max=args.n_max, seed=args.seed,
@@ -328,10 +324,7 @@ def main(argv=None):
     except (DiagramViolation, CertificateViolation) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (InvalidParameter, GraphFormatError, OddCycleFound, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MimlabError as exc:
+    except (MimlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

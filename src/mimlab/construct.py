@@ -111,7 +111,7 @@ class ChordDiagram:
     def to_text(self):
         """Canonical one-line form: the lexicographically smallest rotation."""
         w = self.word
-        best = min(tuple(w[i:] + w[:i]) for i in range(len(w)))
+        best = min((tuple(w[i:] + w[:i]) for i in range(len(w))), default=())
         return " ".join(str(x) for x in best)
 
     @classmethod

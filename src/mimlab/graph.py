@@ -449,7 +449,9 @@ def parse_graph_text(text):
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:
-        raise GraphFormatError(f"bad header line: {lines[0]!r}") from None
+        n = m = -1  # rejected with the negative counts below
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"bad header line: {lines[0]!r}")
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -247,7 +247,11 @@ def verify_constructions(corpus=None):
     return ExperimentReport(rows, config, violations)
 
 
-def verify_eq1(corpus=None, exact_limit=10, tw_limit=DEFAULT_TW_LIMIT):
+# The eq1 corpus goes up to n = 10, so that suite's exact limit is 10.
+EQ1_EXACT_LIMIT = 10
+
+
+def verify_eq1(corpus=None, exact_limit=EQ1_EXACT_LIMIT, tw_limit=DEFAULT_TW_LIMIT):
     """Check mimw(G) >= tw(G) / (3 (d+1)) in exact rational arithmetic."""
     if corpus is None:
         corpus = eq1_corpus()
@@ -275,13 +279,15 @@ def verify_eq1(corpus=None, exact_limit=10, tw_limit=DEFAULT_TW_LIMIT):
 
 
 SWEEP_FAMILIES = ("split-grid", "cocomp-grid", "circle-cubic")
+# Random orders that `mimw_upper` tries above the exact limit.
+SWEEP_RESTARTS = 4
 
 
-def _width_rows(family, parameter, g, seed, exact_limit, tw_limit, restarts):
+def _width_rows(family, parameter, g, seed, exact_limit, tw_limit):
     if g.n <= exact_limit:
         rep = mimw_exact(g, exact_limit)
     else:
-        rep = mimw_upper(g, restarts=restarts, seed=seed)
+        rep = mimw_upper(g, restarts=SWEEP_RESTARTS, seed=seed)
     tw_val = eq1 = None
     deg = degeneracy(g).d
     if g.n <= tw_limit:
@@ -300,12 +306,12 @@ def _width_rows(family, parameter, g, seed, exact_limit, tw_limit, restarts):
 
 
 def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
-          tw_limit=DEFAULT_TW_LIMIT, restarts=4):
+          tw_limit=DEFAULT_TW_LIMIT):
     """Per-size construct + recognize + width computation for one family,
     exact below the limit and heuristic (plus the rational lower bound,
     where treewidth is computable) above it."""
     if family not in SWEEP_FAMILIES:
-        raise ValueError(f"unknown sweep family {family!r}")
+        raise InvalidParameter(f"unknown sweep family {family!r}")
     rows = []
     violations = []
     for k in sizes:
@@ -324,11 +330,10 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
                         f"k={k}: complement of completion not bipartite"
                     )
             rep_base, row_base = _width_rows(
-                family, f"{k}:base", b.graph, seed, exact_limit, tw_limit, restarts
+                family, f"{k}:base", b.graph, seed, exact_limit, tw_limit
             )
             rep_comp, row_comp = _width_rows(
-                family, f"{k}:completed", rec.result, seed, exact_limit, tw_limit,
-                restarts,
+                family, f"{k}:completed", rec.result, seed, exact_limit, tw_limit
             )
             if b.n <= exact_limit:
                 row_comp.ratio = construct.width_ratio(rep_comp.value, rep_base.value)
@@ -343,8 +348,7 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
             except DiagramViolation as exc:
                 violations.append(f"n={k}: chord diagram violation: {exc}")
             _, row = _width_rows(
-                family, f"{k}:subdivided", b.graph, seed, exact_limit, tw_limit,
-                restarts,
+                family, f"{k}:subdivided", b.graph, seed, exact_limit, tw_limit
             )
             rows.append(row)
     for r in rows:
@@ -355,5 +359,5 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
                 )
     config = {"suite": "sweep", "family": family, "sizes": list(sizes),
               "seed": seed, "exact_limit": exact_limit, "tw_limit": tw_limit,
-              "restarts": restarts}
+              "restarts": SWEEP_RESTARTS}
     return ExperimentReport(rows, config, violations)

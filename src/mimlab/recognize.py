@@ -260,12 +260,14 @@ def is_strongly_chordal(g: Graph, limit=None) -> RecognitionResult:
     """Chordal and repeatedly reducible by simple vertices. The positive
     certificate is the simple elimination order; the negative one is a
     sun's 2k-cycle, an even cycle of length >= 6 with no odd chord.
-    `limit` is ignored."""
-    chordal = is_chordal(g)
-    if not chordal.verdict:
-        return chordal
+    `limit` is ignored. A complete simple elimination order is a perfect
+    elimination order too, so only a stuck graph needs the chordality
+    test, whose chordless cycle certifies a non-chordal one."""
     order, stuck = _simple_elimination(g.nbr_masks, (1 << g.n) - 1)
     if stuck:
+        chordal = is_chordal(g)
+        if not chordal.verdict:
+            return chordal
         cyc = _sun_cycle(g.nbr_masks, stuck)
         if len(cyc) < 6 or len(cyc) % 2 or not verify_cycle(g, cyc) or has_odd_chord(g, cyc):
             raise CertificateViolation(f"no even cycle without odd chord in the sun: {cyc}")

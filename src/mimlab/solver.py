@@ -17,15 +17,17 @@ the tree's n - 1 internal nodes then need a split, and they get it top
 down, from a full scan for the first minimizing split. f and the cut
 values (one per pair S, V-S) are byte tables, within TABLE_BUDGET.
 
-One per-graph cut solver serves both mim-width solvers, memoized by
-vertex-set key. It answers two kinds of query by branch and bound over the
-conflict graph of the cut's edges: the exact value, which the subset DP
-uses, and the threshold query "mim >= t?", which is all the heuristic
-asks. A threshold search stops at the first matching of t edges and prunes
-every branch that cannot reach t; each key keeps the lower and upper
-bounds its searches proved. Both searches also prune by the endpoint
-bound: an induced matching uses each vertex at most once, so the
-candidate edges add at most min(#ends inside, #ends outside) to it.
+One per-graph cut solver serves both mim-width solvers. It keeps one
+record per vertex-set key min(S, V-S): the lower and upper bounds that its
+searches proved, and the value is exact when they meet. Its one query is
+the threshold "mim >= t?", answered from the record when the record
+settles it, else by branch and bound over the conflict graph of the cut's
+edges. That search stops at the first matching of t edges and prunes every
+branch that cannot reach t. The subset DP runs the search without a
+threshold, which finds a maximum, and records the tree's cuts as exact.
+Every search also prunes by the endpoint bound: an induced matching uses
+each vertex at most once, so the candidate edges add at most
+min(#ends inside, #ends outside) to it.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
@@ -145,15 +147,15 @@ def _min_conflict(cand, enter, leave):
 
 
 class _CutSolver:
-    """Per-graph memoized solver for cut mim-values (bitmask keyed): exact
-    values, and threshold queries that prove only mim >= t or mim < t.
-    `nodes` counts the branch-and-bound nodes of every search it ran."""
+    """Per-graph solver for threshold queries on cut mim-values. `bounds`
+    is its one record: bitmask key min(S, V-S) -> the (lo, hi) that its
+    searches proved, exact iff lo == hi. `nodes` counts the
+    branch-and-bound nodes of every search it ran."""
 
     def __init__(self, g: Graph):
         self.g = g
         n = self.n = g.n
         self.full = (1 << n) - 1
-        self.memo = {}  # key -> exact value
         self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
         self.splits = 0  # split pairs examined by the subset DP
@@ -183,20 +185,9 @@ class _CutSolver:
             leave += (tails_near[v], tails_near[u])
         self.ends, self.enter, self.leave = ends, enter, leave
 
-    def value(self, mask):
-        key = min(mask, self.full ^ mask)
-        got = self.memo.get(key)
-        if got is None:
-            got = len(self._max_induced_matching(mask))
-            self.memo[key] = got
-        return got
-
     def at_least(self, mask, t):
         """Whether the cut at `mask` has an induced matching of t edges."""
         key = min(mask, self.full ^ mask)
-        got = self.memo.get(key)
-        if got is not None:
-            return got >= t
         lo, hi = self.bounds.get(key, (0, self.n))
         if lo >= t:
             return True
@@ -204,14 +195,10 @@ class _CutSolver:
             return False
         size = len(self._max_induced_matching(mask, t))
         if size >= t:
-            lo = size
-        else:
-            lo, hi = max(lo, size), t - 1
-        if lo == hi:
-            self.memo[key] = lo
-        else:
-            self.bounds[key] = (lo, hi)
-        return size >= t
+            self.bounds[key] = (size, hi)
+            return True
+        self.bounds[key] = (max(lo, size), t - 1)
+        return False
 
     def matching(self, mask) -> InducedMatching:
         return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
@@ -306,15 +293,14 @@ def _critical(cs, decomposition, width):
     return cut, cs.matching(mask)
 
 
-def _check_limit(n, limit, what, tables):
-    """Refuse n above the limit, and any n whose `tables` up-front byte
-    tables over all 2^n vertex sets exceed TABLE_BUDGET, whatever the
-    limit."""
+def _check_limit(n, limit, what):
+    """Refuse n above the limit, and any n whose two up-front byte tables
+    over all 2^n vertex sets exceed TABLE_BUDGET, whatever the limit."""
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
-    if tables << n > TABLE_BUDGET:
+    if 2 << n > TABLE_BUDGET:
         raise LimitExceeded(
-            f"n={n}: {tables} table(s) over 2^{n} vertex sets exceed "
+            f"n={n}: 2 table(s) over 2^{n} vertex sets exceed "
             f"{TABLE_BUDGET >> 20} MiB"
         )
 
@@ -403,7 +389,7 @@ def _exact_search(cs):
         t = split.get(s)
         node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
         key = min(s, full ^ s)
-        cs.memo[key] = cut_of[key]  # for the critical-cut queries
+        cs.bounds[key] = (cut_of[key],) * 2  # for the critical-cut queries
     return f[full], BranchDecomposition(node[full])
 
 
@@ -415,7 +401,7 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     """
     # f over the 2^n sets and the cut values over 2^(n-1) keys: within
     # two tables.
-    _check_limit(g.n, limit, "exact mim-width", 2)
+    _check_limit(g.n, limit, "exact mim-width")
     return _width_report(g, "exact", _exact_search)
 
 
@@ -434,7 +420,7 @@ def _order_width(cs, order, cap):
     return worst
 
 
-def _upper_search(cs, restarts, local_search, seed):
+def _upper_search(cs, restarts, seed):
     n = cs.n
     rng = random.Random(seed)
     orders = [list(range(n))]
@@ -445,27 +431,26 @@ def _upper_search(cs, restarts, local_search, seed):
         w = _order_width(cs, o, best_w)
         if w < best_w:  # the first order of least width
             best_order, best_w = o, w
-    if local_search:
-        improved = True
-        while improved and best_w > 0:
-            improved = False
-            for i in range(n - 1):
-                cand = list(best_order)
-                cand[i], cand[i + 1] = cand[i + 1], cand[i]
-                w = _order_width(cs, cand, best_w)
-                if w < best_w:
-                    best_order, best_w = cand, w
-                    improved = True
-                    break
+    improved = True
+    while improved and best_w > 0:
+        improved = False
+        for i in range(n - 1):
+            cand = list(best_order)
+            cand[i], cand[i + 1] = cand[i + 1], cand[i]
+            w = _order_width(cs, cand, best_w)
+            if w < best_w:
+                best_order, best_w = cand, w
+                improved = True
+                break
     return best_w, caterpillar_from_order(best_order)
 
 
-def mimw_upper(g: Graph, restarts=8, local_search=True, seed=0) -> WidthReport:
+def mimw_upper(g: Graph, restarts=8, seed=0) -> WidthReport:
     """Heuristic upper bound: best caterpillar among the identity order and
     seeded random orders, then adjacent-transposition hill climbing. Each
     order is evaluated by threshold queries against the best width so far,
     and its evaluation stops as soon as it cannot be narrower."""
-    return _width_report(g, "upper", _upper_search, restarts, local_search, seed)
+    return _width_report(g, "upper", _upper_search, restarts, seed)
 
 
 def _tw_family(nbr, n, k, choice):
@@ -557,7 +542,7 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     set masks.
     """
     n = g.n
-    _check_limit(n, limit, "treewidth", 2)
+    _check_limit(n, limit, "treewidth")
     if n == 0:
         return TreewidthReport(0, ())
     nbr = g.nbr_masks

@@ -102,6 +102,14 @@ def table_mimw(g):
         """The subset DP of `mimlab.solver`: f(V) and a decomposition
         attaining it."""
         full = cs.full
+        cuts = {}  # min(S, V-S) -> the cut's maximum induced matching size
+
+        def cut_value(s):
+            key = min(s, full ^ s)
+            if key not in cuts:
+                cuts[key] = len(cs._max_induced_matching(s))
+            return cuts[key]
+
         # Every proper submask of s is smaller than s, so ascending order
         # solves both halves of each split before s itself.
         f = [0] * (full + 1)
@@ -110,7 +118,7 @@ def table_mimw(g):
             low = s & -s
             rest = s ^ low
             if not rest:
-                f[s] = cs.value(s)
+                f[s] = cut_value(s)
                 continue
             best = None
             best_t = None
@@ -124,7 +132,7 @@ def table_mimw(g):
                     best_t = t
                 if sub == 0:
                     break
-            f[s] = max(cs.value(s), best)
+            f[s] = max(cut_value(s), best)
             choice[s] = best_t
 
         # Tree nodes top-down, then built bottom-up, without recursion.

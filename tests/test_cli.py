@@ -157,6 +157,21 @@ def test_construct_and_embed_pipeline(tmp_path, capsys):
     assert len(word) == 2 * 15  # n + 3n/2 chords, two endpoints each
 
 
+def test_embed_empty_graph(tmp_path, capsys):
+    f = tmp_path / "e.txt"
+    f.write_text("graph 0 0\n")
+    assert run(["embed", str(f)], capsys) == (0, "\n", "")
+
+
+def test_negative_header_counts(tmp_path, capsys):
+    f = tmp_path / "neg.txt"
+    for header in ("graph 3 -1", "graph -1 0"):
+        f.write_text(header + "\n")
+        code, _, err = run(["recognize", "split", str(f)], capsys)
+        assert code == 4
+        assert err == f"error: bad header line: {header!r}\n"
+
+
 def test_construct_split(tmp_path, capsys):
     f = tmp_path / "p4.txt"
     run(["gen", "path", "4", "--out", str(f)], capsys)

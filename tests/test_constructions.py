@@ -233,6 +233,12 @@ class TestCompletionRatio:
             harness.verify_lemma31(trials=-1)
         assert harness.verify_lemma31(trials=0).rows == []
 
+    def test_unknown_sweep_family_rejected(self):
+        from mimlab import harness
+
+        with pytest.raises(InvalidParameter):
+            harness.sweep("nope", [2])
+
     def test_random_trials_at_least_half(self):
         rng = random.Random(12)
         for _ in range(20):

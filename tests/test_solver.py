@@ -20,6 +20,7 @@ from mimlab.construct import (
     complete_both_sides,
     complete_one_side,
 )
+from mimlab.decomp import caterpillar_from_order
 from mimlab.graph import (
     Graph,
     complete,
@@ -158,7 +159,32 @@ class TestThresholdQueries:
                 for a, t in queries:
                     assert cs.at_least(a, t) == (brute[a] >= t), (g.edges, a, t)
                 for a, want in brute.items():
-                    assert cs.value(a) == want
+                    assert cs.at_least(a, want) and not cs.at_least(a, want + 1)
+
+    def test_record_brackets_every_cut(self, made_solvers):
+        # What the solver stores, not only what it answers: each key's
+        # (lo, hi) brackets the key's value, after the heuristic's queries
+        # and after threshold queries in random order, and the subset DP
+        # stores only exact values.
+        open_keys = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
+            made_solvers.clear()
+            mimw_upper(g, restarts=2, seed=seed)
+            mimw_exact(g)
+            upper, exact = made_solvers
+            shuffled = solver._CutSolver(g)
+            for _ in range(3 * g.n):
+                shuffled.at_least(rng.randrange(1 << g.n), rng.randint(1, g.n // 2))
+            for cs in (upper, shuffled):
+                for key, (lo, hi) in cs.bounds.items():
+                    assert lo <= brute_max_induced_matching(g, mask_to_set(key)) <= hi
+                    open_keys += lo < hi
+            assert exact.bounds
+            for key, (lo, hi) in exact.bounds.items():
+                assert lo == hi == brute_max_induced_matching(g, mask_to_set(key))
+        assert open_keys  # some keys stay inexact
 
 
 class TestUpperWork:
@@ -269,11 +295,11 @@ class TestMimwExact:
 
     def test_cut_values_live_in_the_table(self, made_solvers):
         # The DP keeps its 2^(n-1) cut values in a counted byte table; the
-        # memo gets only the keys of the tree's 2n - 1 sets.
+        # record gets only the keys of the tree's 2n - 1 sets.
         g = frontier_mimw_graphs()["grid-3x4"]
         mimw_exact(g, limit=g.n)
         (cs,) = made_solvers
-        assert len(cs.memo) <= 2 * g.n - 1
+        assert len(cs.bounds) <= 2 * g.n - 1
 
     def test_matches_table_oracle_on_randoms(self):
         # Same report bytes as the DP that scans every split of every set.
@@ -326,7 +352,9 @@ class TestMimwUpper:
         assert mimw_upper(complete(6)).value == 1
 
     def test_p8_identity_is_1(self):
-        assert mimw_upper(path(8), restarts=0, local_search=False).value == 1
+        rep = mimw_upper(path(8), restarts=0)
+        assert rep.value == 1
+        assert rep.decomposition == caterpillar_from_order(range(8))
 
     def test_never_below_exact(self):
         for seed in range(50):
@@ -334,7 +362,7 @@ class TestMimwUpper:
             assert mimw_upper(g, seed=seed).value >= mimw_exact(g).value
 
     def test_long_path_without_recursion(self):
-        assert mimw_upper(path(1200), restarts=0, local_search=False).value == 1
+        assert mimw_upper(path(1200), restarts=0).value == 1
 
     def test_deterministic_per_seed(self):
         g = random_graph(9, 0.4, 3)
