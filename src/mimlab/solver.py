@@ -35,6 +35,10 @@ conflict iff b ~ c or d ~ a, whatever the cut. So the solver builds, once
 per graph, the arcs entering and leaving the neighbors of each vertex; an
 arc's conflicts are the OR of two of them, and the tables take O(n m)
 bits.
+
+Exact treewidth eliminates simplicial and almost-simplicial vertices
+first, by the safe rules of Bodlaender, Koster and van den Eijkhof, and
+runs its threshold search over the subsets of the kernel that is left.
 """
 
 from __future__ import annotations
@@ -522,42 +526,108 @@ def _tw_family(nbr, n, k, choice):
     return True
 
 
-def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
-    """Exact treewidth with a witness elimination order, by a threshold
-    search over vertex subsets (Bodlaender, Fomin, Koster, Kratsch and
-    Thilikos 2012; Tamaki 2017).
+def _tw_reduce(nbr, rest, low, order):
+    """Apply the safe rules of Bodlaender, Koster and van den Eijkhof
+    (2005) to the graph on the vertices of `rest`, whose neighbour masks
+    `nbr` are updated in place, given low <= tw. Repeatedly eliminate the
+    lowest-index vertex v that is simplicial (N(v) is a clique), which
+    raises low to deg v, or almost simplicial (N(v) - w is a clique for
+    some w) with deg v <= low. Eliminating v makes N(v) a clique and
+    appends v to `order`. Each step keeps tw = max(low, tw(rest)).
+    Returns (rest, low)."""
+    scan = rest
+    while scan:
+        bit = scan & -scan
+        scan ^= bit
+        v = bit.bit_length() - 1
+        around = nbr[v]
+        deg = around.bit_count()
+        miss = {}  # u in N(v) -> the other members of N(v) it misses
+        others = around
+        while others:
+            b = others & -others
+            others ^= b
+            m = around & ~nbr[b.bit_length() - 1] ^ b
+            if m:
+                miss[b] = m
+                if deg > low:  # neither rule can apply
+                    break
+        if miss:
+            if deg > low:
+                continue
+            # N(v) - w is a clique iff every non-edge inside N(v) has the
+            # end w: w is the first vertex that misses one, or one it misses.
+            first = next(iter(miss))
+            if not any(
+                all(m == w for u, m in miss.items() if u != w)
+                for w in (first, miss[first] & -miss[first])
+            ):
+                continue
+        elif deg > low:
+            low = deg
+        others = around
+        while others:
+            b = others & -others
+            others ^= b
+            u = b.bit_length() - 1
+            nbr[u] = (nbr[u] | around) & ~(b | bit)
+        rest ^= bit
+        order.append(v)
+        scan = rest  # an earlier vertex may qualify now
+    return rest, low
 
-    q(T, v) counts the vertices outside T + v that v reaches through G[T],
-    and f(S) = min over v in S of max(f(S - v), q(S - v, v)) is the width
-    of the best elimination order that starts with S; tw = f(V). For
-    k = degeneracy, degeneracy + 1, ... (tw >= degeneracy), the sets with
-    f(S) <= k are grown forward from the empty set one size at a time, and
-    the first k whose family reaches V is tw. q(T, v) comes from the
-    components of G[T], found once per T with their neighbourhoods.
+
+def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
+    """Exact treewidth with a witness elimination order: safe reductions
+    down to a kernel, then a threshold search over the kernel's vertex
+    subsets (Bodlaender, Fomin, Koster, Kratsch and Thilikos 2012; Tamaki
+    2017).
+
+    low starts at the degeneracy, which is at most tw. `_tw_reduce`
+    eliminates simplicial and almost-simplicial vertices; they form a
+    prefix of the witness order, and tw = max(low, tw(kernel)).
+
+    On the kernel, relabelled 0..n'-1 in index order, q(T, v) counts the
+    vertices outside T + v that v reaches through G[T], and
+    f(S) = min over v in S of max(f(S - v), q(S - v, v)) is the width of
+    the best elimination order that starts with S; tw(kernel) = f(V). For
+    k = low, low + 1, ..., the sets with f(S) <= k are grown forward from
+    the empty set one size at a time. q(T, v) comes from the components of
+    G[T], found once per T with their neighbourhoods. A k whose family
+    does not reach V proves tw > k, so low becomes k + 1 and the
+    reductions run again on the kernel. The first k whose family reaches V
+    is tw; a kernel that empties leaves tw = low.
 
     Each reached S keeps its exact f(S) and, among the v attaining it, the
     smallest, as the full 2^n table would: a v with f(S - v) > k cannot
-    attain f(S) <= k. So the witness order is the table's order. f and the
-    choice of v are bytearrays over the 2^n sets; a level is an array of
-    set masks.
+    attain f(S) <= k. So when no vertex reduces, the witness order is the
+    table's order. f and the choice of v are bytearrays over the 2^n' sets;
+    a level is an array of set masks. The limit and the table budget
+    bound the raw n, not n'.
     """
     n = g.n
     _check_limit(n, limit, "treewidth")
-    if n == 0:
-        return TreewidthReport(0, ())
-    nbr = g.nbr_masks
-    choice = bytearray(1 << n)
-    k = degeneracy(g).d
-    while not _tw_family(nbr, n, k, choice):
-        k += 1
+    nbr = list(g.nbr_masks)
     order = []
-    s = (1 << n) - 1
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return TreewidthReport(k, tuple(order))
+    rest, low = _tw_reduce(nbr, (1 << n) - 1, degeneracy(g).d, order)
+    while rest:
+        verts = [v for v in range(n) if rest >> v & 1]
+        size = len(verts)
+        kernel = [
+            sum(1 << i for i in range(size) if nbr[v] >> verts[i] & 1) for v in verts
+        ]
+        choice = bytearray(1 << size)
+        if _tw_family(kernel, size, low, choice):
+            tail = []
+            s = (1 << size) - 1
+            while s:
+                i = choice[s]
+                tail.append(verts[i])
+                s ^= 1 << i
+            order += reversed(tail)
+            break
+        rest, low = _tw_reduce(nbr, rest, low + 1, order)
+    return TreewidthReport(low, tuple(order))
 
 
 def mimw_lower_eq1(g: Graph, tw_limit=DEFAULT_TW_LIMIT) -> Eq1Bound:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_max_induced_matching,
@@ -26,6 +28,7 @@ from mimlab.graph import (
     complete,
     complete_bipartite,
     cycle,
+    degeneracy,
     grid,
     mask_to_set,
     path,
@@ -40,6 +43,7 @@ from mimlab.solver import (
     treewidth_exact,
     verify_induced_matching,
 )
+from test_graph import small_graphs
 
 
 def random_graph(n, p, seed):
@@ -67,6 +71,38 @@ def made_solvers(monkeypatch):
 
     monkeypatch.setattr(solver, "_CutSolver", Recording)
     return made
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The kernel size after each pass of the treewidth reductions during
+    the test, in order; `kernels.clear()` starts a new record."""
+    sizes = []
+    reduce = solver._tw_reduce
+
+    def recording(nbr, rest, low, order):
+        rest, low = reduce(nbr, rest, low, order)
+        sizes.append(rest.bit_count())
+        return rest, low
+
+    monkeypatch.setattr(solver, "_tw_reduce", recording)
+    return sizes
+
+
+def check_table_oracle(g, kernels):
+    """The gate against the full 2^n table. Where no vertex reduces, the
+    report is the table's; elsewhere the value is, and the order is a
+    permutation of width equal to it. Returns which case held."""
+    kernels.clear()
+    rep = treewidth_exact(g)
+    want = table_treewidth(g)
+    if all(size == g.n for size in kernels):
+        assert rep == want, g.edges
+        return "unreduced"
+    assert rep.value == want.value, g.edges
+    assert sorted(rep.elimination_order) == list(range(g.n)), g.edges
+    assert simulate_elimination(g, rep.elimination_order) == rep.value, g.edges
+    return "reduced"
 
 
 class TestMaxInducedMatchingCut:
@@ -257,6 +293,42 @@ class TestExactWork:
         assert (cs.nodes, cs.splits) == (nodes, splits)
 
 
+def frontier_tw_graphs():
+    g44 = two_color(grid(4, 4))
+    return {
+        "grid-4x4": g44.graph,
+        "split-grid-4x4": complete_one_side(g44, "Y").result,
+        "circle-cubic-6": build_subdivided_family(6, 0).graph,
+        "grid-3x5": two_color(grid(3, 5)).graph,
+    }
+
+
+class TestTreewidthWork:
+    # Kernel sizes after each pass of the reductions in treewidth_exact: a
+    # pass runs first, then again after each k that the kernel fails.
+    @pytest.mark.parametrize(
+        "name, sizes, tw",
+        [
+            ("grid-4x4", [12, 8, 8], 4),
+            ("split-grid-4x4", [0], 7),
+            ("circle-cubic-6", [6, 0], 3),
+            ("grid-3x5", [11, 0], 3),
+        ],
+    )
+    def test_kernel_sizes(self, kernels, name, sizes, tw):
+        g = frontier_tw_graphs()[name]
+        assert treewidth_exact(g, limit=g.n).value == tw
+        assert kernels == sizes
+
+    def test_circle_cubic_14_reduces_to_its_cubic_kernel(self):
+        # n = 35 is over the table budget, so only the reductions run.
+        g = build_subdivided_family(14, 0).graph
+        order = []
+        full = (1 << g.n) - 1
+        rest, low = solver._tw_reduce(list(g.nbr_masks), full, degeneracy(g).d, order)
+        assert (g.n, rest.bit_count(), len(order), low) == (35, 14, 21, 2)
+
+
 class TestMimwExact:
     def test_complete_graphs(self):
         for n in range(2, 6):
@@ -384,9 +456,12 @@ class TestTreewidth:
         assert treewidth_exact(grid(3, 3)).value == 3
 
     def test_matches_permutation_oracle(self):
-        for seed in range(10):
-            g = random_graph(6, 0.5, seed)
-            assert treewidth_exact(g).value == brute_treewidth(g)
+        graphs = [random_graph(6, 0.5, seed) for seed in range(10)]
+        for seed in range(28):
+            rng = random.Random(seed)
+            graphs.append(random_graph(rng.randint(1, 7), (1 + seed % 7) / 8, seed))
+        for g in graphs:
+            assert treewidth_exact(g).value == brute_treewidth(g), g.edges
 
     def test_order_witnesses_value(self):
         for seed in range(10):
@@ -410,24 +485,51 @@ class TestTreewidth:
         with pytest.raises(LimitExceeded):
             treewidth_exact(Graph(10), limit=10)
 
-    def test_matches_table_oracle_on_randoms(self):
-        # Same value and same elimination order as the full 2^n table;
-        # one graph in 16 has 11 or 12 vertices, where the table is slow.
+    def test_matches_table_oracle_on_randoms(self, kernels):
+        # One graph in 16 has 11 or 12 vertices, where the table is slow.
+        seen = set()
         for seed in range(320):
             rng = random.Random(seed)
             n = rng.randint(1, 10) if seed % 16 else rng.randint(11, 12)
             g = random_graph(n, (1 + seed % 9) / 10, seed)
-            assert treewidth_exact(g) == table_treewidth(g), (n, seed)
+            seen.add(check_table_oracle(g, kernels))
+        assert seen == {"reduced", "unreduced"}
 
     @pytest.mark.parametrize("make, smallest", [(Graph, 0), (complete, 1), (path, 1), (cycle, 3)])
-    def test_matches_table_oracle_on_families(self, make, smallest):
+    def test_matches_table_oracle_on_families(self, kernels, make, smallest):
         for n in range(smallest, 11):
-            g = make(n)
-            assert treewidth_exact(g) == table_treewidth(g), n
+            check_table_oracle(make(n), kernels)
 
-    def test_matches_table_oracle_on_grid34(self):
-        g = grid(3, 4)
-        assert treewidth_exact(g) == table_treewidth(g)
+    def test_matches_table_oracle_on_grid34(self, kernels):
+        assert check_table_oracle(grid(3, 4), kernels) == "reduced"
+
+    def test_matches_table_oracle_on_reducible(self, kernels):
+        # Pendant and degree-2 vertices hung on a random core, and
+        # subdivisions: the shapes the reductions eliminate.
+        for seed in range(120):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 7), rng.choice((0.3, 0.6, 0.9)), seed)
+            edges = list(g.edges)
+            n = g.n
+            for _ in range(rng.randint(1, 3)):
+                picks = rng.sample(range(n), rng.randint(1, min(2, n)))
+                edges += [(v, n) for v in picks]
+                n += 1
+            check_table_oracle(Graph(n, edges), kernels)
+        for seed in range(40):
+            rng = random.Random(seed)
+            core = random_graph(rng.randint(3, 5), 0.5, seed)
+            if core.n + core.m <= 11:
+                check_table_oracle(subdivide_all_edges(core).graph, kernels)
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_relabelling(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        rep = treewidth_exact(h)
+        assert rep.value == treewidth_exact(g).value
+        assert simulate_elimination(h, rep.elimination_order) == rep.value
 
     def test_sixteen_vertices_at_default_limit(self):
         b = two_color(grid(4, 4))
