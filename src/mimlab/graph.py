@@ -119,7 +119,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def degree(self, v):
-        return len(self.adj[v])
+        return self.nbr_masks[v].bit_count()
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -263,19 +263,36 @@ def _odd_cycle(u, w, parent, depth):
 
 
 def degeneracy(g: Graph) -> DegeneracyResult:
-    """Degeneracy via repeated minimum-degree removal (lowest index first)."""
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
+    """Degeneracy via repeated minimum-degree removal (lowest index first).
+    bucket[k] is the bitmask of the remaining vertices of degree k; the
+    least nonempty bucket drops by at most one per removal, so the scan
+    for it costs O(n) in all."""
+    nbr = g.nbr_masks
+    deg = [m.bit_count() for m in nbr]
+    bucket = [0] * (g.n + 1)
+    for v, k in enumerate(deg):
+        bucket[k] |= 1 << v
+    rest = (1 << g.n) - 1
     order = []
-    d = 0
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    d = k = 0
+    while rest:
+        while not bucket[k]:
+            k += 1
+        low = bucket[k] & -bucket[k]
+        v = low.bit_length() - 1
+        bucket[k] ^= low
+        rest ^= low
+        d = max(d, k)
         order.append(v)
-        remaining.remove(v)
-        for w in g.adj[v]:
-            if w in remaining:
-                deg[w] -= 1
+        ws = nbr[v] & rest
+        while ws:
+            b = ws & -ws
+            w = b.bit_length() - 1
+            bucket[deg[w]] ^= b
+            deg[w] -= 1
+            bucket[deg[w]] |= b
+            ws ^= b
+        k = max(k - 1, 0)
     return DegeneracyResult(d, tuple(order))
 
 

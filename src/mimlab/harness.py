@@ -288,11 +288,11 @@ def _width_rows(family, parameter, g, seed, exact_limit, tw_limit):
         rep = mimw_exact(g, exact_limit)
     else:
         rep = mimw_upper(g, restarts=SWEEP_RESTARTS, seed=seed)
-    tw_val = eq1 = None
-    deg = degeneracy(g).d
     if g.n <= tw_limit:
         bound = mimw_lower_eq1(g, tw_limit)
-        tw_val, eq1 = bound.treewidth, bound.ratio
+        tw_val, deg, eq1 = bound.treewidth, bound.degeneracy, bound.ratio
+    else:
+        tw_val, deg, eq1 = None, degeneracy(g).d, None
     return rep, Row(
         family=family,
         parameter=parameter,
@@ -309,7 +309,9 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
           tw_limit=DEFAULT_TW_LIMIT):
     """Per-size construct + recognize + width computation for one family,
     exact below the limit and heuristic (plus the rational lower bound,
-    where treewidth is computable) above it."""
+    where treewidth is computable) above it. `split-grid` completions are
+    split but not strongly chordal for k >= 3, since grid k x k has a
+    chordless 8-cycle; the sweep checks only `is_split`."""
     if family not in SWEEP_FAMILIES:
         raise InvalidParameter(f"unknown sweep family {family!r}")
     rows = []

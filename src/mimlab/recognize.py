@@ -2,10 +2,13 @@
 
 Each recognizer returns a RecognitionResult whose certificate either
 re-verifies independently (positive) or exhibits a concrete violation
-(negative). All run in polynomial time: strong chordality by deleting
-simple vertices (Farber 1983), chordal bipartiteness by the same test on
-the one-side completion, comparability by Golumbic's G-decomposition
-(1977).
+(negative). All run in polynomial time. One sweep deletes vertices on
+neighbour bitmasks: chordality deletes simplicial vertices (Fulkerson and
+Gross 1965), and a stuck remainder yields a chordless cycle; strong
+chordality deletes simple vertices (Farber 1983), and chordal
+bipartiteness runs that test on the one-side completion. Comparability
+uses Golumbic's G-decomposition (1977). In this module only the
+verifiers read the set adjacency `Graph.adj`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ def verify_independent(g, vs):
 
 def verify_elimination_order(g, order):
     """True iff eliminating along `order` always leaves later neighbors
-    forming a clique (perfect elimination order)."""
+    forming a clique (perfect elimination order). False unless `order`
+    lists every vertex once."""
+    if sorted(order) != list(range(g.n)):
+        return False
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         later = [w for w in g.adj[v] if pos[w] > pos[v]]
@@ -121,70 +127,6 @@ def is_split(g: Graph) -> RecognitionResult:
     )
 
 
-def _mcs_order(g):
-    """Maximum cardinality search; returns the visit order."""
-    weight = [0] * g.n
-    seen = [False] * g.n
-    order = []
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if not seen[u]),
-            key=lambda u: (weight[u], -u),
-        )
-        seen[v] = True
-        order.append(v)
-        for w in g.adj[v]:
-            if not seen[w]:
-                weight[w] += 1
-    return order
-
-
-def _find_chordless_cycle(g):
-    """A chordless cycle of length >= 4 in a non-chordal graph: for some
-    vertex v with nonadjacent neighbors u, w, a shortest u-w path avoiding
-    N[v] closes into an induced cycle through v."""
-    for v in range(g.n):
-        nbrs = sorted(g.adj[v])
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                if g.has_edge(u, w):
-                    continue
-                forbidden = (g.adj[v] | {v}) - {u, w}
-                # BFS from u to w inside the allowed induced subgraph.
-                prev = {u: None}
-                queue = [u]
-                while queue and w not in prev:
-                    nq = []
-                    for x in queue:
-                        for y in sorted(g.adj[x]):
-                            if y not in prev and y not in forbidden:
-                                prev[y] = x
-                                nq.append(y)
-                    queue = nq
-                if w in prev:
-                    pth = [w]
-                    while pth[-1] is not None:
-                        pth.append(prev[pth[-1]])
-                    pth.pop()
-                    pth.reverse()  # u .. w
-                    return [v] + pth
-    return None
-
-
-def is_chordal(g: Graph) -> RecognitionResult:
-    """Chordality via maximum cardinality search plus perfect-elimination
-    verification; negative certificate is a chordless cycle."""
-    order = list(reversed(_mcs_order(g)))
-    if verify_elimination_order(g, order):
-        return RecognitionResult(
-            True, {"kind": "perfect_elimination_order", "order": order}
-        )
-    cyc = _find_chordless_cycle(g)
-    if cyc is None or not verify_cycle(g, cyc) or cycle_chords(g, cyc):
-        raise CertificateViolation(f"no chordless cycle certifies non-chordality: {cyc}")
-    return RecognitionResult(False, {"kind": "chordless_cycle", "cycle": cyc})
-
-
 def _bits(mask):
     """The vertices of a bitmask, ascending."""
     while mask:
@@ -193,27 +135,83 @@ def _bits(mask):
         mask ^= low
 
 
-def _simple_elimination(nbr, rest):
-    """Delete simple vertices from the vertex set `rest`, sweeping it in
-    ascending order until a sweep deletes none. A vertex is simple if the
-    closed neighbourhoods of its closed neighbourhood form a chain; it stays
-    simple in every induced subgraph, so the order of deletion does not
-    matter. Returns the deletion order and the stuck remainder, which is 0
-    iff the set induces a strongly chordal graph (Farber 1983)."""
+def _simple(nbr, rest, v):
+    """The closed neighbourhoods of v's closed neighbourhood in `rest` form
+    a chain."""
+    hoods = sorted(
+        ((nbr[u] | 1 << u) & rest for u in _bits((nbr[v] | 1 << v) & rest)),
+        key=int.bit_count,
+    )
+    return all(not a & ~b for a, b in zip(hoods, hoods[1:]))
+
+
+def _simplicial(nbr, rest, v):
+    """v's neighbourhood in `rest` is a clique."""
+    hood = nbr[v] & rest
+    return all(not hood & ~(nbr[u] | 1 << u) for u in _bits(hood))
+
+
+def _eliminate(nbr, rest, removable):
+    """Delete removable vertices from the vertex set `rest`, sweeping it in
+    ascending order until a sweep deletes none. Simple and simplicial
+    vertices stay so in every induced subgraph, so the order of deletion
+    does not matter. Returns the deletion order and the stuck remainder,
+    which is 0 iff the set induces a strongly chordal graph (`_simple`,
+    Farber 1983) or a chordal one (`_simplicial`, Fulkerson and Gross
+    1965)."""
     order = []
     swept = True
     while swept:
         swept = False
         for v in _bits(rest):
-            hoods = sorted(
-                ((nbr[u] | 1 << u) & rest for u in _bits((nbr[v] | 1 << v) & rest)),
-                key=int.bit_count,
-            )
-            if all(not a & ~b for a, b in zip(hoods, hoods[1:])):
+            if removable(nbr, rest, v):
                 rest ^= 1 << v
                 order.append(v)
                 swept = True
     return order, rest
+
+
+def _chordless_cycle(g, stuck):
+    """The negative certificate of chordality. Every chordless cycle lies in
+    the `stuck` remainder of simplicial elimination. For the first v there
+    with nonadjacent neighbours u < w, a shortest u-w path avoiding the
+    rest of N[v] (breadth first, neighbours ascending) closes into a
+    chordless cycle through v."""
+    nbr = g.nbr_masks
+    for v in _bits(stuck):
+        for u in _bits(nbr[v] & stuck):
+            for w in _bits(nbr[v] & stuck & ~nbr[u] & -(2 << u)):
+                free = ~(nbr[v] | 1 << v) | 1 << w  # unseen, and off N[v] but w
+                prev, queue = {u: None}, [u]
+                while queue and w not in prev:
+                    nq = []
+                    for x in queue:
+                        for y in _bits(nbr[x] & free):
+                            prev[y] = x
+                            free ^= 1 << y
+                            nq.append(y)
+                    queue = nq
+                if w in prev:
+                    cyc = [w]
+                    while prev[cyc[-1]] is not None:
+                        cyc.append(prev[cyc[-1]])
+                    cyc = [v] + cyc[::-1]
+                    if not verify_cycle(g, cyc) or cycle_chords(g, cyc):
+                        raise CertificateViolation(f"cycle {cyc} is not chordless")
+                    return RecognitionResult(False, {"kind": "chordless_cycle", "cycle": cyc})
+    raise CertificateViolation("no chordless cycle certifies non-chordality")
+
+
+def is_chordal(g: Graph) -> RecognitionResult:
+    """Chordality by deleting simplicial vertices: the deletion order is a
+    perfect elimination order, and a stuck remainder holds a chordless
+    cycle."""
+    order, stuck = _eliminate(g.nbr_masks, (1 << g.n) - 1, _simplicial)
+    if stuck:
+        return _chordless_cycle(g, stuck)
+    if not verify_elimination_order(g, order):
+        raise CertificateViolation(f"perfect elimination order {order} fails its check")
+    return RecognitionResult(True, {"kind": "perfect_elimination_order", "order": order})
 
 
 def _sun_cycle(nbr, stuck):
@@ -224,7 +222,7 @@ def _sun_cycle(nbr, stuck):
     neighbour."""
     for v in _bits(stuck):
         if stuck >> v & 1:
-            rest = _simple_elimination(nbr, stuck ^ 1 << v)[1]
+            rest = _eliminate(nbr, stuck ^ 1 << v, _simple)[1]
             if rest:
                 stuck = rest
     deg2 = sum(1 << v for v in _bits(stuck) if (nbr[v] & stuck).bit_count() == 2)
@@ -260,14 +258,15 @@ def is_strongly_chordal(g: Graph, limit=None) -> RecognitionResult:
     """Chordal and repeatedly reducible by simple vertices. The positive
     certificate is the simple elimination order; the negative one is a
     sun's 2k-cycle, an even cycle of length >= 6 with no odd chord.
-    `limit` is ignored. A complete simple elimination order is a perfect
-    elimination order too, so only a stuck graph needs the chordality
-    test, whose chordless cycle certifies a non-chordal one."""
-    order, stuck = _simple_elimination(g.nbr_masks, (1 << g.n) - 1)
+    `limit` is ignored. Simple vertices are simplicial, so a stuck graph
+    goes on to simplicial elimination from the stuck set, which stops
+    where a run on the whole graph would; a chordless cycle there
+    certifies a non-chordal graph."""
+    order, stuck = _eliminate(g.nbr_masks, (1 << g.n) - 1, _simple)
     if stuck:
-        chordal = is_chordal(g)
-        if not chordal.verdict:
-            return chordal
+        unchordal = _eliminate(g.nbr_masks, stuck, _simplicial)[1]
+        if unchordal:
+            return _chordless_cycle(g, unchordal)
         cyc = _sun_cycle(g.nbr_masks, stuck)
         if len(cyc) < 6 or len(cyc) % 2 or not verify_cycle(g, cyc) or has_odd_chord(g, cyc):
             raise CertificateViolation(f"no even cycle without odd chord in the sun: {cyc}")
@@ -289,7 +288,7 @@ def is_chordal_bipartite(g: Graph, limit=None) -> RecognitionResult:
     except OddCycleFound as exc:
         return RecognitionResult(False, {"kind": "odd_cycle", "cycle": list(exc.cycle)})
     nbr = complete_one_side(coloring, "Y").result.nbr_masks
-    stuck = _simple_elimination(nbr, (1 << g.n) - 1)[1]
+    stuck = _eliminate(nbr, (1 << g.n) - 1, _simple)[1]
     if stuck:
         cyc = _sun_cycle(nbr, stuck)
         if len(cyc) < 6 or not verify_cycle(g, cyc) or cycle_chords(g, cyc):

@@ -203,6 +203,26 @@ def table_treewidth(g):
     return TreewidthReport(f[full], tuple(reversed(order)))
 
 
+def reference_degeneracy(g):
+    """Degeneracy by scanning the remaining vertices for the least degree,
+    then the lowest index, at every step."""
+    from mimlab.graph import DegeneracyResult
+
+    remaining = set(range(g.n))
+    deg = {v: len(g.adj[v]) for v in remaining}
+    order = []
+    d = 0
+    while remaining:
+        v = min(remaining, key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        order.append(v)
+        remaining.remove(v)
+        for w in g.adj[v]:
+            if w in remaining:
+                deg[w] -= 1
+    return DegeneracyResult(d, tuple(order))
+
+
 def simulate_elimination(g, order):
     """Max number of later neighbors while eliminating with fill-in."""
     adj = {v: set(g.adj[v]) for v in range(g.n)}
@@ -259,12 +279,19 @@ def enumerate_cycles(g, min_len=3):
         yield from dfs(s)
 
 
+def brute_is_chordal(g):
+    """Every cycle of length >= 4 has a chord, by enumerating every cycle."""
+    from mimlab.recognize import cycle_chords
+
+    return all(cycle_chords(g, c) for c in enumerate_cycles(g, min_len=4))
+
+
 def brute_is_strongly_chordal(g):
     """Chordal, and every even cycle of length >= 6 has an odd chord, by
     enumerating every cycle."""
-    from mimlab.recognize import has_odd_chord, is_chordal
+    from mimlab.recognize import has_odd_chord
 
-    return is_chordal(g).verdict and all(
+    return brute_is_chordal(g) and all(
         has_odd_chord(g, c) for c in enumerate_cycles(g, min_len=6) if len(c) % 2 == 0
     )
 

@@ -212,6 +212,7 @@ def test_sweep_deterministic(tmp_path, capsys):
     [
         ("split", ["complete", "4"], "verify_clique"),
         ("chordal", ["cycle", "4"], "verify_cycle"),
+        ("chordal", ["complete", "4"], "verify_elimination_order"),
         ("strongly-chordal", ["complete", "4"], "verify_simple_elimination_order"),
     ],
 )

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_graphs, reference_degeneracy
 from mimlab.errors import GraphFormatError, InvalidParameter, OddCycleFound
 from mimlab.graph import (
     BipartiteGraph,
@@ -133,6 +136,21 @@ class TestDegeneracy:
         for v in res.order:
             assert len(g.adj[v] & remaining) <= res.d
             remaining.remove(v)
+
+    def test_matches_reference_on_small_graphs(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert degeneracy(g) == reference_degeneracy(g)
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(0, 60)
+            p = rng.random()
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            assert degeneracy(g) == reference_degeneracy(g)
+        for rows, cols in ((1, 7), (3, 5), (8, 8)):
+            assert degeneracy(grid(rows, cols)) == reference_degeneracy(grid(rows, cols))
 
     @given(small_graphs())
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """The README's example runs as written, and the package needs nothing
 beyond the standard library at run time."""
 
+import ast
 import contextlib
 import io
 import os
@@ -61,3 +62,14 @@ def test_runs_without_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("family,parameter,n,")
+
+
+def test_library_has_no_assert():
+    # `python -O` strips assert statements, so library checks must raise.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "mimlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

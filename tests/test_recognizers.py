@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     all_graphs,
+    brute_is_chordal,
     brute_is_chordal_bipartite,
     brute_is_comparability,
     brute_is_strongly_chordal,
@@ -54,6 +55,8 @@ def assert_certified(g, res):
     kind = c["kind"]
     if kind == "strongly_chordal":
         assert verify_simple_elimination_order(g, c["order"])
+    elif kind == "perfect_elimination_order":
+        assert verify_elimination_order(g, c["order"])
     elif kind == "chordless_cycle":
         cyc = c["cycle"]
         assert len(cyc) >= 4 and verify_cycle(g, cyc) and not cycle_chords(g, cyc)
@@ -212,6 +215,33 @@ class TestChordal:
                 cyc = r.certificate["cycle"]
                 assert verify_cycle(g, cyc)
                 assert not cycle_chords(g, cyc)
+
+
+    def test_elimination_order_must_list_every_vertex_once(self):
+        assert verify_elimination_order(path(3), [0, 1, 2])
+        for order in ([], [0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 5]):
+            assert not verify_elimination_order(path(3), order)
+
+
+def assert_chordal_oracle(g):
+    r = is_chordal(g)
+    assert r.verdict == brute_is_chordal(g)
+    assert_certified(g, r)
+    if not r.verdict:
+        # Strong chordality reuses the chordless cycle of the stuck set.
+        assert is_strongly_chordal(g).certificate == r.certificate
+
+
+class TestChordalOracle:
+    def test_all_small_graphs(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert_chordal_oracle(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        for seed in range(300):
+            assert_chordal_oracle(random_graph(rng.randint(2, 9), rng.random(), seed))
 
 
 class TestStronglyChordal:
