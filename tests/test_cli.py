@@ -212,8 +212,8 @@ def test_sweep_deterministic(tmp_path, capsys):
     [
         ("split", ["complete", "4"], "verify_clique"),
         ("chordal", ["cycle", "4"], "verify_cycle"),
-        ("chordal", ["complete", "4"], "verify_elimination_order"),
         ("strongly-chordal", ["complete", "4"], "verify_simple_elimination_order"),
+        ("chordal", ["complete", "4"], "verify_elimination_order"),
     ],
 )
 def test_failed_certificate_exit_code(tmp_path, capsys, monkeypatch, cls, gen, checker):
