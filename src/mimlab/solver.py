@@ -25,9 +25,10 @@ settles it, else by branch and bound over the conflict graph of the cut's
 edges. That search stops at the first matching of t edges and prunes every
 branch that cannot reach t. The subset DP runs the search without a
 threshold, which finds a maximum, and records the tree's cuts as exact.
-Every search also prunes by the endpoint bound: an induced matching uses
-each vertex at most once, so the candidate edges add at most
-min(#ends inside, #ends outside) to it.
+Every search also prunes by a clique-cover bound, the colouring bound of
+Tomita and Seki applied to the complement: the members of a clique of the
+conflict graph pairwise conflict, so the candidate edges add at most one
+edge per clique of a cover, which is grown greedily.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
@@ -150,11 +151,37 @@ def _min_conflict(cand, enter, leave):
     return best
 
 
+def _covered(cand, enter, leave, room):
+    """Whether greedy cliques of the conflict graph cover the candidates
+    `cand` (a bitmask of arc indices) with at most `room` cliques. Each
+    clique starts at the lowest candidate left and adds, lowest first, the
+    candidates that conflict with every member so far. An induced matching
+    holds at most one arc of a clique, so such a cover bounds it by `room`."""
+    while cand:
+        room -= 1
+        if room < 0:
+            return False
+        low = cand & -cand
+        i = low.bit_length() - 1
+        pool = (enter[i] | leave[i]) & cand  # i itself included
+        clique = 0
+        while pool:
+            b = pool & -pool
+            clique |= b
+            j = b.bit_length() - 1
+            pool &= enter[j] | leave[j]
+            pool ^= b
+        cand ^= clique
+    return True
+
+
 class _CutSolver:
     """Per-graph solver for threshold queries on cut mim-values. `bounds`
     is its one record: bitmask key min(S, V-S) -> the (lo, hi) that its
     searches proved, exact iff lo == hi. `nodes` counts the
-    branch-and-bound nodes of every search it ran."""
+    branch-and-bound nodes of every search it ran; a search prunes a node
+    whose candidates have a greedy clique cover (`_covered`) too small to
+    beat its floor."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -164,9 +191,6 @@ class _CutSolver:
         self.nodes = 0
         self.splits = 0  # split pairs examined by the subset DP
         self.edges, tail, head = g.arc_tables
-        ends = []  # arc -> bitmask of its two ends
-        for u, v in self.edges:
-            ends += (1 << u | 1 << v,) * 2
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc i conflicts, whatever the cut,
         # with enter[i] | leave[i] (itself included). Those are masks
@@ -187,7 +211,7 @@ class _CutSolver:
         for u, v in self.edges:
             enter += (heads_near[u], heads_near[v])
             leave += (tails_near[v], tails_near[u])
-        self.ends, self.enter, self.leave = ends, enter, leave
+        self.enter, self.leave = enter, leave
 
     def at_least(self, mask, t):
         """Whether the cut at `mask` has an induced matching of t edges."""
@@ -219,7 +243,7 @@ class _CutSolver:
         m = arcs.bit_count()
         if m <= 1:
             return (edges[(arcs.bit_length() - 1) >> 1],) if m else ()
-        ends, enter, leave = self.ends, self.enter, self.leave
+        enter, leave = self.enter, self.leave
 
         goal = t or m + 1  # the search stops once it holds this many edges
         # Greedy initial solution: repeatedly take a min-conflict edge.
@@ -248,16 +272,7 @@ class _CutSolver:
                 return
             if cur_size + cand.bit_count() <= floor:
                 return
-            # Each end takes part in at most one matching edge, so the
-            # candidates add at most min(#ends in mask, #ends outside).
-            covered = 0
-            rest = cand
-            while rest:
-                low = rest & -rest
-                covered |= ends[low.bit_length() - 1]
-                rest ^= low
-            inside = (covered & mask).bit_count()
-            if cur_size + min(inside, covered.bit_count() - inside) <= floor:
+            if _covered(cand, enter, leave, floor - cur_size):
                 return
             # Min-degree pivot: some optimal solution contains a member of
             # its closed conflict neighborhood, so branch only over those.
@@ -605,11 +620,16 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     a level is an array of set masks. The limit and the table budget
     bound the raw n, not n'.
     """
+    _check_limit(g.n, limit, "treewidth")
+    return _treewidth(g, degeneracy(g).d)
+
+
+def _treewidth(g, d):
+    """`treewidth_exact` for a graph of degeneracy d, within the limits."""
     n = g.n
-    _check_limit(n, limit, "treewidth")
     nbr = list(g.nbr_masks)
     order = []
-    rest, low = _tw_reduce(nbr, (1 << n) - 1, degeneracy(g).d, order)
+    rest, low = _tw_reduce(nbr, (1 << n) - 1, d, order)
     while rest:
         verts = [v for v in range(n) if rest >> v & 1]
         size = len(verts)
@@ -632,7 +652,8 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
 
 def mimw_lower_eq1(g: Graph, tw_limit=DEFAULT_TW_LIMIT) -> Eq1Bound:
     """Lower bound mimw(G) >= tw(G) / (3 (d+1)) for d-degenerate G."""
-    tw = treewidth_exact(g, tw_limit).value
+    _check_limit(g.n, tw_limit, "treewidth")
     d = degeneracy(g).d
+    tw = _treewidth(g, d).value
     ratio = Fraction(tw, 3 * (d + 1))
     return Eq1Bound(ratio, math.ceil(ratio), tw, d)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -44,6 +45,14 @@ from mimlab.solver import (
     verify_induced_matching,
 )
 from test_graph import small_graphs
+
+
+def conflict(e, f, cut_set):
+    """Whether cut edges e and f cannot both be in an induced matching:
+    they share an end, or a cut edge joins them."""
+    return bool(set(e) & set(f)) or any(
+        (min(p, q), max(p, q)) in cut_set for p in e for q in f
+    )
 
 
 def random_graph(n, p, seed):
@@ -165,10 +174,44 @@ class TestArcTables:
                     row = cs.enter[i] | cs.leave[i]  # itself included
                     for j in ids:
                         e, f = edges[i >> 1], edges[j >> 1]
-                        want = bool(set(e) & set(f)) or any(
-                            (min(p, q), max(p, q)) in cut_set for p in e for q in f
-                        )
+                        want = conflict(e, f, cut_set)
                         assert bool(row >> j & 1) == want, (seed, mask, e, f)
+
+
+class TestCliqueCover:
+    def test_pruning_is_sound(self):
+        # Wherever greedy cliques cover the candidates within `room`, no
+        # induced matching among them has more than `room` edges.
+        pruned = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
+            cs = solver._CutSolver(g)
+            edges = g.arc_tables[0]
+            for mask in range(1 << g.n):
+                arcs = g.cut_arcs(mask)
+                ids = [i for i in range(2 * g.m) if arcs >> i & 1]
+                cut_set = {edges[i >> 1] for i in ids}
+                for _ in range(3):
+                    cand = [i for i in ids if rng.random() < 0.7]
+                    bits = sum(1 << i for i in cand)
+                    # The largest r with r pairwise free candidates; freedom
+                    # is hereditary, so the first size without one ends it.
+                    best = 0
+                    while any(
+                        not any(
+                            conflict(edges[i >> 1], edges[j >> 1], cut_set)
+                            for i, j in itertools.combinations(combo, 2)
+                        )
+                        for combo in itertools.combinations(cand, best + 1)
+                    ):
+                        best += 1
+                    for room in range(len(cand) + 1):
+                        if solver._covered(bits, cs.enter, cs.leave, room):
+                            pruned += 1
+                            assert best <= room, (g.edges, mask, cand, room)
+                    assert solver._covered(bits, cs.enter, cs.leave, len(cand))
+        assert pruned
 
 
 class TestThresholdQueries:
@@ -229,9 +272,9 @@ class TestUpperWork:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: build_subdivided_family(10, 0).graph, 2264),
-            (lambda: build_subdivided_family(14, 0).graph, 18134),
-            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 1170),
+            (lambda: build_subdivided_family(10, 0).graph, 847),
+            (lambda: build_subdivided_family(14, 0).graph, 3176),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 125),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
@@ -280,17 +323,34 @@ class TestExactWork:
     @pytest.mark.parametrize(
         "name, nodes, splits",
         [
-            ("grid-3x4", 24281, 23852),
-            ("split-grid-3x4", 33033, 8151),
-            ("cocomp-grid-3x4", 60947, 20751),
-            ("circle-cubic-4", 2518, 8715),
+            ("grid-3x4", 2933, 23852),
+            ("split-grid-3x4", 3634, 8151),
+            ("cocomp-grid-3x4", 20275, 20751),
+            ("circle-cubic-4", 720, 8715),
         ],
+        ids=["grid-3x4", "split-grid-3x4", "cocomp-grid-3x4", "circle-cubic-4"],
     )
     def test_work_counts(self, made_solvers, name, nodes, splits):
         g = frontier_mimw_graphs()[name]
         mimw_exact(g, limit=g.n)
         (cs,) = made_solvers
         assert (cs.nodes, cs.splits) == (nodes, splits)
+
+    # sha256 prefixes of report JSON: the cut search's pruning must leave
+    # the witness matchings, which `table_mimw` shares, byte for byte.
+    REPORTS = {
+        "grid-3x4": "c373da1e28ab265a",
+        "split-grid-3x4": "b52a990105fdd32f",
+        "cocomp-grid-3x4": "6f28d42ac2aa17d9",
+        "subdivided-K4": "c31dd78acdccf147",
+        "circle-cubic-4": "c31dd78acdccf147",
+    }
+
+    def test_report_bytes(self):
+        for name, g in frontier_mimw_graphs().items():
+            text = mimw_exact(g, limit=g.n).to_json()
+            want = self.REPORTS[name]
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name
 
 
 def frontier_tw_graphs():
@@ -550,6 +610,17 @@ class TestEq1Bound:
 
     def test_edgeless(self):
         assert mimw_lower_eq1(Graph(4)).ratio == 0
+
+    def test_degeneracy_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return degeneracy(g)
+
+        monkeypatch.setattr(solver, "degeneracy", counting)
+        mimw_lower_eq1(subdivide_all_edges(complete(4)).graph)
+        assert len(calls) == 1
 
     def test_k5(self):
         bound = mimw_lower_eq1(complete(5))
