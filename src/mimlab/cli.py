@@ -215,25 +215,37 @@ def cmd_embed(args):
     return EXIT_OK
 
 
+# suite -> the suite options (besides the common ones) that it takes
+VERIFY_OPTIONS = {
+    "lemma31": ("trials", "n_max"),
+    "constructions": ("corpus",),
+    "eq1": ("corpus",),
+}
+
+
 def cmd_verify(args):
+    given = [k for k in ("trials", "n_max", "corpus") if getattr(args, k) is not None]
+    extra = [k for k in given if k not in VERIFY_OPTIONS[args.suite]]
+    if extra:
+        flags = ", ".join("--" + k.replace("_", "-") for k in extra)
+        raise InvalidParameter(f"verify {args.suite} does not take {flags}")
     defaults = {"exact": harness.EQ1_EXACT_LIMIT} if args.suite == "eq1" else {}
     lim = _resolve_limits(args, **defaults)
+    corpus = None  # the suite's built-in corpus
+    if args.corpus is not None:
+        load = _load_bipartite if args.suite == "constructions" else _load_graph
+        corpus = [
+            (name, load(os.path.join(args.corpus, name)))
+            for name in sorted(os.listdir(args.corpus))
+        ]
     if args.suite == "lemma31":
         report = harness.verify_lemma31(
-            trials=args.trials, n_max=args.n_max, seed=args.seed,
-            exact_limit=lim.exact,
+            seed=args.seed, exact_limit=lim.exact, **{k: getattr(args, k) for k in given}
         )
     elif args.suite == "constructions":
-        corpus = None
-        if args.corpus:
-            corpus = []
-            for name in sorted(os.listdir(args.corpus)):
-                corpus.append(
-                    (name, _load_bipartite(os.path.join(args.corpus, name)))
-                )
         report = harness.verify_constructions(corpus)
     else:  # eq1
-        report = harness.verify_eq1(exact_limit=lim.exact, tw_limit=lim.tw)
+        report = harness.verify_eq1(corpus, exact_limit=lim.exact, tw_limit=lim.tw)
     return _emit_report(report, args)
 
 
@@ -298,9 +310,9 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=("lemma31", "constructions", "eq1"))
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--n-max", type=int, default=9)
-    p.add_argument("--corpus", default=None)
+    p.add_argument("--trials", type=int, help="lemma31 only (default 200)")
+    p.add_argument("--n-max", type=int, help="lemma31 only (default 9)")
+    p.add_argument("--corpus", help="constructions and eq1 only: a directory of graph files")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common], help="family sweep to CSV")

@@ -23,12 +23,23 @@ searches proved, and the value is exact when they meet. Its one query is
 the threshold "mim >= t?", answered from the record when the record
 settles it, else by branch and bound over the conflict graph of the cut's
 edges. That search stops at the first matching of t edges and prunes every
-branch that cannot reach t. The subset DP runs the search without a
-threshold, which finds a maximum, and records the tree's cuts as exact.
-Every search also prunes by a clique-cover bound, the colouring bound of
-Tomita and Seki applied to the complement: the members of a clique of the
-conflict graph pairwise conflict, so the candidate edges add at most one
-edge per clique of a cover, which is grown greedily.
+branch that cannot reach t. An unknown record starts at (0, min(k, n-k))
+for a side of k vertices, since a matching uses distinct vertices on each
+side. Every search also prunes by a clique-cover bound, the colouring
+bound of Tomita and Seki applied to the complement: the members of a
+clique of the conflict graph pairwise conflict, so the candidate edges add
+at most one edge per clique of a cover, which is grown greedily.
+
+The subset DP needs every cut value, and gets them from one depth-first
+walk over the keys (`_CutSolver.cut_values`). It rests on one-vertex
+stability: moving one vertex across a cut changes its value by at most
+one, because an induced matching of the old cut minus its at most one
+edge at that vertex still crosses the new cut, and arc conflicts do not
+depend on the cut. So each key starts from its parent's maximum matching,
+its value is bracketed within one of the keys one move away that the walk
+has met, and only threshold searches run: a matching that beats the
+parent's must use an edge at the moved vertex. The DP records the tree's
+cuts as exact.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
@@ -190,6 +201,7 @@ class _CutSolver:
         self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
         self.splits = 0  # split pairs examined by the subset DP
+        self.settled = 0  # keys that `cut_values` settled without a search
         self.edges, tail, head = g.arc_tables
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc i conflicts, whatever the cut,
@@ -216,12 +228,14 @@ class _CutSolver:
     def at_least(self, mask, t):
         """Whether the cut at `mask` has an induced matching of t edges."""
         key = min(mask, self.full ^ mask)
-        lo, hi = self.bounds.get(key, (0, self.n))
+        k = mask.bit_count()
+        # A matching uses distinct vertices on each side: at most min(k, n-k).
+        lo, hi = self.bounds.get(key) or (0, min(k, self.n - k))
         if lo >= t:
             return True
         if hi < t:
             return False
-        size = len(self._max_induced_matching(mask, t))
+        size = len(self._search(self.g.cut_arcs(mask), t))
         if size >= t:
             self.bounds[key] = (size, hi)
             return True
@@ -231,18 +245,23 @@ class _CutSolver:
     def matching(self, mask) -> InducedMatching:
         return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
 
-    def _max_induced_matching(self, mask, t=0):
-        """An induced matching among the edges leaving `mask`, in sorted
-        order, by branch-and-bound maximum independent set on the conflict
-        graph of the cut's arcs. With t = 0 it is a maximum one. With t > 0
-        the search stops at the first one of t edges and prunes every
-        branch that cannot reach t, so a smaller result proves only that
-        the maximum is < t."""
+    def _max_induced_matching(self, mask):
+        """A maximum induced matching among the edges leaving `mask`, in
+        sorted order."""
         edges = self.edges
-        arcs = self.g.cut_arcs(mask)
+        arcs = self._search(self.g.cut_arcs(mask))
+        return tuple(edges[i >> 1] for i in sorted(arcs))
+
+    def _search(self, arcs, t=0):
+        """An induced matching among the cut arcs `arcs` (a bitmask of arc
+        indices), as a list of arc indices, by branch-and-bound maximum
+        independent set on their conflict graph. With t = 0 it is a
+        maximum one. With t > 0 the search stops at the first one of t
+        edges and prunes every branch that cannot reach t, so a smaller
+        result proves only that the maximum is < t."""
         m = arcs.bit_count()
         if m <= 1:
-            return (edges[(arcs.bit_length() - 1) >> 1],) if m else ()
+            return [arcs.bit_length() - 1] if m else []
         enter, leave = self.enter, self.leave
 
         goal = t or m + 1  # the search stops once it holds this many edges
@@ -256,7 +275,7 @@ class _CutSolver:
         best_size = len(greedy)
         best_set = greedy
         if best_size >= goal:
-            return tuple(edges[i >> 1] for i in sorted(best_set))
+            return best_set
         floor = max(best_size, t - 1)  # prune what cannot exceed this
         nodes = 0
 
@@ -290,7 +309,91 @@ class _CutSolver:
 
         rec(arcs, [], 0)
         self.nodes += nodes
-        return tuple(edges[i >> 1] for i in sorted(best_set))
+        return best_set
+
+    def cut_values(self):
+        """The cut value of every key, a subset of V - {n-1}, in a bytearray
+        indexed by the key, from one depth-first walk that goes from each
+        key s to s + v for every v < n - 1 above the highest vertex of s.
+
+        Moving one vertex across a cut changes its value by at most one:
+        drop from an induced matching of the old cut its at most one arc
+        at that vertex, and the rest still cross the new cut, while arc
+        conflicts do not depend on the cut. So each key carries its cut
+        arcs, the arcs entering it, a maximum matching as arc indices and
+        its size p. The child s + v gets its cut arcs in O(1) mask
+        operations. Its value is at most hi, one more than the least value
+        of the keys s + v - u, u in s + v: each is one move away, and the
+        walk has met each (it takes children from the highest v down, and
+        where the sorted vertex lists of s + v - u and s + v first differ,
+        the former has the higher vertex). The parent s is one of them.
+
+        The child's seed is the parent's matching minus the arc into v,
+        grown by free arcs (ones that conflict with none of it) up to hi.
+        A seed that reaches hi settles the key without a search
+        (`settled` counts these). Else a seed that lost its arc into v
+        asks a threshold search for p arcs, and then, below hi, a matching
+        of p + 1 arcs, if any, has an arc leaving v (without one it would
+        cross the parent's cut): one threshold search for p arcs per arc
+        leaving v, among the cut arcs that arc does not conflict with,
+        finds it. The walk holds, per open key, its masks and its
+        matching: O(n^2) small ints in all."""
+        _, tail, head = self.g.arc_tables
+        enter, leave = self.enter, self.leave
+        top = self.n - 1
+        cut_of = bytearray(1 << top)
+        settled = 0
+        root = (0, 0, [], 0)  # cut arcs, arcs entering s, matching, its size
+        stack = [(1 << v, v, root) for v in range(top)]
+        while stack:
+            # Key s = parent + v, where the parent had value p.
+            s, v, (arcs, into, match, p) = stack.pop()
+            into |= head[v]
+            arcs = arcs & ~head[v] | tail[v] & ~into
+            # Each s - u, u in s, is one move away and was met before s.
+            hi = p
+            rest = s ^ 1 << v
+            while rest:
+                low = rest & -rest
+                x = cut_of[s ^ low]
+                if x < hi:
+                    hi = x
+                rest ^= low
+            hi += 1
+            seed = [a for a in match if not head[v] >> a & 1]
+            block = 0
+            for a in seed:
+                block |= enter[a] | leave[a]
+            free = arcs & ~block
+            while free and len(seed) < hi:
+                a = free.bit_length() - 1
+                seed.append(a)
+                free &= ~(enter[a] | leave[a])
+            if len(seed) >= hi:
+                settled += 1
+            else:
+                if len(seed) < p:
+                    found = self._search(arcs, p)
+                    if len(found) == p:
+                        seed = found
+                if len(seed) == p < hi:
+                    # A matching of p + 1 arcs has one leaving v: without
+                    # it, it would cross the parent's cut.
+                    out = tail[v] & arcs
+                    while out:
+                        low = out & -out
+                        a = low.bit_length() - 1
+                        found = self._search(arcs & ~(enter[a] | leave[a]), p)
+                        if len(found) == p:
+                            seed = found + [a]
+                            break
+                        out ^= low
+            q = cut_of[s] = len(seed)
+            if v + 1 < top:
+                state = (arcs, into, seed, q)
+                stack += [(s | 1 << w, w, state) for w in range(v + 1, top)]
+        self.settled += settled
+        return cut_of
 
 
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
@@ -357,26 +460,24 @@ def _first_split(f, s):
 
 
 def _exact_search(cs):
-    """The subset DP above: f(V) and a decomposition attaining it."""
+    """The subset DP above: f(V) and a decomposition attaining it. The cut
+    values come first, from the walk of `_CutSolver.cut_values`: one
+    vertex moved across a cut changes its value by at most one, so each
+    key is seeded by its parent's matching and bracketed within one."""
     full = cs.full
-    search = cs._max_induced_matching
+    half = (full + 1) >> 1
     # Every proper submask of s is smaller than s, so ascending order
     # solves both halves of each split before s itself. A split with
     # max(f(T), f(S-T)) <= cutvalue(S) settles f(S) = cutvalue(S), so the
     # scan stops there; f stays exact for every set either way.
     f = bytearray(full + 1)
-    # The cut value of each key min(S, V-S) < 2^(n-1); ascending order
-    # meets the key before its complement.
-    cut_of = bytearray((full + 1) >> 1)
+    # The cut value of each key min(S, V-S) < 2^(n-1).
+    cut_of = cs.cut_values()
     splits = 0
     for s in range(1, full + 1):
         low = s & -s
         rest = s ^ low
-        key = full ^ s
-        if key < s:
-            cut = cut_of[key]
-        else:
-            cut = cut_of[s] = len(search(s))
+        cut = cut_of[s if s < half else full ^ s]
         if not rest:
             f[s] = cut
             continue

@@ -190,6 +190,33 @@ def test_verify_lemma31_small(capsys):
     assert len(lines) == 6
 
 
+def test_verify_eq1_reads_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run(["gen", "path", "3", "--out", str(corpus / "p3.txt")], capsys)
+    run(["gen", "cycle", "4", "--out", str(corpus / "c4.txt")], capsys)
+    code, out, _ = run(["verify", "eq1", "--corpus", str(corpus)], capsys)
+    assert code == 0
+    rows = [line.split(",")[1:3] for line in out.splitlines()[1:]]
+    assert rows == [["c4.txt", "4"], ["p3.txt", "3"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "eq1", "--trials", "5"],
+        ["verify", "eq1", "--n-max", "6"],
+        ["verify", "constructions", "--trials", "5"],
+        ["verify", "constructions", "--n-max", "6"],
+        ["verify", "lemma31", "--corpus", "."],
+    ],
+)
+def test_verify_rejects_options_of_other_suites(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert out == "" and "does not take --" in err
+
+
 def test_verify_constructions_json(capsys):
     code, out, _ = run(
         ["verify", "constructions", "--format", "json"], capsys

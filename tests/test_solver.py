@@ -157,6 +157,46 @@ class TestMaxInducedMatchingCut:
             )
 
 
+class TestCutWalk:
+    def test_one_vertex_stability(self):
+        # Moving one vertex across a cut changes its value by at most one.
+        for seed in range(16):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
+            value = [
+                brute_max_induced_matching(g, mask_to_set(a)) for a in range(1 << g.n)
+            ]
+            for a in range(1 << g.n):
+                for v in range(g.n):
+                    assert abs(value[a ^ 1 << v] - value[a]) <= 1, (g.edges, a, v)
+
+    def test_walk_matches_brute_force(self, made_solvers):
+        graphs = []
+        for seed in range(24):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            # Sparser at n = 9, where the oracle's time grows as 2^m.
+            p = rng.choice((0.25, 0.4, 0.55)) if n < 9 else 0.3
+            graphs.append(random_graph(n, p, seed))
+        graphs += [
+            Graph(1),
+            Graph(2),
+            Graph(2, [(0, 1)]),
+            Graph(7),  # edgeless
+            complete(7),
+            Graph(8, [(1, 2), (2, 4), (4, 5), (5, 1), (2, 6)]),  # 0, 3, 7 isolated
+        ]
+        for g in graphs:
+            cut_of = solver._CutSolver(g).cut_values()
+            assert len(cut_of) == 1 << max(g.n - 1, 0)
+            for key, got in enumerate(cut_of):
+                want = brute_max_induced_matching(g, mask_to_set(key))
+                assert got == want, (g.n, g.edges, key)
+        # Keys were settled without a search, and searches ran too.
+        assert all(cs.settled for cs in made_solvers if cs.n > 2 and cs.g.m)
+        assert sum(cs.nodes for cs in made_solvers)
+
+
 class TestArcTables:
     def test_cut_arcs_and_conflicts_match_brute_force(self):
         for seed in range(40):
@@ -272,9 +312,9 @@ class TestUpperWork:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: build_subdivided_family(10, 0).graph, 847),
-            (lambda: build_subdivided_family(14, 0).graph, 3176),
-            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 125),
+            (lambda: build_subdivided_family(10, 0).graph, 762),
+            (lambda: build_subdivided_family(14, 0).graph, 3061),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 78),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
@@ -316,25 +356,25 @@ def frontier_mimw_graphs():
 
 
 class TestExactWork:
-    # Branch-and-bound nodes and split pairs examined by mimw_exact. The
-    # node counts are also those of the DP that scans every split, so the
-    # early stop leaves the cut search as it was; the split pairs pin the
-    # early stop itself.
+    # Branch-and-bound nodes, split pairs examined and keys that the cut
+    # walk settled without a search, in mimw_exact. The nodes and settled
+    # keys pin the walk, which the early stop of the split scan leaves as
+    # it is; the split pairs pin the early stop itself.
     @pytest.mark.parametrize(
-        "name, nodes, splits",
+        "name, nodes, splits, settled",
         [
-            ("grid-3x4", 2933, 23852),
-            ("split-grid-3x4", 3634, 8151),
-            ("cocomp-grid-3x4", 20275, 20751),
-            ("circle-cubic-4", 720, 8715),
+            ("grid-3x4", 1188, 23852, 1159),
+            ("split-grid-3x4", 932, 8151, 606),
+            ("cocomp-grid-3x4", 5184, 20751, 222),
+            ("circle-cubic-4", 288, 8715, 198),
         ],
         ids=["grid-3x4", "split-grid-3x4", "cocomp-grid-3x4", "circle-cubic-4"],
     )
-    def test_work_counts(self, made_solvers, name, nodes, splits):
+    def test_work_counts(self, made_solvers, name, nodes, splits, settled):
         g = frontier_mimw_graphs()[name]
         mimw_exact(g, limit=g.n)
         (cs,) = made_solvers
-        assert (cs.nodes, cs.splits) == (nodes, splits)
+        assert (cs.nodes, cs.splits, cs.settled) == (nodes, splits, settled)
 
     # sha256 prefixes of report JSON: the cut search's pruning must leave
     # the witness matchings, which `table_mimw` shares, byte for byte.
