@@ -175,7 +175,7 @@ def cmd_mimw(args):
         )
         return EXIT_OK
     if args.upper:
-        rep = solver.mimw_upper(g, seed=args.seed)
+        rep = solver.mimw_upper(g)
     else:
         rep = solver.mimw_exact(g, lim.exact)
     _emit(rep.to_json() + "\n", args.out)
@@ -215,16 +215,17 @@ def cmd_embed(args):
     return EXIT_OK
 
 
-# suite -> the suite options (besides the common ones) that it takes
+# suite -> the verify options that it takes
 VERIFY_OPTIONS = {
-    "lemma31": ("trials", "n_max"),
+    "lemma31": ("seed", "exact_limit", "trials", "n_max"),
     "constructions": ("corpus",),
-    "eq1": ("corpus",),
+    "eq1": ("corpus", "exact_limit", "tw_limit"),
 }
 
 
 def cmd_verify(args):
-    given = [k for k in ("trials", "n_max", "corpus") if getattr(args, k) is not None]
+    options = ("seed", "exact_limit", "tw_limit", "trials", "n_max", "corpus")
+    given = [k for k in options if getattr(args, k) is not None]
     extra = [k for k in given if k not in VERIFY_OPTIONS[args.suite]]
     if extra:
         flags = ", ".join("--" + k.replace("_", "-") for k in extra)
@@ -240,7 +241,7 @@ def cmd_verify(args):
         ]
     if args.suite == "lemma31":
         report = harness.verify_lemma31(
-            seed=args.seed, exact_limit=lim.exact, **{k: getattr(args, k) for k in given}
+            exact_limit=lim.exact, **{k: getattr(args, k) for k in given if k != "exact_limit"}
         )
     elif args.suite == "constructions":
         report = harness.verify_constructions(corpus)
@@ -262,28 +263,35 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+def _option(*args, **kwargs):
+    """A parent parser that adds one option."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--exact-limit", type=int, default=None)
-    common.add_argument("--tw-limit", type=int, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None)
+    # Each subcommand takes only the options it reads.
+    out = _option("--out", default=None)
+    seed = _option("--seed", type=int, default=0)
+    exact = _option("--exact-limit", type=int, default=None)
+    tw = _option("--tw-limit", type=int, default=None)
+    fmt = _option("--format", choices=("csv", "json"), default="csv")
 
     parser = argparse.ArgumentParser(prog="mimlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="write a generated graph file")
+    p = sub.add_parser("gen", parents=[seed, out], help="write a generated graph file")
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("recognize", parents=[common], help="class membership test")
+    p = sub.add_parser("recognize", parents=[out], help="class membership test")
     p.add_argument("cls", choices=sorted(RECOGNIZERS))
     p.add_argument("file")
     p.set_defaults(func=cmd_recognize)
 
-    p = sub.add_parser("mimw", parents=[common], help="mim-width of a graph file")
+    p = sub.add_parser("mimw", parents=[exact, tw, out], help="mim-width of a graph file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--upper", action="store_true")
@@ -291,11 +299,11 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_mimw)
 
-    p = sub.add_parser("tw", parents=[common], help="exact treewidth")
+    p = sub.add_parser("tw", parents=[tw, out], help="exact treewidth")
     p.add_argument("file")
     p.set_defaults(func=cmd_tw)
 
-    p = sub.add_parser("construct", parents=[common], help="run a construction")
+    p = sub.add_parser("construct", parents=[seed, out], help="run a construction")
     p.add_argument("kind", choices=("split", "cocomp", "circle"))
     p.add_argument(
         "arg",
@@ -304,18 +312,22 @@ def build_parser():
     p.add_argument("--side", choices=("X", "Y"), default="Y")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("embed", parents=[common], help="chord diagram of a file")
+    p = sub.add_parser("embed", parents=[out], help="chord diagram of a file")
     p.add_argument("file")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    # --seed defaults to None here, so that cmd_verify sees whether it was given.
+    verify_seed = _option("--seed", type=int, default=None)
+    p = sub.add_parser(
+        "verify", parents=[verify_seed, exact, tw, fmt, out], help="run a verification suite"
+    )
     p.add_argument("suite", choices=("lemma31", "constructions", "eq1"))
     p.add_argument("--trials", type=int, help="lemma31 only (default 200)")
     p.add_argument("--n-max", type=int, help="lemma31 only (default 9)")
     p.add_argument("--corpus", help="constructions and eq1 only: a directory of graph files")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common], help="family sweep to CSV")
+    p = sub.add_parser("sweep", parents=[seed, exact, tw, fmt, out], help="family sweep to CSV")
     p.add_argument("--family", choices=harness.SWEEP_FAMILIES, required=True)
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.set_defaults(func=cmd_sweep)

@@ -279,15 +279,13 @@ def verify_eq1(corpus=None, exact_limit=EQ1_EXACT_LIMIT, tw_limit=DEFAULT_TW_LIM
 
 
 SWEEP_FAMILIES = ("split-grid", "cocomp-grid", "circle-cubic")
-# Random orders that `mimw_upper` tries above the exact limit.
-SWEEP_RESTARTS = 4
 
 
-def _width_rows(family, parameter, g, seed, exact_limit, tw_limit):
+def _width_rows(family, parameter, g, exact_limit, tw_limit):
     if g.n <= exact_limit:
         rep = mimw_exact(g, exact_limit)
     else:
-        rep = mimw_upper(g, restarts=SWEEP_RESTARTS, seed=seed)
+        rep = mimw_upper(g)
     if g.n <= tw_limit:
         bound = mimw_lower_eq1(g, tw_limit)
         tw_val, deg, eq1 = bound.treewidth, bound.degeneracy, bound.ratio
@@ -332,10 +330,10 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
                         f"k={k}: complement of completion not bipartite"
                     )
             rep_base, row_base = _width_rows(
-                family, f"{k}:base", b.graph, seed, exact_limit, tw_limit
+                family, f"{k}:base", b.graph, exact_limit, tw_limit
             )
             rep_comp, row_comp = _width_rows(
-                family, f"{k}:completed", rec.result, seed, exact_limit, tw_limit
+                family, f"{k}:completed", rec.result, exact_limit, tw_limit
             )
             if b.n <= exact_limit:
                 row_comp.ratio = construct.width_ratio(rep_comp.value, rep_base.value)
@@ -350,7 +348,7 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
             except DiagramViolation as exc:
                 violations.append(f"n={k}: chord diagram violation: {exc}")
             _, row = _width_rows(
-                family, f"{k}:subdivided", b.graph, seed, exact_limit, tw_limit
+                family, f"{k}:subdivided", b.graph, exact_limit, tw_limit
             )
             rows.append(row)
     for r in rows:
@@ -360,6 +358,5 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
                     f"{r.parameter}: exact mimw {r.mimw_value} below bound {r.eq1_bound}"
                 )
     config = {"suite": "sweep", "family": family, "sizes": list(sizes),
-              "seed": seed, "exact_limit": exact_limit, "tw_limit": tw_limit,
-              "restarts": SWEEP_RESTARTS}
+              "seed": seed, "exact_limit": exact_limit, "tw_limit": tw_limit}
     return ExperimentReport(rows, config, violations)

@@ -41,6 +41,12 @@ has met, and only threshold searches run: a matching that beats the
 parent's must use an edge at the moved vertex. The DP records the tree's
 cuts as exact.
 
+The upper bound is one bottom-up merge (`_merge_search`): from one part
+per vertex, it joins the first pair of parts whose union has a cut value
+of at most the current width w, and raises w by one only when no pair
+fits. It asks only "mim >= w + 1?", which a pair that failed once has in
+its record until w rises, and it is deterministic: it takes no seed.
+
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
 conflict iff b ~ c or d ~ a, whatever the cut. So the solver builds, once
@@ -50,19 +56,20 @@ bits.
 
 Exact treewidth eliminates simplicial and almost-simplicial vertices
 first, by the safe rules of Bodlaender, Koster and van den Eijkhof, and
-runs its threshold search over the subsets of the kernel that is left.
+runs its threshold search over the subsets of the kernel that is left;
+the limit and the table budget bound the kernel, not the raw graph.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import BranchDecomposition, Cut, caterpillar_from_order, subtree_leaf_sets
+from .decomp import BranchDecomposition, Cut, subtree_leaf_sets
 from .errors import LimitExceeded
 from .graph import Graph, degeneracy, mask_to_set, set_to_mask
 
@@ -427,13 +434,13 @@ def _check_limit(n, limit, what):
         )
 
 
-def _width_report(g, mode, search, *args) -> WidthReport:
-    """Report `search(cs, *args)` -> (width, decomposition) with its
+def _width_report(g, mode, search) -> WidthReport:
+    """Report `search(cs)` -> (width, decomposition) with its
     critical cut, under the n <= 1 convention of `mimw_exact`."""
     if g.n <= 1:
         return WidthReport(0, mode, None, None, None)
     cs = _CutSolver(g)
-    value, t = search(cs, *args)
+    value, t = search(cs)
     if value == 0:
         cut = Cut(frozenset(range(g.n)), ())
         return WidthReport(0, mode, t, cut, InducedMatching(cut.a_side, ()))
@@ -525,52 +532,34 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     return _width_report(g, "exact", _exact_search)
 
 
-def _order_width(cs, order, cap):
-    """Width of the caterpillar on `order` if it is below `cap`, else some
-    value >= cap: the evaluation stops once the order cannot win."""
-    worst = 0
-    mask = 0
-    for v in order:
-        mask |= 1 << v
-        for cut in (1 << v, mask):
-            while cs.at_least(cut, worst + 1):
-                worst += 1
-                if worst >= cap:
-                    return worst
-    return worst
-
-
-def _upper_search(cs, restarts, seed):
-    n = cs.n
-    rng = random.Random(seed)
-    orders = [list(range(n))]
-    for _ in range(restarts):
-        orders.append(rng.sample(range(n), n))
-    best_w = n  # above any width
-    for o in orders:
-        w = _order_width(cs, o, best_w)
-        if w < best_w:  # the first order of least width
-            best_order, best_w = o, w
-    improved = True
-    while improved and best_w > 0:
-        improved = False
-        for i in range(n - 1):
-            cand = list(best_order)
-            cand[i], cand[i + 1] = cand[i + 1], cand[i]
-            w = _order_width(cs, cand, best_w)
-            if w < best_w:
-                best_order, best_w = cand, w
-                improved = True
+def _merge_search(cs):
+    """A bottom-up threshold merge: (w, a decomposition of width w). It
+    starts from one part per vertex, in vertex order, and w = 1 if the
+    graph has an edge, else 0; a singleton's cut value is min(1, deg).
+    It merges the first pair of parts i < j whose union is V or has a cut
+    value of at most w, in slot i, and raises w by one when no pair fits.
+    w rises only when every union is above the old w, so the next merge
+    has a value of exactly w: the width is attained. A failed pair leaves
+    a lower bound in the cut record, which answers it on the next scan."""
+    full = cs.full
+    parts = [(1 << v, v) for v in range(cs.n)]  # (vertex mask, tree node)
+    w = 1 if cs.g.m else 0
+    while len(parts) > 1:
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            union = parts[i][0] | parts[j][0]
+            if union == full or not cs.at_least(union, w + 1):
+                parts[i] = (union, (parts[i][1], parts[j][1]))
+                del parts[j]
                 break
-    return best_w, caterpillar_from_order(best_order)
+        else:
+            w += 1
+    return w, BranchDecomposition(parts[0][1])
 
 
-def mimw_upper(g: Graph, restarts=8, seed=0) -> WidthReport:
-    """Heuristic upper bound: best caterpillar among the identity order and
-    seeded random orders, then adjacent-transposition hill climbing. Each
-    order is evaluated by threshold queries against the best width so far,
-    and its evaluation stops as soon as it cannot be narrower."""
-    return _width_report(g, "upper", _upper_search, restarts, seed)
+def mimw_upper(g: Graph) -> WidthReport:
+    """Heuristic upper bound with a witness decomposition and critical
+    cut, from the deterministic threshold merge of `_merge_search`."""
+    return _width_report(g, "upper", _merge_search)
 
 
 def _tw_family(nbr, n, k, choice):
@@ -719,14 +708,13 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     attain f(S) <= k. So when no vertex reduces, the witness order is the
     table's order. f and the choice of v are bytearrays over the 2^n' sets;
     a level is an array of set masks. The limit and the table budget
-    bound the raw n, not n'.
+    bound each kernel's n', checked before its tables are allocated.
     """
-    _check_limit(g.n, limit, "treewidth")
-    return _treewidth(g, degeneracy(g).d)
+    return _treewidth(g, degeneracy(g).d, limit)
 
 
-def _treewidth(g, d):
-    """`treewidth_exact` for a graph of degeneracy d, within the limits."""
+def _treewidth(g, d, limit):
+    """`treewidth_exact` for a graph of degeneracy d."""
     n = g.n
     nbr = list(g.nbr_masks)
     order = []
@@ -734,6 +722,7 @@ def _treewidth(g, d):
     while rest:
         verts = [v for v in range(n) if rest >> v & 1]
         size = len(verts)
+        _check_limit(size, limit, "treewidth")
         kernel = [
             sum(1 << i for i in range(size) if nbr[v] >> verts[i] & 1) for v in verts
         ]
@@ -753,8 +742,7 @@ def _treewidth(g, d):
 
 def mimw_lower_eq1(g: Graph, tw_limit=DEFAULT_TW_LIMIT) -> Eq1Bound:
     """Lower bound mimw(G) >= tw(G) / (3 (d+1)) for d-degenerate G."""
-    _check_limit(g.n, tw_limit, "treewidth")
     d = degeneracy(g).d
-    tw = _treewidth(g, d).value
+    tw = _treewidth(g, d, tw_limit).value
     ratio = Fraction(tw, 3 * (d + 1))
     return Eq1Bound(ratio, math.ceil(ratio), tw, d)

@@ -89,7 +89,10 @@ def test_unindexable_tables_exit_limit(tmp_path, capsys):
     f = tmp_path / "p70.txt"
     run(["gen", "path", "70", "--out", str(f)], capsys)
     assert run(["mimw", "--exact", "--exact-limit", "70", str(f)], capsys)[0] == 3
-    assert run(["tw", "--tw-limit", "70", str(f)], capsys)[0] == 3
+    # The treewidth tables are over the kernel: K35,35 has no reducible vertex.
+    k = tmp_path / "k35.txt"
+    run(["gen", "complete-bipartite", "35", "35", "--out", str(k)], capsys)
+    assert run(["tw", "--tw-limit", "70", str(k)], capsys)[0] == 3
 
 
 def test_oversized_tables_exit_limit(tmp_path, capsys):
@@ -99,7 +102,9 @@ def test_oversized_tables_exit_limit(tmp_path, capsys):
     run(["gen", "path", "40", "--out", str(f)], capsys)
     code, _, err = run(["mimw", "--exact", "--exact-limit", "40", str(f)], capsys)
     assert code == 3 and "MiB" in err
-    code, _, err = run(["tw", "--tw-limit", "40", str(f)], capsys)
+    k = tmp_path / "k20.txt"
+    run(["gen", "complete-bipartite", "20", "20", "--out", str(k)], capsys)
+    code, _, err = run(["tw", "--tw-limit", "40", str(k)], capsys)
     assert code == 3 and "MiB" in err
 
 
@@ -209,12 +214,40 @@ def test_verify_eq1_reads_corpus(tmp_path, capsys):
         ["verify", "constructions", "--trials", "5"],
         ["verify", "constructions", "--n-max", "6"],
         ["verify", "lemma31", "--corpus", "."],
+        ["verify", "constructions", "--seed", "5"],
+        ["verify", "constructions", "--exact-limit", "2"],
+        ["verify", "constructions", "--tw-limit", "1"],
+        ["verify", "eq1", "--seed", "5"],
+        ["verify", "lemma31", "--tw-limit", "3"],
     ],
 )
 def test_verify_rejects_options_of_other_suites(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 4
     assert out == "" and "does not take --" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "path", "3", "--exact-limit", "4"],
+        ["gen", "path", "3", "--format", "json"],
+        ["recognize", "split", "g.txt", "--seed", "1"],
+        ["recognize", "split", "g.txt", "--tw-limit", "4"],
+        ["mimw", "--upper", "g.txt", "--seed", "7"],
+        ["mimw", "g.txt", "--format", "json"],
+        ["tw", "g.txt", "--seed", "1"],
+        ["tw", "g.txt", "--exact-limit", "4"],
+        ["construct", "circle", "4", "--tw-limit", "4"],
+        ["embed", "g.txt", "--seed", "1"],
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(["gen", "path", "3", "--out", "g.txt"], capsys)
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_verify_constructions_json(capsys):

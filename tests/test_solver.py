@@ -290,7 +290,7 @@ class TestThresholdQueries:
             rng = random.Random(seed)
             g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
             made_solvers.clear()
-            mimw_upper(g, restarts=2, seed=seed)
+            mimw_upper(g)
             mimw_exact(g)
             upper, exact = made_solvers
             shuffled = solver._CutSolver(g)
@@ -307,41 +307,47 @@ class TestThresholdQueries:
 
 
 class TestUpperWork:
-    # Branch-and-bound nodes of mimw_upper(restarts=4, seed=0); exact
-    # counts, so a change that makes the search do more work fails here.
+    # Branch-and-bound nodes of mimw_upper; exact counts, so a change
+    # that makes the search do more work fails here.
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: build_subdivided_family(10, 0).graph, 762),
-            (lambda: build_subdivided_family(14, 0).graph, 3061),
-            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 78),
+            (lambda: build_subdivided_family(10, 0).graph, 47),
+            (lambda: build_subdivided_family(14, 0).graph, 267),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 23),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
     def test_node_count(self, made_solvers, make, nodes):
-        mimw_upper(make(), restarts=4, seed=0)
+        mimw_upper(make())
         (cs,) = made_solvers
         assert cs.nodes == nodes
 
-    # sha256 prefixes of report JSON, recorded when every cut was solved
-    # exactly: pruning the cut search must not change a report byte.
+    # sha256 prefixes of report JSON, recorded also with the clique-cover
+    # pruning off: pruning the cut search must not change a report byte.
     REPORTS = {
-        (10, 0): "0617218a77e5a45b",
-        (10, 1): "8f9ec3768d9dc7c7",
-        (10, 2): "9097498f1707b577",
-        (12, 0): "24830976e2f0f1d6",
-        (12, 1): "5b019fcb96a96d0f",
-        (12, 2): "f96e25fcd7e6826f",
-        (14, 0): "a5c63fcbb05fa4ab",
-        (14, 1): "9aaed1eee2042f24",
-        (14, 2): "f2ef0983265e5f4e",
+        (10, 0): "22848dbe795f9676",
+        (10, 1): "748e247fc610a679",
+        (10, 2): "d2da74e45c961c40",
+        (12, 0): "5b6dacc288003bc1",
+        (12, 1): "48dca305d0e9ecb8",
+        (12, 2): "7f8fdd845d4a486c",
+        (14, 0): "05bc4524614ca9e0",
+        (14, 1): "dc6862df820f563d",
+        (14, 2): "84b7221f99897cb6",
     }
 
     def test_circle_cubic_report_bytes(self):
         for (k, seed), want in self.REPORTS.items():
             g = build_subdivided_family(k, seed).graph
-            text = mimw_upper(g, restarts=4, seed=seed).to_json()
+            text = mimw_upper(g).to_json()
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (k, seed)
+
+    def test_circle_cubic_width_sum(self):
+        # The best of five caterpillars, hill-climbed, sums to 73 here.
+        widths = [mimw_upper(build_subdivided_family(k, s).graph).value
+                  for k, s in self.REPORTS]
+        assert sum(widths) == 50
 
 
 def frontier_mimw_graphs():
@@ -524,24 +530,57 @@ class TestMimwUpper:
         assert mimw_upper(complete(6)).value == 1
 
     def test_p8_identity_is_1(self):
-        rep = mimw_upper(path(8), restarts=0)
+        rep = mimw_upper(path(8))
         assert rep.value == 1
         assert rep.decomposition == caterpillar_from_order(range(8))
 
     def test_never_below_exact(self):
         for seed in range(50):
             g = random_graph(random.Random(seed).randint(2, 7), 0.5, seed)
-            assert mimw_upper(g, seed=seed).value >= mimw_exact(g).value
+            assert mimw_upper(g).value >= mimw_exact(g).value
 
     def test_long_path_without_recursion(self):
-        assert mimw_upper(path(1200), restarts=0).value == 1
+        assert mimw_upper(path(1200)).value == 1
 
-    def test_deterministic_per_seed(self):
+    def test_relabelled_path_is_1(self):
+        # The merge does not depend on a good vertex order: hill-climbed
+        # caterpillars give width 26 on this labelling.
+        perm = random.Random(1).sample(range(100), 100)
+        g = Graph(100, [(perm[i], perm[i + 1]) for i in range(99)])
+        assert mimw_upper(g).value == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: grid(3, 4),
+            lambda: grid(4, 4),
+            lambda: build_subdivided_family(6, 0).graph,
+        ],
+        ids=["grid-3x4", "grid-4x4", "circle-cubic-6"],
+    )
+    def test_exact_on_small_families(self, make):
+        g = make()
+        assert mimw_upper(g).value == mimw_exact(g, limit=g.n).value
+
+    def test_witness_decomposition_attains_value(self):
+        from mimlab.decomp import subtree_leaf_sets, validate
+
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 10), rng.choice((0.3, 0.5, 0.7)), seed)
+            rep = mimw_upper(g)
+            validate(rep.decomposition, g)
+            width = max(
+                brute_max_induced_matching(g, a)
+                for a in subtree_leaf_sets(rep.decomposition)
+            )
+            assert width == rep.value, g.edges
+
+    def test_deterministic_rerun(self):
         g = random_graph(9, 0.4, 3)
-        a = mimw_upper(g, seed=5)
-        b = mimw_upper(g, seed=5)
-        assert a.value == b.value
-        assert a.decomposition == b.decomposition
+        a = mimw_upper(g)
+        b = mimw_upper(g)
+        assert a.to_json() == b.to_json()
 
 
 class TestTreewidth:
@@ -569,21 +608,31 @@ class TestTreewidth:
             rep = treewidth_exact(g)
             assert simulate_elimination(g, rep.elimination_order) == rep.value
 
+    # The limits bound the kernel, so these use K_{a,b} with a, b >= 3:
+    # no vertex of it reduces.
     def test_limit(self):
         with pytest.raises(LimitExceeded):
-            treewidth_exact(Graph(17))
+            treewidth_exact(complete_bipartite(9, 9).graph)
+
+    def test_limit_bounds_the_kernel(self):
+        # n = 35, but its kernel has 14 vertices.
+        g = build_subdivided_family(14, 0).graph
+        rep = treewidth_exact(g)
+        assert (g.n, rep.value) == (35, 4)
+        assert simulate_elimination(g, rep.elimination_order) == 4
+        assert mimw_lower_eq1(g).treewidth == 4
 
     def test_table_budget(self, monkeypatch):
         # Refused before any table is allocated, whatever the limit.
         with pytest.raises(LimitExceeded, match="MiB"):
-            treewidth_exact(Graph(40), limit=40)
+            treewidth_exact(complete_bipartite(20, 20).graph, limit=40)
         with pytest.raises(LimitExceeded, match="MiB"):
-            treewidth_exact(Graph(28), limit=28)
+            treewidth_exact(complete_bipartite(14, 14).graph, limit=28)
         # Two byte tables for treewidth_exact: n = 9 fills a 1 KiB budget.
         monkeypatch.setattr(solver, "TABLE_BUDGET", 1 << 10)
-        assert treewidth_exact(Graph(9), limit=9).value == 0
+        assert treewidth_exact(complete_bipartite(4, 5).graph, limit=9).value == 4
         with pytest.raises(LimitExceeded):
-            treewidth_exact(Graph(10), limit=10)
+            treewidth_exact(complete_bipartite(5, 5).graph, limit=10)
 
     def test_matches_table_oracle_on_randoms(self, kernels):
         # One graph in 16 has 11 or 12 vertices, where the table is slow.
@@ -672,5 +721,5 @@ class TestEq1Bound:
             g = random_graph(7, 0.5, seed)
             lower = mimw_lower_eq1(g).ratio
             exact = mimw_exact(g).value
-            upper = mimw_upper(g, seed=seed).value
+            upper = mimw_upper(g).value
             assert lower <= exact <= upper
