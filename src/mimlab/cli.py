@@ -78,6 +78,30 @@ def _resolve_limits(args, **defaults):
     return lim
 
 
+# Each verify suite and mimw mode -> the options that it reads, of
+# OPTIONS; its subcommand's parser defaults each option to None.
+OPTIONS = ("seed", "exact_limit", "tw_limit", "trials", "n_max", "corpus")
+READS = {
+    "verify lemma31": ("seed", "exact_limit", "trials", "n_max"),
+    "verify constructions": ("corpus",),
+    "verify eq1": ("corpus", "exact_limit", "tw_limit"),
+    "mimw --exact": ("exact_limit",),
+    "mimw --upper": (),
+    "mimw --lower": ("tw_limit",),
+}
+
+
+def _given_options(args, what):
+    """The options given to `what`, a key of READS; refuse any it does not
+    read."""
+    given = [k for k in OPTIONS if getattr(args, k, None) is not None]
+    extra = [k for k in given if k not in READS[what]]
+    if extra:
+        flags = ", ".join("--" + k.replace("_", "-") for k in extra)
+        raise InvalidParameter(f"{what} does not take {flags}")
+    return given
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as f:
@@ -163,6 +187,8 @@ def cmd_recognize(args):
 
 
 def cmd_mimw(args):
+    mode = "--lower" if args.lower else "--upper" if args.upper else "--exact"
+    _given_options(args, "mimw " + mode)
     lim = _resolve_limits(args)
     g = _load_graph(args.file)
     if args.lower:
@@ -215,21 +241,8 @@ def cmd_embed(args):
     return EXIT_OK
 
 
-# suite -> the verify options that it takes
-VERIFY_OPTIONS = {
-    "lemma31": ("seed", "exact_limit", "trials", "n_max"),
-    "constructions": ("corpus",),
-    "eq1": ("corpus", "exact_limit", "tw_limit"),
-}
-
-
 def cmd_verify(args):
-    options = ("seed", "exact_limit", "tw_limit", "trials", "n_max", "corpus")
-    given = [k for k in options if getattr(args, k) is not None]
-    extra = [k for k in given if k not in VERIFY_OPTIONS[args.suite]]
-    if extra:
-        flags = ", ".join("--" + k.replace("_", "-") for k in extra)
-        raise InvalidParameter(f"verify {args.suite} does not take {flags}")
+    given = _given_options(args, "verify " + args.suite)
     defaults = {"exact": harness.EQ1_EXACT_LIMIT} if args.suite == "eq1" else {}
     lim = _resolve_limits(args, **defaults)
     corpus = None  # the suite's built-in corpus

@@ -15,7 +15,7 @@ from .errors import (
     SpuriousXYCrossing,
     XXCrossing,
 )
-from .graph import BipartiteGraph, Graph, random_cubic, subdivide_all_edges
+from .graph import BipartiteGraph, Graph, _bits, random_cubic, subdivide_all_edges
 from .solver import (
     DEFAULT_EXACT_LIMIT,
     InducedMatching,
@@ -134,7 +134,7 @@ def embed_chord_diagram(b: BipartiteGraph) -> ChordDiagram:
     word = []
     for x in sorted(b.x_class):
         word.append(x)
-        word.extend(sorted(g.adj[x]))
+        word.extend(_bits(g.nbr_masks[x]))
         word.append(x)
     return ChordDiagram(tuple(word))
 

@@ -44,7 +44,8 @@ class Graph:
 
     @property
     def adj(self):
-        """Tuple of neighbor frozensets, indexed by vertex."""
+        """Tuple of neighbor frozensets, indexed by vertex, for the
+        set-based certificate checkers; algorithms read `nbr_masks`."""
         if self._adj is None:
             nbrs = [set() for _ in range(self.n)]
             for u, v in self.edges:
@@ -105,13 +106,7 @@ class Graph:
         """Edges with exactly one end in the vertex set `mask`, in sorted
         order: the edges of its arcs, which ascend with the edge index."""
         edges = self.arc_tables[0]
-        arcs = self.cut_arcs(mask)
-        out = []
-        while arcs:
-            low = arcs & -arcs
-            out.append(edges[(low.bit_length() - 1) >> 1])
-            arcs ^= low
-        return out
+        return [edges[a >> 1] for a in _bits(self.cut_arcs(mask))]
 
     def has_edge(self, u, v):
         if u == v:
@@ -173,6 +168,26 @@ class BipartiteGraph:
         return f"BipartiteGraph(n={self.n}, |X|={len(self.x_class)}, |Y|={len(self.y_class)})"
 
 
+def _bits(mask):
+    """The vertices of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _clique(nbr, s):
+    """Whether the vertex set `s` is a clique under the neighbour masks
+    `nbr`: no member misses another."""
+    rest = s
+    while rest:
+        low = rest & -rest
+        if s & ~(nbr[low.bit_length() - 1] | low):
+            return False
+        rest ^= low
+    return True
+
+
 def set_to_mask(vertices) -> int:
     mask = 0
     for v in vertices:
@@ -181,7 +196,7 @@ def set_to_mask(vertices) -> int:
 
 
 def mask_to_set(mask) -> frozenset:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return frozenset(_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -223,6 +238,7 @@ def two_color(g: Graph) -> BipartiteGraph:
     The X class is the side containing the lowest-indexed vertex of each
     connected component; isolated vertices default to X.
     """
+    nbr = g.nbr_masks
     color = [-1] * g.n
     parent = [-1] * g.n
     depth = [0] * g.n
@@ -234,7 +250,7 @@ def two_color(g: Graph) -> BipartiteGraph:
         while queue:
             nq = []
             for u in queue:
-                for w in sorted(g.adj[u]):
+                for w in _bits(nbr[u]):
                     if color[w] == -1:
                         color[w] = 1 - color[u]
                         parent[w] = u
@@ -284,14 +300,10 @@ def degeneracy(g: Graph) -> DegeneracyResult:
         rest ^= low
         d = max(d, k)
         order.append(v)
-        ws = nbr[v] & rest
-        while ws:
-            b = ws & -ws
-            w = b.bit_length() - 1
-            bucket[deg[w]] ^= b
+        for w in _bits(nbr[v] & rest):
+            bucket[deg[w]] ^= 1 << w
             deg[w] -= 1
-            bucket[deg[w]] |= b
-            ws ^= b
+            bucket[deg[w]] |= 1 << w
         k = max(k - 1, 0)
     return DegeneracyResult(d, tuple(order))
 

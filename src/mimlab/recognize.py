@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import complete_one_side
 from .errors import CertificateViolation, OddCycleFound
-from .graph import Graph, complement, two_color
+from .graph import Graph, _bits, _clique, complement, set_to_mask, two_color
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,6 @@ def is_split(g: Graph) -> RecognitionResult:
     )
 
 
-def _bits(mask):
-    """The vertices of a bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _simple(nbr, rest, v):
     """The closed neighbourhoods of v's closed neighbourhood in `rest` form
     a chain."""
@@ -147,8 +138,7 @@ def _simple(nbr, rest, v):
 
 def _simplicial(nbr, rest, v):
     """v's neighbourhood in `rest` is a clique."""
-    hood = nbr[v] & rest
-    return all(not hood & ~(nbr[u] | 1 << u) for u in _bits(hood))
+    return _clique(nbr, nbr[v] & rest)
 
 
 def _eliminate(nbr, rest, removable):
@@ -287,7 +277,8 @@ def is_chordal_bipartite(g: Graph, limit=None) -> RecognitionResult:
         coloring = two_color(g)
     except OddCycleFound as exc:
         return RecognitionResult(False, {"kind": "odd_cycle", "cycle": list(exc.cycle)})
-    nbr = complete_one_side(coloring, "Y").result.nbr_masks
+    y = set_to_mask(coloring.y_class)  # complete Y: N(v) + Y - v for v in Y
+    nbr = [m | y ^ 1 << v if y >> v & 1 else m for v, m in enumerate(g.nbr_masks)]
     stuck = _eliminate(nbr, (1 << g.n) - 1, _simple)[1]
     if stuck:
         cyc = _sun_cycle(nbr, stuck)

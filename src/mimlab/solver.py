@@ -31,15 +31,8 @@ clique of the conflict graph pairwise conflict, so the candidate edges add
 at most one edge per clique of a cover, which is grown greedily.
 
 The subset DP needs every cut value, and gets them from one depth-first
-walk over the keys (`_CutSolver.cut_values`). It rests on one-vertex
-stability: moving one vertex across a cut changes its value by at most
-one, because an induced matching of the old cut minus its at most one
-edge at that vertex still crosses the new cut, and arc conflicts do not
-depend on the cut. So each key starts from its parent's maximum matching,
-its value is bracketed within one of the keys one move away that the walk
-has met, and only threshold searches run: a matching that beats the
-parent's must use an edge at the moved vertex. The DP records the tree's
-cuts as exact.
+walk over the keys that runs only threshold searches
+(`_CutSolver.cut_values`). The DP records the tree's cuts as exact.
 
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
@@ -71,7 +64,7 @@ from fractions import Fraction
 
 from .decomp import BranchDecomposition, Cut, subtree_leaf_sets
 from .errors import LimitExceeded
-from .graph import Graph, degeneracy, mask_to_set, set_to_mask
+from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
 
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TW_LIMIT = 16
@@ -218,13 +211,9 @@ class _CutSolver:
         heads_near = [0] * n  # vertex -> the arcs entering its neighbors
         tails_near = [0] * n  # vertex -> the arcs leaving its neighbors
         for x in range(n):
-            rest = nbr[x]
-            while rest:
-                low = rest & -rest
-                w = low.bit_length() - 1
+            for w in _bits(nbr[x]):
                 heads_near[x] |= head[w]
                 tails_near[x] |= tail[w]
-                rest ^= low
         enter = []  # arc a->b -> the arcs entering a neighbor of a
         leave = []  # arc a->b -> the arcs leaving a neighbor of b
         for u, v in self.edges:
@@ -467,10 +456,8 @@ def _first_split(f, s):
 
 
 def _exact_search(cs):
-    """The subset DP above: f(V) and a decomposition attaining it. The cut
-    values come first, from the walk of `_CutSolver.cut_values`: one
-    vertex moved across a cut changes its value by at most one, so each
-    key is seeded by its parent's matching and bracketed within one."""
+    """The subset DP above: f(V) and a decomposition attaining it, over
+    the cut values of `_CutSolver.cut_values`."""
     full = cs.full
     half = (full + 1) >> 1
     # Every proper submask of s is smaller than s, so ascending order
@@ -647,35 +634,20 @@ def _tw_reduce(nbr, rest, low, order):
         v = bit.bit_length() - 1
         around = nbr[v]
         deg = around.bit_count()
-        miss = {}  # u in N(v) -> the other members of N(v) it misses
-        others = around
-        while others:
-            b = others & -others
-            others ^= b
-            m = around & ~nbr[b.bit_length() - 1] ^ b
-            if m:
-                miss[b] = m
-                if deg > low:  # neither rule can apply
-                    break
-        if miss:
-            if deg > low:
+        if not _clique(nbr, around):
+            if deg > low:  # neither rule can apply
                 continue
             # N(v) - w is a clique iff every non-edge inside N(v) has the
-            # end w: w is the first vertex that misses one, or one it misses.
-            first = next(iter(miss))
-            if not any(
-                all(m == w for u, m in miss.items() if u != w)
-                for w in (first, miss[first] & -miss[first])
-            ):
+            # end w: w is the first member u that misses another, or the
+            # lowest member that u misses.
+            u = next(u for u in _bits(around) if around & ~(nbr[u] | 1 << u))
+            x = around & ~(nbr[u] | 1 << u)
+            if not (_clique(nbr, around ^ 1 << u) or _clique(nbr, around ^ x & -x)):
                 continue
         elif deg > low:
             low = deg
-        others = around
-        while others:
-            b = others & -others
-            others ^= b
-            u = b.bit_length() - 1
-            nbr[u] = (nbr[u] | around) & ~(b | bit)
+        for u in _bits(around):
+            nbr[u] = (nbr[u] | around) & ~(1 << u | bit)
         rest ^= bit
         order.append(v)
         scan = rest  # an earlier vertex may qualify now

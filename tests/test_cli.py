@@ -228,6 +228,24 @@ def test_verify_rejects_options_of_other_suites(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--upper", "--exact-limit", "12"], "mimw --upper does not take --exact-limit"),
+        (["--upper", "--tw-limit", "4"], "mimw --upper does not take --tw-limit"),
+        (["--exact", "--tw-limit", "4"], "mimw --exact does not take --tw-limit"),
+        (["--tw-limit", "4"], "mimw --exact does not take --tw-limit"),
+        (["--lower", "--exact-limit", "12"], "mimw --lower does not take --exact-limit"),
+    ],
+)
+def test_mimw_rejects_limits_its_mode_does_not_read(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(["gen", "path", "3", "--out", "g.txt"], capsys)
+    code, out, err = run(["mimw", *argv, "g.txt"], capsys)
+    assert code == 4
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gen", "path", "3", "--exact-limit", "4"],

@@ -1,19 +1,26 @@
 """Byte-level regression pins: the sha256 of every output of a fixed CLI
 session and of the chordal bipartite corpus, recorded before the bitset
-rewrite of the cut code and the in-repo free-tree generator.
+rewrite of the cut code and the in-repo free-tree generator, and of the
+treewidth orders, recognizer certificates and chord diagrams of a seeded
+graph set, recorded before the neighbour-mask helpers moved into `graph`.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from mimlab import harness
 from mimlab.cli import main
-from mimlab.graph import bipartite_to_text, free_trees
+from mimlab.construct import build_subdivided_family, embed_chord_diagram
+from mimlab.graph import Graph, bipartite_to_text, free_trees, random_bipartite
+from mimlab.recognize import is_chordal, is_chordal_bipartite, is_strongly_chordal
+from mimlab.solver import treewidth_exact
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+MASK_PATHS_SHA256 = "7b33d35ecd9e7185e8bc9825a7b689df39c3a5b29a51cb3106b269e10d0486a8"
 
 
 def _sha(data):
@@ -54,3 +61,35 @@ def test_free_trees_small_orders():
     assert [t.edges for t in free_trees(1)] == [frozenset()]
     # Orders 9 and 10 (OEIS A000055) are beyond the corpus pins.
     assert [sum(1 for _ in free_trees(n)) for n in (9, 10)] == [47, 106]
+
+
+def _mask_path_graphs():
+    """About 300 seeded graphs (n 4-14, p 0.15-0.9; every third one
+    bipartite), then the circle-cubic family at k = 6-14 with its chord
+    diagrams."""
+    for i in range(300):
+        n = 4 + i % 11
+        p = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)[i // 11 % 6]
+        if i % 3 == 2:
+            yield random_bipartite(n // 2, n - n // 2, p, i).graph, None
+        else:
+            rng = random.Random(i)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            yield Graph(n, edges), None
+    for k in range(6, 15, 2):
+        b = build_subdivided_family(k, 0)
+        yield b.graph, embed_chord_diagram(b).to_text()
+
+
+def test_mask_paths_digest():
+    # The treewidth (value, order) pairs, three recognizers' certificates
+    # and the chord diagrams, byte for byte.
+    h = hashlib.sha256()
+    for g, diagram in _mask_path_graphs():
+        tw = treewidth_exact(g)
+        rows = [tw.value, list(tw.elimination_order), diagram]
+        for rec in (is_chordal, is_strongly_chordal, is_chordal_bipartite):
+            r = rec(g)
+            rows.append([r.verdict, r.certificate])
+        h.update((json.dumps(rows, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == MASK_PATHS_SHA256

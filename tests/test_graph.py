@@ -9,6 +9,8 @@ from mimlab.errors import GraphFormatError, InvalidParameter, OddCycleFound
 from mimlab.graph import (
     BipartiteGraph,
     Graph,
+    _bits,
+    _clique,
     bipartite_to_text,
     complement,
     complete,
@@ -26,6 +28,7 @@ from mimlab.graph import (
     subdivide_all_edges,
     two_color,
 )
+from mimlab.recognize import verify_clique
 
 
 def small_graphs():
@@ -66,6 +69,18 @@ class TestBitsetView:
     def test_nbr_masks(self):
         g = grid(2, 3)
         assert [mask_to_set(m) for m in g.nbr_masks] == list(g.adj)
+
+    def test_clique_matches_verify_clique(self):
+        graphs = [complete(n) for n in range(1, 9)] + [Graph(n) for n in range(1, 9)]
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = 2 + seed % 7
+            p = rng.choice((0.3, 0.5, 0.7, 0.9))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs.append(Graph(n, [e for e in pairs if rng.random() < p]))
+        for g in graphs:
+            for mask in range(1 << g.n):
+                assert _clique(g.nbr_masks, mask) == verify_clique(g, _bits(mask)), (g, mask)
 
     @given(small_graphs(), st.integers(0, 127))
     def test_cut_edges_are_sorted_crossing_edges(self, g, mask):
