@@ -21,14 +21,16 @@ One per-graph cut solver serves both mim-width solvers. It keeps one
 record per vertex-set key min(S, V-S): the lower and upper bounds that its
 searches proved, and the value is exact when they meet. Its one query is
 the threshold "mim >= t?", answered from the record when the record
-settles it, else by branch and bound over the conflict graph of the cut's
-edges. That search stops at the first matching of t edges and prunes every
-branch that cannot reach t. An unknown record starts at (0, min(k, n-k))
-for a side of k vertices, since a matching uses distinct vertices on each
-side. Every search also prunes by a clique-cover bound, the colouring
-bound of Tomita and Seki applied to the complement: the members of a
-clique of the conflict graph pairwise conflict, so the candidate edges add
-at most one edge per clique of a cover, which is grown greedily.
+settles it, else by first fit (take the highest free arc, t times) and,
+only when that stops short of t, by branch and bound over the conflict
+graph of the cut's edges. That search stops at the first matching of t
+edges and prunes every branch that cannot reach t. An unknown record
+starts at (0, min(k, n-k)) for a side of k vertices, since a matching
+uses distinct vertices on each side. Every search also prunes by a
+clique-cover bound, the colouring bound of Tomita and Seki applied to the
+complement: the members of a clique of the conflict graph pairwise
+conflict, so the candidate edges add at most one edge per clique of a
+cover, which is grown greedily.
 
 The subset DP needs every cut value, and gets them from one depth-first
 walk over the keys that runs only threshold searches
@@ -37,8 +39,11 @@ walk over the keys that runs only threshold searches
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
 of at most the current width w, and raises w by one only when no pair
-fits. It asks only "mim >= w + 1?", which a pair that failed once has in
-its record until w rises, and it is deterministic: it takes no seed.
+fits. It asks only "mim >= w + 1?", and each union once per w: a pair
+that failed fails again until w rises, so after a merge it asks only the
+pairs with the new part and the rows of the scan not yet asked. Each part
+carries the arcs leaving and entering it, so a union's cut arcs take two
+mask operations. It is deterministic: it takes no seed.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
@@ -55,7 +60,6 @@ the limit and the table budget bound the kernel, not the raw graph.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from array import array
@@ -221,8 +225,11 @@ class _CutSolver:
             leave += (tails_near[v], tails_near[u])
         self.enter, self.leave = enter, leave
 
-    def at_least(self, mask, t):
-        """Whether the cut at `mask` has an induced matching of t edges."""
+    def at_least(self, mask, t, arcs=None):
+        """Whether the cut at `mask` has an induced matching of t edges.
+        A caller that has the cut's arcs passes them as `arcs`. Past the
+        record, first fit takes the highest free arc t times, and only a
+        first fit that stops short of t runs the threshold search."""
         key = min(mask, self.full ^ mask)
         k = mask.bit_count()
         # A matching uses distinct vertices on each side: at most min(k, n-k).
@@ -231,7 +238,17 @@ class _CutSolver:
             return True
         if hi < t:
             return False
-        size = len(self._search(self.g.cut_arcs(mask), t))
+        if arcs is None:
+            arcs = self.g.cut_arcs(mask)
+        enter, leave = self.enter, self.leave
+        free = arcs
+        size = 0
+        while free and size < t:
+            a = free.bit_length() - 1
+            size += 1
+            free &= ~(enter[a] | leave[a])
+        if size < t:
+            size = len(self._search(arcs, t))
         if size >= t:
             self.bounds[key] = (size, hi)
             return True
@@ -526,20 +543,53 @@ def _merge_search(cs):
     It merges the first pair of parts i < j whose union is V or has a cut
     value of at most w, in slot i, and raises w by one when no pair fits.
     w rises only when every union is above the old w, so the next merge
-    has a value of exactly w: the width is attained. A failed pair leaves
-    a lower bound in the cut record, which answers it on the next scan."""
+    has a value of exactly w: the width is attained.
+
+    A pair that failed at w fails again until w rises, so the scan asks
+    each (union, w) once. The scan stops only at a pair that fits, and
+    the part of that row then becomes the union, so every row, a part
+    against the parts after it, has either failed throughout at w
+    (`done`) or is not yet asked. Every part before the slot i of the
+    last merge has failed against every part but the new one. So the
+    first pair that fits is a pair (a, i), else is in row i or in the
+    first later row not done. A part carries the OR of `tail` and `head`
+    over its vertices, so a union's cut arcs take two big-int
+    operations."""
     full = cs.full
-    parts = [(1 << v, v) for v in range(cs.n)]  # (vertex mask, tree node)
+    _, tail, head = cs.g.arc_tables
+    # (vertex mask, tree node, arcs leaving it, arcs entering it)
+    parts = [(1 << v, v, tail[v], head[v]) for v in range(cs.n)]
+    done = [False] * cs.n
     w = 1 if cs.g.m else 0
+    new = 0  # the slot of the last merge; 0 after w rises
+
+    def fits(a, b):
+        union, _, out, into = parts[a]
+        other, _, out2, into2 = parts[b]
+        union |= other
+        arcs = (out | out2) & ~(into | into2)
+        return union == full or not cs.at_least(union, w + 1, arcs)
+
     while len(parts) > 1:
-        for i, j in itertools.combinations(range(len(parts)), 2):
-            union = parts[i][0] | parts[j][0]
-            if union == full or not cs.at_least(union, w + 1):
-                parts[i] = (union, (parts[i][1], parts[j][1]))
-                del parts[j]
-                break
-        else:
+        pair = next(((a, new) for a in range(new) if fits(a, new)), None)
+        a = new
+        while pair is None and a < len(parts):
+            if not done[a]:
+                done[a] = True
+                later = range(a + 1, len(parts))
+                pair = next(((a, b) for b in later if fits(a, b)), None)
+            a += 1
+        if pair is None:
             w += 1
+            done = [False] * len(parts)
+            new = 0
+            continue
+        i, j = pair
+        (mi, ni, ti, hi), (mj, nj, tj, hj) = parts[i], parts[j]
+        parts[i] = (mi | mj, (ni, nj), ti | tj, hi | hj)
+        del parts[j], done[j]
+        done[i] = False
+        new = i
     return w, BranchDecomposition(parts[0][1])
 
 

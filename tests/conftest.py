@@ -149,6 +149,46 @@ def table_mimw(g):
     return _width_report(g, "exact", _exact_search)
 
 
+def rescan_merge(cs):
+    """The merge upper bound of `mimlab.solver` as a full rescan: after
+    every merge the pair scan restarts at (0, 1), and the cut record
+    answers the pairs that failed before."""
+    from mimlab.decomp import BranchDecomposition
+
+    full = cs.full
+    parts = [(1 << v, v) for v in range(cs.n)]  # (vertex mask, tree node)
+    w = 1 if cs.g.m else 0
+    while len(parts) > 1:
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            union = parts[i][0] | parts[j][0]
+            if union == full or not cs.at_least(union, w + 1):
+                parts[i] = (union, (parts[i][1], parts[j][1]))
+                del parts[j]
+                break
+        else:
+            w += 1
+    return w, BranchDecomposition(parts[0][1])
+
+
+def search_at_least(self, mask, t):
+    """`_CutSolver.at_least` without first fit: every query that the
+    record leaves open runs the threshold search."""
+    key = min(mask, self.full ^ mask)
+    k = mask.bit_count()
+    # A matching uses distinct vertices on each side: at most min(k, n-k).
+    lo, hi = self.bounds.get(key) or (0, min(k, self.n - k))
+    if lo >= t:
+        return True
+    if hi < t:
+        return False
+    size = len(self._search(self.g.cut_arcs(mask), t))
+    if size >= t:
+        self.bounds[key] = (size, hi)
+        return True
+    self.bounds[key] = (max(lo, size), t - 1)
+    return False
+
+
 def brute_treewidth(g):
     """Min over all elimination orders of the max fill-in degree."""
     best = None

@@ -12,6 +12,8 @@ from conftest import (
     brute_mimw,
     brute_treewidth,
     cut_edge_list,
+    rescan_merge,
+    search_at_least,
     simulate_elimination,
     table_mimw,
     table_treewidth,
@@ -66,6 +68,11 @@ def random_graph(n, p, seed):
             if rng.random() < p
         ],
     )
+
+
+def relabelled_path(n, seed):
+    perm = random.Random(seed).sample(range(n), n)
+    return Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
 
 
 @pytest.fixture
@@ -280,6 +287,15 @@ class TestThresholdQueries:
                 for a, want in brute.items():
                     assert cs.at_least(a, want) and not cs.at_least(a, want + 1)
 
+    def test_search_when_first_fit_falls_short(self):
+        # The path 1-0-3-4-2, cut at A = {1, 2, 3}: every edge crosses.
+        # First fit takes the highest arc, 3->4, which conflicts with every
+        # other arc, and stops at one edge; {01, 24} is induced.
+        g = Graph(5, [(0, 1), (0, 3), (3, 4), (2, 4)])
+        cs = solver._CutSolver(g)
+        assert cs.at_least(0b01110, 2)
+        assert cs.bounds[0b01110] == (2, 2)
+
     def test_record_brackets_every_cut(self, made_solvers):
         # What the solver stores, not only what it answers: each key's
         # (lo, hi) brackets the key's value, after the heuristic's queries
@@ -322,6 +338,27 @@ class TestUpperWork:
         mimw_upper(make())
         (cs,) = made_solvers
         assert cs.nodes == nodes
+
+    @pytest.mark.parametrize(
+        "make, calls",
+        [
+            (lambda: relabelled_path(120, 1), 5554),
+            (lambda: build_subdivided_family(14, 0).graph, 1284),
+        ],
+        ids=["relabelled-path-120", "circle-cubic-14"],
+    )
+    def test_one_query_per_pair_and_width(self, make, calls):
+        cs = solver._CutSolver(make())
+        asked = []
+        at_least = cs.at_least
+
+        def recording(mask, t, *arcs):
+            asked.append((mask, t))
+            return at_least(mask, t, *arcs)
+
+        cs.at_least = recording
+        solver._merge_search(cs)
+        assert len(set(asked)) == len(asked) == calls
 
     # sha256 prefixes of report JSON, recorded also with the clique-cover
     # pruning off: pruning the cut search must not change a report byte.
@@ -545,9 +582,43 @@ class TestMimwUpper:
     def test_relabelled_path_is_1(self):
         # The merge does not depend on a good vertex order: hill-climbed
         # caterpillars give width 26 on this labelling.
-        perm = random.Random(1).sample(range(100), 100)
-        g = Graph(100, [(perm[i], perm[i + 1]) for i in range(99)])
-        assert mimw_upper(g).value == 1
+        assert mimw_upper(relabelled_path(100, 1)).value == 1
+
+    def test_matches_rescan_oracle(self, monkeypatch):
+        # The same reports as the full rescan over a cut solver without
+        # first fit, in at most its branch-and-bound nodes.
+        made = []
+
+        class Recording(solver._CutSolver):
+            def __init__(self, g):
+                super().__init__(g)
+                made.append(self)
+
+        class SearchOnly(Recording):
+            at_least = search_at_least
+
+        rng = random.Random(16)
+        graphs = [
+            random_graph(rng.randint(2, 22), rng.uniform(0.08, 0.8), seed)
+            for seed in range(280)
+        ]
+        graphs += [Graph(n) for n in (2, 3, 8)]
+        for seed in range(8):  # two random graphs side by side
+            a, b = random_graph(6, 0.5, seed), random_graph(7, 0.4, seed + 8)
+            graphs.append(Graph(13, [*a.edges, *((u + 6, v + 6) for u, v in b.edges)]))
+        graphs += [relabelled_path(n, n) for n in (5, 12, 25, 40, 60)]
+        ours = theirs = 0
+        for g in graphs:
+            made.clear()
+            monkeypatch.setattr(solver, "_CutSolver", SearchOnly)
+            want = solver._width_report(g, "upper", rescan_merge).to_json()
+            monkeypatch.setattr(solver, "_CutSolver", Recording)
+            assert mimw_upper(g).to_json() == want, g.edges
+            old, new = made
+            assert new.nodes <= old.nodes, g.edges
+            ours += new.nodes
+            theirs += old.nodes
+        assert ours < theirs  # first fit skips searches that the greedy missed
 
     @pytest.mark.parametrize(
         "make",
