@@ -2,7 +2,7 @@
 
 Each recognizer returns a RecognitionResult whose certificate either
 re-verifies independently (positive) or exhibits a concrete violation
-(negative). All run in polynomial time. One sweep deletes vertices on
+(negative). All run in polynomial time. One worklist deletes vertices on
 neighbour bitmasks: chordality deletes simplicial vertices (Fulkerson and
 Gross 1965), and a stuck remainder yields a chordless cycle; strong
 chordality deletes simple vertices (Farber 1983), and chordal
@@ -142,22 +142,39 @@ def _simplicial(nbr, rest, v):
 
 
 def _eliminate(nbr, rest, removable):
-    """Delete removable vertices from the vertex set `rest`, sweeping it in
-    ascending order until a sweep deletes none. Simple and simplicial
-    vertices stay so in every induced subgraph, so the order of deletion
-    does not matter. Returns the deletion order and the stuck remainder,
-    which is 0 iff the set induces a strongly chordal graph (`_simple`,
-    Farber 1983) or a chordal one (`_simplicial`, Fulkerson and Gross
-    1965)."""
+    """Delete removable vertices from the vertex set `rest` in the order of
+    sweeps over it in ascending order, repeated until a sweep deletes none.
+    Simple and simplicial vertices stay so in every induced subgraph, so
+    the order of deletion does not matter. Returns the deletion order and
+    the stuck remainder, which is 0 iff the set induces a strongly chordal
+    graph (`_simple`, Farber 1983) or a chordal one (`_simplicial`,
+    Fulkerson and Gross 1965).
+
+    Whether v is removable depends only on the vertices within distance 2
+    of v, so a sweep tests only the vertices whose such region lost a
+    vertex since their last test, all of them at first. A deletion at v
+    puts the region's vertices above v into the current sweep and those
+    below v into the next. The deletion order is that of full sweeps, but
+    a vertex is re-tested only after a deletion near it."""
     order = []
-    swept = True
-    while swept:
-        swept = False
-        for v in _bits(rest):
+    todo = rest
+    while todo:
+        later = 0  # the next sweep
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
             if removable(nbr, rest, v):
-                rest ^= 1 << v
+                rest ^= low
                 order.append(v)
-                swept = True
+                near = region = nbr[v] & rest
+                while near and region != rest:
+                    b = near & -near
+                    near ^= b
+                    region |= nbr[b.bit_length() - 1] & rest
+                todo |= region & -low
+                later |= region & (low - 1)
+        todo = later
     return order, rest
 
 

@@ -14,8 +14,10 @@ cross-check this against explicit enumeration). A set's scan over its
 splits stops at the first split with max(f(T), f(S-T)) <= cutvalue(S),
 since that settles f(S) = cutvalue(S); f stays exact for every set. Only
 the tree's n - 1 internal nodes then need a split, and they get it top
-down, from a full scan for the first minimizing split. f and the cut
-values (one per pair S, V-S) are byte tables, within TABLE_BUDGET.
+down, from a scan for the first minimizing split; where f(S) is above
+cutvalue(S), f(S) is that minimum, and the scan stops at the first split
+that reaches it. f and the cut values (one per pair S, V-S) are byte
+tables, within TABLE_BUDGET.
 
 One per-graph cut solver serves both mim-width solvers. It keeps one
 record per vertex-set key min(S, V-S): the lower and upper bounds that its
@@ -34,7 +36,9 @@ cover, which is grown greedily.
 
 The subset DP needs every cut value, and gets them from one depth-first
 walk over the keys that runs only threshold searches
-(`_CutSolver.cut_values`). The DP records the tree's cuts as exact.
+(`_CutSolver.cut_values`). Before each, the walk asks the clique cover
+alone, which refutes most of them without the search's greedy start. The
+DP records the tree's cuts as exact.
 
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
@@ -349,13 +353,20 @@ class _CutSolver:
         of p + 1 arcs, if any, has an arc leaving v (without one it would
         cross the parent's cut): one threshold search for p arcs per arc
         leaving v, among the cut arcs that arc does not conflict with,
-        finds it. The walk holds, per open key, its masks and its
-        matching: O(n^2) small ints in all."""
+        finds it. A search for t arcs among candidates that a greedy
+        clique cover (`_covered`) covers with t - 1 cliques can only fail,
+        so the walk skips it: the bound that the search's root applies,
+        without the greedy start before it. The walk holds, per open key,
+        its masks and its matching: O(n^2) small ints in all."""
         _, tail, head = self.g.arc_tables
         enter, leave = self.enter, self.leave
         top = self.n - 1
         cut_of = bytearray(1 << top)
         settled = 0
+
+        def search(cand, t):
+            return [] if _covered(cand, enter, leave, t - 1) else self._search(cand, t)
+
         root = (0, 0, [], 0)  # cut arcs, arcs entering s, matching, its size
         stack = [(1 << v, v, root) for v in range(top)]
         while stack:
@@ -386,7 +397,7 @@ class _CutSolver:
                 settled += 1
             else:
                 if len(seed) < p:
-                    found = self._search(arcs, p)
+                    found = search(arcs, p)
                     if len(found) == p:
                         seed = found
                 if len(seed) == p < hi:
@@ -396,7 +407,7 @@ class _CutSolver:
                     while out:
                         low = out & -out
                         a = low.bit_length() - 1
-                        found = self._search(arcs & ~(enter[a] | leave[a]), p)
+                        found = search(arcs & ~(enter[a] | leave[a]), p)
                         if len(found) == p:
                             seed = found + [a]
                             break
@@ -454,9 +465,11 @@ def _width_report(g, mode, search) -> WidthReport:
     return WidthReport(value, mode, t, cut, matching)
 
 
-def _first_split(f, s):
+def _first_split(f, s, floor):
     """The first split t of `s` in the scan order, over the t that hold
-    the lowest bit of s, that minimizes max(f(t), f(s - t))."""
+    the lowest bit of s, that minimizes max(f(t), f(s - t)). `floor` is at
+    most that minimum, so the scan stops at the first split that reaches
+    it; -1 scans every split."""
     low = s & -s
     rest = s ^ low
     best = best_t = None
@@ -466,6 +479,8 @@ def _first_split(f, s):
         t = low | sub
         inner = max(f[t], f[s ^ t])
         if best is None or inner < best:
+            if inner <= floor:
+                return t
             best = inner
             best_t = t
         if sub == 0:
@@ -508,12 +523,16 @@ def _exact_search(cs):
     cs.splits += splits
 
     # Only the tree's internal nodes need their split: top-down by the
-    # first minimum, then built bottom-up, without recursion.
+    # first minimum, then built bottom-up, without recursion. f(S) above
+    # the cut value of S is the least split itself, so that scan stops
+    # at the first split that reaches it.
     split = {}
     sets = [full]
     for s in sets:
         if s & (s - 1):
-            t = split[s] = _first_split(f, s)
+            fs = f[s]
+            floor = fs if fs > cut_of[s if s < half else full ^ s] else 0
+            t = split[s] = _first_split(f, s, floor)
             sets += (t, s ^ t)
     node = {}
     for s in reversed(sets):

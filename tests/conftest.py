@@ -350,6 +350,24 @@ def brute_is_chordal_bipartite(g):
     return all(cycle_chords(g, c) for c in enumerate_cycles(g, min_len=6))
 
 
+def sweep_eliminate(nbr, rest, removable):
+    """The deletion order of `recognize._eliminate` by full sweeps: sweep
+    `rest` in ascending order, deleting each removable vertex, until a
+    sweep deletes none. Returns the order and the stuck remainder."""
+    from mimlab.graph import _bits
+
+    order = []
+    swept = True
+    while swept:
+        swept = False
+        for v in _bits(rest):
+            if removable(nbr, rest, v):
+                rest ^= 1 << v
+                order.append(v)
+                swept = True
+    return order, rest
+
+
 def all_graphs(n):
     """Every labeled graph on n vertices."""
     from mimlab.graph import Graph

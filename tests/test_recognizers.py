@@ -9,6 +9,7 @@ from conftest import (
     brute_is_comparability,
     brute_is_strongly_chordal,
     enumerate_cycles,
+    sweep_eliminate,
 )
 from mimlab import recognize
 from mimlab.construct import complete_both_sides, complete_one_side
@@ -242,6 +243,51 @@ class TestChordalOracle:
         rng = random.Random(11)
         for seed in range(300):
             assert_chordal_oracle(random_graph(rng.randint(2, 9), rng.random(), seed))
+
+
+def zigzag_path(n):
+    """A path labelled 0, n-1, 1, n-2, ...: each full sweep deletes only the
+    end vertices that come after their neighbour in ascending order."""
+    labels = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    return Graph(n, [tuple(sorted(p)) for p in zip(labels, labels[1:])])
+
+
+class TestElimination:
+    @pytest.mark.parametrize("removable", [recognize._simple, recognize._simplicial])
+    def test_matches_sweep_order(self, removable):
+        # The worklist deletes in the order of full ascending sweeps, from
+        # the whole vertex set or any subset, and gets stuck on the same set.
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(1, 16)
+            if seed % 2:
+                g = random_graph(n, rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
+            else:  # a random tree plus a few edges: long elimination chains
+                edges = {(rng.randrange(u), u) for u in range(1, n)}
+                for _ in range(rng.randint(0, 3)):
+                    u, v = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                    if u != v:
+                        edges.add((u, v))
+                g = Graph(n, sorted(edges))
+            start = rng.getrandbits(n) if seed % 3 == 0 else (1 << n) - 1
+            want = sweep_eliminate(g.nbr_masks, start, removable)
+            assert recognize._eliminate(g.nbr_masks, start, removable) == want, g.edges
+
+    @pytest.mark.parametrize("removable", [recognize._simple, recognize._simplicial])
+    def test_zigzag_path_tests_each_vertex_a_few_times(self, removable):
+        # Full sweeps test this path 80,600 times; the worklist re-tests a
+        # vertex only when a deletion within distance 2 may change it.
+        g = zigzag_path(800)
+        calls = 0
+
+        def counted(nbr, rest, v):
+            nonlocal calls
+            calls += 1
+            return removable(nbr, rest, v)
+
+        order, stuck = recognize._eliminate(g.nbr_masks, (1 << g.n) - 1, counted)
+        assert (order, stuck) == sweep_eliminate(g.nbr_masks, (1 << g.n) - 1, removable)
+        assert calls <= 3 * g.n
 
 
 class TestStronglyChordal:

@@ -203,6 +203,22 @@ class TestCutWalk:
         assert all(cs.settled for cs in made_solvers if cs.n > 2 and cs.g.m)
         assert sum(cs.nodes for cs in made_solvers)
 
+    def test_walk_skips_refuted_searches(self, monkeypatch):
+        # A search for t arcs among candidates that t - 1 greedy cliques
+        # cover can only fail, so the walk refutes them without one.
+        refuted = []
+        search = solver._CutSolver._search
+
+        def checked(self, arcs, t=0):
+            if t and solver._covered(arcs, self.enter, self.leave, t - 1):
+                refuted.append((arcs, t))
+            return search(self, arcs, t)
+
+        monkeypatch.setattr(solver._CutSolver, "_search", checked)
+        for name, g in frontier_mimw_graphs().items():
+            solver._CutSolver(g).cut_values()
+            assert not refuted, name
+
 
 class TestArcTables:
     def test_cut_arcs_and_conflicts_match_brute_force(self):
@@ -406,10 +422,10 @@ class TestExactWork:
     @pytest.mark.parametrize(
         "name, nodes, splits, settled",
         [
-            ("grid-3x4", 1188, 23852, 1159),
-            ("split-grid-3x4", 932, 8151, 606),
-            ("cocomp-grid-3x4", 5184, 20751, 222),
-            ("circle-cubic-4", 288, 8715, 198),
+            ("grid-3x4", 174, 23852, 1159),
+            ("split-grid-3x4", 126, 8151, 606),
+            ("cocomp-grid-3x4", 1592, 20751, 222),
+            ("circle-cubic-4", 61, 8715, 198),
         ],
         ids=["grid-3x4", "split-grid-3x4", "cocomp-grid-3x4", "circle-cubic-4"],
     )
@@ -434,6 +450,27 @@ class TestExactWork:
             text = mimw_exact(g, limit=g.n).to_json()
             want = self.REPORTS[name]
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name
+
+
+class TestFirstSplit:
+    def test_floor_keeps_the_first_minimum(self):
+        # Any floor at or below the least split stops the scan at the
+        # split that the full scan (floor -1) returns.
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 7)
+            f = bytes(rng.randrange(6) for _ in range(1 << n))
+            s = rng.randrange(1, 1 << n)
+            while s & (s - 1) == 0:
+                s = rng.randrange(1, 1 << n)
+            low = s & -s
+            least = min(
+                max(f[t], f[s ^ t]) for t in range(1, s) if t & s == t and t & low
+            )
+            want = solver._first_split(f, s, -1)
+            assert max(f[want], f[s ^ want]) == least
+            for floor in range(least + 1):
+                assert solver._first_split(f, s, floor) == want, (seed, floor)
 
 
 def frontier_tw_graphs():
