@@ -1,9 +1,14 @@
 """Exact induced matchings across cuts, mim-width, treewidth, and the
 degeneracy-based lower bound.
 
-The exact mim-width solver minimizes over all branch decompositions via a
-dynamic program over vertex subsets: the best achievable width for a
-subtree with leaf set S is
+The exact mim-width solver tries its bounds first. The merge below gives
+an upper bound w and a tree of that width. The tree is exact when a lower
+bound meets w: w <= 1, since a graph with an edge has a leaf cut of value
+1, or every balanced cut (between ceil(n/3) and floor(2n/3) vertices per
+side) has an induced matching of w edges (`_balanced_floor`), since every
+branch decomposition has an edge with a balanced cut. Only on a gap does
+it minimize over all branch decompositions, by a dynamic program over
+vertex subsets: the best achievable width for a subtree with leaf set S is
 
     f(S) = max(cutvalue(S), min over bipartitions S = T + (S-T) of
                max(f(T), f(S-T)))
@@ -194,6 +199,17 @@ def _covered(cand, enter, leave, room):
     return True
 
 
+def _first_fit(arcs, t, enter, leave):
+    """The size, up to t, of the matching that first fit takes from the
+    arcs `arcs` (a bitmask of arc indices): the highest free arc each time."""
+    size = 0
+    while arcs and size < t:
+        a = arcs.bit_length() - 1
+        size += 1
+        arcs &= ~(enter[a] | leave[a])
+    return size
+
+
 class _CutSolver:
     """Per-graph solver for threshold queries on cut mim-values. `bounds`
     is its one record: bitmask key min(S, V-S) -> the (lo, hi) that its
@@ -244,13 +260,7 @@ class _CutSolver:
             return False
         if arcs is None:
             arcs = self.g.cut_arcs(mask)
-        enter, leave = self.enter, self.leave
-        free = arcs
-        size = 0
-        while free and size < t:
-            a = free.bit_length() - 1
-            size += 1
-            free &= ~(enter[a] | leave[a])
+        size = _first_fit(arcs, t, self.enter, self.leave)
         if size < t:
             size = len(self._search(arcs, t))
         if size >= t:
@@ -543,16 +553,91 @@ def _exact_search(cs):
     return f[full], BranchDecomposition(node[full])
 
 
+def _balanced_floor(cs, t):
+    """Whether every balanced cut has an induced matching of t edges. A
+    cut is balanced when both sides have between ceil(n/3) and
+    floor(2n/3) vertices. Every branch decomposition has an edge with a
+    balanced cut: from the root, step into the larger subtree while it has
+    more than 2n/3 leaves; the last one has more than n/3. So True proves
+    mimw >= t.
+
+    A depth-first search places the vertices in BFS order on side A or
+    side B, vertex 0 in A and neither side above floor(2n/3). It carries
+    the arcs leaving the placed A and the arcs entering the placed B. Their
+    AND, the arcs decided so far, crosses every cut that completes the
+    placement, and arc conflicts do not depend on the cut. So once the
+    decided arcs hold an induced matching of t edges, every completion has
+    one, and the branch closes. Each test is first fit, then the
+    clique-cover refutation (`_covered`), then the threshold search. The
+    first complete placement left open is a balanced cut without one."""
+    g = cs.g
+    n = g.n
+    nbr = g.nbr_masks
+    _, tail, head = g.arc_tables
+    enter, leave = cs.enter, cs.leave
+    cap = 2 * n // 3
+
+    def matched(arcs):
+        if _first_fit(arcs, t, enter, leave) >= t:
+            return True
+        return not _covered(arcs, enter, leave, t - 1) and len(cs._search(arcs, t)) >= t
+
+    order = []
+    seen = i = 0
+    for root in range(n):
+        if not seen >> root & 1:
+            seen |= 1 << root
+            order.append(root)
+            while i < len(order):
+                new = nbr[order[i]] & ~seen
+                seen |= new
+                order += _bits(new)
+                i += 1
+
+    # (vertices placed, how many in A, arcs leaving A, arcs entering B)
+    stack = [(1, 1, tail[0], 0)]
+    while stack:
+        i, k, out, into = stack.pop()
+        if i == n:
+            return False
+        v = order[i]
+        arcs = out & into  # open: no induced matching of t edges
+        if i - k < cap:
+            more = out & (into | head[v])
+            if more == arcs or not matched(more):
+                stack.append((i + 1, k, out, into | head[v]))
+        if k < cap:
+            more = (out | tail[v]) & into
+            if more == arcs or not matched(more):
+                stack.append((i + 1, k + 1, out | tail[v], into))
+    return True
+
+
+def _bounded_search(cs):
+    """The merge's (w, tree) where a lower bound meets w, else the subset
+    DP's. A graph with an edge has mimw >= 1, as a leaf cut at an end of
+    that edge has value 1, and the merge starts at w = 1 exactly then."""
+    w, tree = _merge_search(cs)
+    if w <= 1 or _balanced_floor(cs, w):
+        return w, tree
+    return _exact_search(cs)
+
+
 def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     """Exact mim-width with a witness decomposition and critical cut.
+
+    Bounds first: the merge of `_merge_search` gives an upper bound w and
+    its tree. That tree is the answer when w <= 1, or when every balanced
+    cut has an induced matching of w edges (`_balanced_floor`). Only on a
+    gap does the subset DP run, and then its report is the DP's.
 
     Convention: graphs with n <= 1 have no branch decomposition and get
     width 0 with an empty witness (from `mimw_upper` too).
     """
     # f over the 2^n sets and the cut values over 2^(n-1) keys: within
-    # two tables.
+    # two tables. The limit applies whether or not the DP runs.
     _check_limit(g.n, limit, "exact mim-width")
-    return _width_report(g, "exact", _exact_search)
+    return _width_report(g, "exact", _bounded_search)
 
 
 def _merge_search(cs):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -35,6 +36,7 @@ from mimlab.graph import (
     grid,
     mask_to_set,
     path,
+    random_cubic,
     subdivide_all_edges,
     two_color,
 )
@@ -119,6 +121,23 @@ def check_table_oracle(g, kernels):
     assert sorted(rep.elimination_order) == list(range(g.n)), g.edges
     assert simulate_elimination(g, rep.elimination_order) == rep.value, g.edges
     return "reduced"
+
+
+def check_bounds_first(g, made_solvers):
+    """mimw_exact against the oracles: the table's value always; where the
+    subset DP ran (scanned a split), the table's report bytes; elsewhere,
+    where the bounds met, the merge's report as exact. Returns the path."""
+    made_solvers.clear()
+    rep = mimw_exact(g, limit=g.n)
+    cs = made_solvers[0]
+    want = table_mimw(g)
+    assert rep.value == want.value, g.edges
+    if cs.splits:
+        assert rep.to_json() == want.to_json(), g.edges
+        return "dp"
+    merged = dataclasses.replace(mimw_upper(g), mode="exact")
+    assert rep.to_json() == merged.to_json(), g.edges
+    return "bounds"
 
 
 class TestMaxInducedMatchingCut:
@@ -220,6 +239,41 @@ class TestCutWalk:
             assert not refuted, name
 
 
+class TestBalancedFloor:
+    def test_matches_brute_force(self):
+        # True iff every side of between ceil(n/3) and floor(2n/3)
+        # vertices has an induced matching of t edges. A side and its
+        # complement have the same value, so the sides that hold vertex 0
+        # suffice.
+        graphs = [Graph(n) for n in (2, 3, 7)]
+        # Floors of 2 on every balanced cut.
+        graphs += [cycle(n) for n in range(6, 11)] + [grid(3, 3)]
+        graphs += [subdivide_all_edges(complete(4)).graph]
+        graphs += [random_cubic(n, seed) for n in (8, 10) for seed in range(3)]
+        for seed in range(190):
+            rng = random.Random(seed)
+            n = rng.randint(2, 10)
+            # Sparser at n >= 8, where the oracle's time grows as 2^m.
+            p = rng.choice((0.2, 0.35, 0.5, 0.7)) if n < 8 else 0.2
+            graphs.append(random_graph(n, p, seed))
+        for seed in range(12):  # two random graphs side by side
+            a, b = random_graph(4, 0.6, seed), random_graph(5, 0.5, seed + 12)
+            graphs.append(Graph(9, [*a.edges, *((u + 4, v + 4) for u, v in b.edges)]))
+        met = 0
+        for g in graphs:
+            n = g.n
+            least = min(
+                brute_max_induced_matching(g, mask_to_set(a))
+                for a in range(1, 1 << n, 2)
+                if -(-n // 3) <= a.bit_count() <= 2 * n // 3
+            )
+            for t in (1, 2, 3):
+                got = solver._balanced_floor(solver._CutSolver(g), t)
+                assert got == (least >= t), (g.edges, t)
+                met += got and t > 1
+        assert met  # some graphs have a floor above the trivial one
+
+
 class TestArcTables:
     def test_cut_arcs_and_conflicts_match_brute_force(self):
         for seed in range(40):
@@ -314,9 +368,9 @@ class TestThresholdQueries:
 
     def test_record_brackets_every_cut(self, made_solvers):
         # What the solver stores, not only what it answers: each key's
-        # (lo, hi) brackets the key's value, after the heuristic's queries
-        # and after threshold queries in random order, and the subset DP
-        # stores only exact values.
+        # (lo, hi) brackets the key's value, after the heuristic's queries,
+        # after mimw_exact's and after threshold queries in random order,
+        # and the subset DP stores only exact values.
         open_keys = 0
         for seed in range(40):
             rng = random.Random(seed)
@@ -324,11 +378,12 @@ class TestThresholdQueries:
             made_solvers.clear()
             mimw_upper(g)
             mimw_exact(g)
-            upper, exact = made_solvers
+            exact_dp(g)
+            upper, bounded, exact = made_solvers
             shuffled = solver._CutSolver(g)
             for _ in range(3 * g.n):
                 shuffled.at_least(rng.randrange(1 << g.n), rng.randint(1, g.n // 2))
-            for cs in (upper, shuffled):
+            for cs in (upper, bounded, shuffled):
                 for key, (lo, hi) in cs.bounds.items():
                     assert lo <= brute_max_induced_matching(g, mask_to_set(key)) <= hi
                     open_keys += lo < hi
@@ -414,9 +469,15 @@ def frontier_mimw_graphs():
     }
 
 
+def exact_dp(g):
+    """The subset DP's report, which `mimw_exact` gives only on a gap
+    between its bounds."""
+    return solver._width_report(g, "exact", solver._exact_search)
+
+
 class TestExactWork:
     # Branch-and-bound nodes, split pairs examined and keys that the cut
-    # walk settled without a search, in mimw_exact. The nodes and settled
+    # walk settled without a search, in the subset DP. The nodes and settled
     # keys pin the walk, which the early stop of the split scan leaves as
     # it is; the split pairs pin the early stop itself.
     @pytest.mark.parametrize(
@@ -431,7 +492,7 @@ class TestExactWork:
     )
     def test_work_counts(self, made_solvers, name, nodes, splits, settled):
         g = frontier_mimw_graphs()[name]
-        mimw_exact(g, limit=g.n)
+        exact_dp(g)
         (cs,) = made_solvers
         assert (cs.nodes, cs.splits, cs.settled) == (nodes, splits, settled)
 
@@ -447,7 +508,7 @@ class TestExactWork:
 
     def test_report_bytes(self):
         for name, g in frontier_mimw_graphs().items():
-            text = mimw_exact(g, limit=g.n).to_json()
+            text = exact_dp(g).to_json()
             want = self.REPORTS[name]
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name
 
@@ -549,7 +610,7 @@ class TestMimwExact:
         # The DP keeps its 2^(n-1) cut values in a counted byte table; the
         # record gets only the keys of the tree's 2n - 1 sets.
         g = frontier_mimw_graphs()["grid-3x4"]
-        mimw_exact(g, limit=g.n)
+        exact_dp(g)
         (cs,) = made_solvers
         assert len(cs.bounds) <= 2 * g.n - 1
 
@@ -558,12 +619,50 @@ class TestMimwExact:
         for seed in range(180):
             rng = random.Random(seed)
             g = random_graph(rng.randint(2, 10), (1 + seed % 9) / 10, seed)
-            assert mimw_exact(g, limit=10).to_json() == table_mimw(g).to_json(), seed
+            assert exact_dp(g).to_json() == table_mimw(g).to_json(), seed
 
     @pytest.mark.parametrize("name", sorted(frontier_mimw_graphs()))
     def test_matches_table_oracle_on_frontier(self, name):
         g = frontier_mimw_graphs()[name]
-        assert mimw_exact(g, limit=g.n).to_json() == table_mimw(g).to_json()
+        assert exact_dp(g).to_json() == table_mimw(g).to_json()
+
+    def test_bounds_first_on_randoms(self, made_solvers):
+        # The same 180 graphs: both paths answer some of them.
+        paths = set()
+        for seed in range(180):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 10), (1 + seed % 9) / 10, seed)
+            paths.add(check_bounds_first(g, made_solvers))
+        assert paths == {"bounds", "dp"}
+
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("grid-3x4", "bounds"),
+            ("split-grid-3x4", "bounds"),
+            ("cocomp-grid-3x4", "bounds"),
+            ("subdivided-K4", "bounds"),
+            ("circle-cubic-4", "bounds"),
+            # The merge gives 3 on this labelling, the balanced floor 2.
+            ("relabelled-subdivided-K4", "dp"),
+        ],
+    )
+    def test_bounds_first_on_frontier(self, made_solvers, name, path):
+        graphs = frontier_mimw_graphs()
+        k4 = graphs["subdivided-K4"]
+        perm = random.Random(0).sample(range(k4.n), k4.n)
+        graphs["relabelled-subdivided-K4"] = Graph(
+            k4.n, [(perm[u], perm[v]) for u, v in k4.edges]
+        )
+        assert check_bounds_first(graphs[name], made_solvers) == path
+
+    def test_limit_applies_where_the_bounds_meet(self, made_solvers):
+        # A path has width 1, so the bounds meet at once, but n = 12 is
+        # still refused before any work.
+        with pytest.raises(LimitExceeded):
+            mimw_exact(path(12), limit=9)
+        assert not made_solvers
+        assert mimw_exact(path(12), limit=12).value == 1
 
     def test_small_convention(self):
         assert mimw_exact(Graph(1)).value == 0
