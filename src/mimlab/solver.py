@@ -1,13 +1,13 @@
 """Exact induced matchings across cuts, mim-width, treewidth, and the
 degeneracy-based lower bound.
 
-The exact mim-width solver tries its bounds first. The merge below gives
-an upper bound w and a tree of that width. The tree is exact when a lower
-bound meets w: w <= 1, since a graph with an edge has a leaf cut of value
-1, or every balanced cut (between ceil(n/3) and floor(2n/3) vertices per
-side) has an induced matching of w edges (`_balanced_floor`), since every
-branch decomposition has an edge with a balanced cut. Only on a gap does
-it minimize over all branch decompositions, by a dynamic program over
+The exact mim-width solver takes three steps. (1) The merge below gives
+an upper bound w and a tree of that width, exact when a lower bound meets
+w: w <= 1, since a graph with an edge has a leaf cut of value 1, or every
+balanced cut has an induced matching of w edges (`_balanced_side`). (2) On
+a gap, a top-down tree (`_top_down`) at the largest such floor L < w has
+width L, exact, where it completes. (3) Only where it gets stuck does the
+solver minimize over all branch decompositions, by a dynamic program over
 vertex subsets: the best achievable width for a subtree with leaf set S is
 
     f(S) = max(cutvalue(S), min over bipartitions S = T + (S-T) of
@@ -226,6 +226,7 @@ class _CutSolver:
         self.nodes = 0
         self.splits = 0  # split pairs examined by the subset DP
         self.settled = 0  # keys that `cut_values` settled without a search
+        self.side_nodes = 0  # placements that `_balanced_side` visited
         self.edges, tail, head = g.arc_tables
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc i conflicts, whatever the cut,
@@ -532,59 +533,92 @@ def _exact_search(cs):
         f[s] = best if best > cut else cut
     cs.splits += splits
 
-    # Only the tree's internal nodes need their split: top-down by the
-    # first minimum, then built bottom-up, without recursion. f(S) above
-    # the cut value of S is the least split itself, so that scan stops
-    # at the first split that reaches it.
-    split = {}
+    # Only the tree's internal nodes need their split, by the first
+    # minimum. f(S) above the cut value of S is the least split itself, so
+    # that scan stops at the first split that reaches it.
+    def split(s):
+        fs = f[s]
+        t = _first_split(f, s, fs if fs > cut_of[s if s < half else full ^ s] else 0)
+        for part in (t, s ^ t):
+            key = min(part, full ^ part)
+            cs.bounds[key] = (cut_of[key],) * 2  # for the critical-cut queries
+        return t
+
+    return f[full], _tree(full, split)
+
+
+def _tree(full, split):
+    """The decomposition that splits each node set s of two or more
+    vertices, from V down, into split(s) and s - split(s), built bottom-up
+    without recursion; None as soon as a split(s) is None."""
     sets = [full]
+    halves = {}
     for s in sets:
         if s & (s - 1):
-            fs = f[s]
-            floor = fs if fs > cut_of[s if s < half else full ^ s] else 0
-            t = split[s] = _first_split(f, s, floor)
-            sets += (t, s ^ t)
+            y = halves[s] = split(s)
+            if y is None:
+                return None
+            sets += (y, s ^ y)
     node = {}
     for s in reversed(sets):
-        t = split.get(s)
-        node[s] = (node[t], node[s ^ t]) if t else s.bit_length() - 1
-        key = min(s, full ^ s)
-        cs.bounds[key] = (cut_of[key],) * 2  # for the critical-cut queries
-    return f[full], BranchDecomposition(node[full])
+        y = halves.get(s)
+        node[s] = (node[y], node[s ^ y]) if y else s.bit_length() - 1
+    return BranchDecomposition(node[full])
 
 
-def _balanced_floor(cs, t):
-    """Whether every balanced cut has an induced matching of t edges. A
-    cut is balanced when both sides have between ceil(n/3) and
-    floor(2n/3) vertices. Every branch decomposition has an edge with a
-    balanced cut: from the root, step into the larger subtree while it has
-    more than 2n/3 leaves; the last one has more than n/3. So True proves
-    mimw >= t.
+def _balanced_side(cs, x, t, lo, hi, cap=None):
+    """The first side Y of the vertex set X, with lo <= |Y| <= hi, such
+    that neither the cut of Y nor that of X - Y (each taken in G) has an
+    induced matching of t edges, or None if there is none. Every caller
+    has lo = |X| - hi, so X - Y qualifies whenever Y does.
 
-    A depth-first search places the vertices in BFS order on side A or
-    side B, vertex 0 in A and neither side above floor(2n/3). It carries
-    the arcs leaving the placed A and the arcs entering the placed B. Their
-    AND, the arcs decided so far, crosses every cut that completes the
-    placement, and arc conflicts do not depend on the cut. So once the
-    decided arcs hold an induced matching of t edges, every completion has
-    one, and the branch closes. Each test is first fit, then the
-    clique-cover refutation (`_covered`), then the threshold search. The
-    first complete placement left open is a balanced cut without one."""
+    With X = V, None proves mimw >= t for the balanced range, ceil(n/3)
+    to floor(2n/3): every branch decomposition has an edge with a
+    balanced cut (from the root, step into the larger subtree while it
+    has more than 2n/3 leaves; the last one has more than n/3), and then
+    the two cuts are one.
+
+    A depth-first search places the vertices of X in BFS order on side Y
+    or side X - Y, the first one on Y and neither side above `cap` (hi by
+    default), with V - X on the far side of both. It carries the arcs
+    leaving and entering each side's placed vertices. Arcs leaving one
+    side and entering the other or V - X cross every cut that completes
+    the placement, and arc conflicts do not depend on the cut. So once
+    those decided arcs hold an induced matching of t edges, the branch
+    closes. The test (`opens`) takes first fit, then the clique-cover
+    refutation (`_covered`), then the threshold search. The first complete
+    placement left open in range is the answer. The first one out of range
+    is kept, and returned if no other follows, and the cap then drops to
+    hi: one walk prefers a side in range to the other sides up to the cap.
+    `side_nodes` counts the placements visited."""
     g = cs.g
-    n = g.n
     nbr = g.nbr_masks
     _, tail, head = g.arc_tables
     enter, leave = cs.enter, cs.leave
-    cap = 2 * n // 3
+    far = 0  # the arcs entering V - X
+    for v in _bits(cs.full ^ x):
+        far |= head[v]
+    both = x != cs.full  # with X = V, the two cuts are one
 
-    def matched(arcs):
-        if _first_fit(arcs, t, enter, leave) >= t:
-            return True
-        return not _covered(arcs, enter, leave, t - 1) and len(cs._search(arcs, t)) >= t
+    def opens(old, new):
+        """Whether the decided arcs `new` have no induced matching of t
+        edges, given that their subset `old` has none: one would hold an
+        arc of new - old and t - 1 arcs that conflict with none of it."""
+        fresh = new & ~old
+        while fresh:
+            a = fresh.bit_length() - 1
+            fresh ^= 1 << a
+            rest = new & ~(enter[a] | leave[a])
+            if _first_fit(rest, t - 1, enter, leave) >= t - 1 or not _covered(
+                rest, enter, leave, t - 2
+            ) and len(cs._search(rest, t - 1)) >= t - 1:
+                return False
+        return True
 
     order = []
-    seen = i = 0
-    for root in range(n):
+    seen = cs.full ^ x
+    i = 0
+    for root in _bits(x):
         if not seen >> root & 1:
             seen |= 1 << root
             order.append(root)
@@ -594,42 +628,94 @@ def _balanced_floor(cs, t):
                 order += _bits(new)
                 i += 1
 
-    # (vertices placed, how many in A, arcs leaving A, arcs entering B)
-    stack = [(1, 1, tail[0], 0)]
+    size = len(order)
+    # (vertices placed, Y so far, its size, arcs leaving and entering Y,
+    # arcs leaving and entering X - Y); V - X enters both
+    stack = [(0, 0, 0, 0, far, 0, far)]
+    nodes = 0
+    cap = cap or hi
+    spare = None
     while stack:
-        i, k, out, into = stack.pop()
-        if i == n:
-            return False
+        i, y, k, out_y, in_y, out_z, in_z = stack.pop()
+        nodes += 1
+        if i == size:
+            if lo <= k <= hi:
+                cs.side_nodes += nodes
+                return y
+            spare, cap = y, hi  # the first side out of range; the rest are in it
+            stack = [e for e in stack if e[2] <= hi and e[0] - e[2] <= hi]
+            continue
         v = order[i]
-        arcs = out & into  # open: no induced matching of t edges
-        if i - k < cap:
-            more = out & (into | head[v])
-            if more == arcs or not matched(more):
-                stack.append((i + 1, k, out, into | head[v]))
-        if k < cap:
-            more = (out | tail[v]) & into
-            if more == arcs or not matched(more):
-                stack.append((i + 1, k + 1, out | tail[v], into))
-    return True
+        cut_y = out_y & in_z
+        cut_z = out_z & in_y
+        # v on X - Y, which the first vertex never joins, or else on Y
+        if k and i - k < cap and opens(cut_y, out_y & (in_z | head[v])) and (
+            not both or opens(cut_z, (out_z | tail[v]) & in_y)
+        ):
+            stack.append((i + 1, y, k, out_y, in_y, out_z | tail[v], in_z | head[v]))
+        if k < cap and opens(cut_y, (out_y | tail[v]) & in_z) and (
+            not both or opens(cut_z, out_z & (in_y | head[v]))
+        ):
+            stack.append(
+                (i + 1, y | 1 << v, k + 1, out_y | tail[v], in_y | head[v], out_z, in_z)
+            )
+    cs.side_nodes += nodes
+    return spare
+
+
+def _top_down(cs, t, root):
+    """A decomposition of width at most t whose root splits V into `root`
+    and V - root, both of cut value at most t, or None. It splits every
+    other node X greedily, without backtracking, by one `_balanced_side`
+    walk for t + 1 that prefers the balanced sides of X (ceil(|X|/3) to
+    floor(2|X|/3) vertices) to its other proper sides. A node of at most
+    2t vertices halves without a search, since a side of at most t
+    vertices has a cut value of at most t. A node with no split gives
+    None."""
+
+    def split(s):
+        if s == cs.full:
+            return root
+        k = s.bit_count()
+        if k <= 2 * t:
+            for _ in range(k - k // 2):
+                s &= s - 1  # drop the lowest vertex
+            return s
+        return _balanced_side(cs, s, t + 1, -(-k // 3), 2 * k // 3, k - 1)
+
+    return _tree(cs.full, split)
 
 
 def _bounded_search(cs):
-    """The merge's (w, tree) where a lower bound meets w, else the subset
-    DP's. A graph with an edge has mimw >= 1, as a leaf cut at an end of
-    that edge has value 1, and the merge starts at w = 1 exactly then."""
+    """(width, tree) in the three steps of `mimw_exact`. A graph with an
+    edge has mimw >= 1, as a leaf cut at an end of that edge has value 1,
+    and the merge starts at w = 1 exactly then."""
     w, tree = _merge_search(cs)
-    if w <= 1 or _balanced_floor(cs, w):
+    n = cs.n
+    lo, hi = -(-n // 3), 2 * n // 3
+    root = None
+    t = w
+    # t falls to the floor L; root is a balanced side of cut value <= L.
+    while t > 1:
+        side = _balanced_side(cs, cs.full, t, lo, hi)
+        if side is None:
+            break
+        root, t = side, t - 1
+    if root is None:
         return w, tree
-    return _exact_search(cs)
+    tree = _top_down(cs, t, root)
+    return (t, tree) if tree else _exact_search(cs)
 
 
 def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     """Exact mim-width with a witness decomposition and critical cut.
 
-    Bounds first: the merge of `_merge_search` gives an upper bound w and
-    its tree. That tree is the answer when w <= 1, or when every balanced
-    cut has an induced matching of w edges (`_balanced_floor`). Only on a
-    gap does the subset DP run, and then its report is the DP's.
+    Three steps. The merge of `_merge_search` gives an upper bound w and
+    its tree, the answer when w <= 1 or when every balanced cut has an
+    induced matching of w edges. Else L < w is the largest t, at least 1,
+    that every balanced cut reaches, and a tree of width L that
+    `_top_down` finds is the answer. Only where it finds none does the
+    subset DP run, and then the report is the DP's.
 
     Convention: graphs with n <= 1 have no branch decomposition and get
     width 0 with an empty witness (from `mimw_upper` too).

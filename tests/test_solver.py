@@ -26,7 +26,7 @@ from mimlab.construct import (
     complete_both_sides,
     complete_one_side,
 )
-from mimlab.decomp import caterpillar_from_order
+from mimlab.decomp import caterpillar_from_order, subtree_leaf_sets, validate
 from mimlab.graph import (
     Graph,
     complete,
@@ -125,8 +125,10 @@ def check_table_oracle(g, kernels):
 
 def check_bounds_first(g, made_solvers):
     """mimw_exact against the oracles: the table's value always; where the
-    subset DP ran (scanned a split), the table's report bytes; elsewhere,
-    where the bounds met, the merge's report as exact. Returns the path."""
+    subset DP ran (scanned a split), the table's report bytes; where the
+    bounds met, the merge's report as exact; elsewhere, a top-down tree
+    below the merge's width, which validates and whose cuts, by brute
+    force, attain the value. Returns the path."""
     made_solvers.clear()
     rep = mimw_exact(g, limit=g.n)
     cs = made_solvers[0]
@@ -136,8 +138,15 @@ def check_bounds_first(g, made_solvers):
         assert rep.to_json() == want.to_json(), g.edges
         return "dp"
     merged = dataclasses.replace(mimw_upper(g), mode="exact")
-    assert rep.to_json() == merged.to_json(), g.edges
-    return "bounds"
+    if rep.value == merged.value:
+        assert rep.to_json() == merged.to_json(), g.edges
+        return "bounds"
+    validate(rep.decomposition, g)
+    assert verify_induced_matching(g, rep.witness_matching), g.edges
+    assert len(rep.witness_matching.edges) == rep.value, g.edges
+    cuts = subtree_leaf_sets(rep.decomposition)
+    assert max(brute_max_induced_matching(g, a) for a in cuts) == rep.value, g.edges
+    return "top-down"
 
 
 class TestMaxInducedMatchingCut:
@@ -241,10 +250,14 @@ class TestCutWalk:
 
 class TestBalancedFloor:
     def test_matches_brute_force(self):
-        # True iff every side of between ceil(n/3) and floor(2n/3)
-        # vertices has an induced matching of t edges. A side and its
-        # complement have the same value, so the sides that hold vertex 0
-        # suffice.
+        # With X = V and the balanced range, ceil(n/3) to floor(2n/3), the
+        # floor: None iff every balanced side has an induced matching of t
+        # edges. A side and its complement have the same value, so the
+        # sides that hold vertex 0 suffice. Then, on random X: a returned
+        # Y is a side of X in range whose cut and that of X - Y, taken in
+        # G, both stay below t, and None comes back iff no side of X
+        # does. With a cap of |X| - 1, a side in range comes first and any
+        # proper side second.
         graphs = [Graph(n) for n in (2, 3, 7)]
         # Floors of 2 on every balanced cut.
         graphs += [cycle(n) for n in range(6, 11)] + [grid(3, 3)]
@@ -260,18 +273,44 @@ class TestBalancedFloor:
             a, b = random_graph(4, 0.6, seed), random_graph(5, 0.5, seed + 12)
             graphs.append(Graph(9, [*a.edges, *((u + 4, v + 4) for u, v in b.edges)]))
         met = 0
-        for g in graphs:
+        found = set()
+        for index, g in enumerate(graphs):
             n = g.n
-            least = min(
-                brute_max_induced_matching(g, mask_to_set(a))
-                for a in range(1, 1 << n, 2)
-                if -(-n // 3) <= a.bit_count() <= 2 * n // 3
-            )
+            full = (1 << n) - 1
+            cs = solver._CutSolver(g)
+            cut = {}
+
+            def value(a):
+                if a not in cut:
+                    v = brute_max_induced_matching(g, mask_to_set(a))
+                    cut[a] = cut[full ^ a] = v
+                return cut[a]
+
+            lo, hi = -(-n // 3), 2 * n // 3
+            least = min(value(a) for a in range(1, 1 << n, 2) if lo <= a.bit_count() <= hi)
             for t in (1, 2, 3):
-                got = solver._balanced_floor(solver._CutSolver(g), t)
-                assert got == (least >= t), (g.edges, t)
-                met += got and t > 1
+                got = solver._balanced_side(cs, full, t, lo, hi)
+                assert (got is None) == (least >= t), (g.edges, t)
+                met += got is None and t > 1
+            rng = random.Random(index)
+            xs = [full] + [rng.randrange(3, 1 << n) for _ in range(2 if n > 2 else 0)]
+            for x in (x for x in xs if x & (x - 1)):
+                k = x.bit_count()
+                subs = [y for y in range(1, x) if y & x == y]
+                for t in (1, 2, 3):
+                    ok = [y for y in subs if value(y) < t and value(x ^ y) < t]
+                    for lo, hi in ((-(-k // 3), 2 * k // 3), (1, k - 1)):
+                        y = solver._balanced_side(cs, x, t, lo, hi)
+                        fits = [y for y in ok if lo <= y.bit_count() <= hi]
+                        assert (y is None) == (not fits), (g.edges, x, t, lo)
+                        assert y is None or y in fits, (g.edges, x, t, lo)
+                    y = solver._balanced_side(cs, x, t, -(-k // 3), 2 * k // 3, k - 1)
+                    fits = [y for y in ok if -(-k // 3) <= y.bit_count() <= 2 * k // 3]
+                    assert (y is None) == (not ok), (g.edges, x, t)
+                    assert y is None or y in (fits or ok), (g.edges, x, t)
+                    found.add((x != full, y is not None and y not in fits))
         assert met  # some graphs have a floor above the trivial one
+        assert found == {(a, b) for a in (False, True) for b in (False, True)}
 
 
 class TestArcTables:
@@ -469,6 +508,13 @@ def frontier_mimw_graphs():
     }
 
 
+def relabelled_k4():
+    """The subdivided K4 relabelled so that the merge gives 3 on it."""
+    k4 = subdivide_all_edges(complete(4)).graph
+    perm = random.Random(0).sample(range(k4.n), k4.n)
+    return Graph(k4.n, [(perm[u], perm[v]) for u, v in k4.edges])
+
+
 def exact_dp(g):
     """The subset DP's report, which `mimw_exact` gives only on a gap
     between its bounds."""
@@ -495,6 +541,23 @@ class TestExactWork:
         exact_dp(g)
         (cs,) = made_solvers
         assert (cs.nodes, cs.splits, cs.settled) == (nodes, splits, settled)
+
+    # The same counts and the balanced-search nodes of the whole
+    # `mimw_exact`: the floor alone on the grid, the floor and the
+    # top-down tree on the relabelled subdivided K4.
+    @pytest.mark.parametrize(
+        "name, nodes, splits, settled, side_nodes",
+        [("grid-3x4", 9, 0, 0, 126), ("relabelled-subdivided-K4", 4, 0, 0, 174)],
+        ids=["grid-3x4", "relabelled-subdivided-K4"],
+    )
+    def test_bounds_work_counts(
+        self, made_solvers, name, nodes, splits, settled, side_nodes
+    ):
+        graphs = {**frontier_mimw_graphs(), "relabelled-subdivided-K4": relabelled_k4()}
+        mimw_exact(graphs[name], limit=12)
+        (cs,) = made_solvers
+        counts = (cs.nodes, cs.splits, cs.settled, cs.side_nodes)
+        assert counts == (nodes, splits, settled, side_nodes)
 
     # sha256 prefixes of report JSON: the cut search's pruning must leave
     # the witness matchings, which `table_mimw` shares, byte for byte.
@@ -627,13 +690,13 @@ class TestMimwExact:
         assert exact_dp(g).to_json() == table_mimw(g).to_json()
 
     def test_bounds_first_on_randoms(self, made_solvers):
-        # The same 180 graphs: both paths answer some of them.
+        # The same 180 graphs: each of the three paths answers some of them.
         paths = set()
         for seed in range(180):
             rng = random.Random(seed)
             g = random_graph(rng.randint(2, 10), (1 + seed % 9) / 10, seed)
             paths.add(check_bounds_first(g, made_solvers))
-        assert paths == {"bounds", "dp"}
+        assert paths == {"bounds", "top-down", "dp"}
 
     @pytest.mark.parametrize(
         "name, path",
@@ -644,17 +707,17 @@ class TestMimwExact:
             ("subdivided-K4", "bounds"),
             ("circle-cubic-4", "bounds"),
             # The merge gives 3 on this labelling, the balanced floor 2.
-            ("relabelled-subdivided-K4", "dp"),
+            ("relabelled-subdivided-K4", "top-down"),
+            # Exact 2 = merge, floor 1: the top-down tree at 1 gets stuck.
+            ("cubic-12", "dp"),
         ],
     )
     def test_bounds_first_on_frontier(self, made_solvers, name, path):
         graphs = frontier_mimw_graphs()
-        k4 = graphs["subdivided-K4"]
-        perm = random.Random(0).sample(range(k4.n), k4.n)
-        graphs["relabelled-subdivided-K4"] = Graph(
-            k4.n, [(perm[u], perm[v]) for u, v in k4.edges]
-        )
+        graphs["relabelled-subdivided-K4"] = relabelled_k4()
+        graphs["cubic-12"] = random_cubic(12, 2)
         assert check_bounds_first(graphs[name], made_solvers) == path
+        assert (made_solvers[0].splits > 0) == (path == "dp")
 
     def test_limit_applies_where_the_bounds_meet(self, made_solvers):
         # A path has width 1, so the bounds meet at once, but n = 12 is
