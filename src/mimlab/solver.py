@@ -7,22 +7,19 @@ w: w <= 1, since a graph with an edge has a leaf cut of value 1, or every
 balanced cut has an induced matching of w edges (`_balanced_side`). (2) On
 a gap, a top-down tree (`_top_down`) at the largest such floor L < w has
 width L, exact, where it completes. (3) Only where it gets stuck does the
-solver minimize over all branch decompositions, by a dynamic program over
-vertex subsets: the best achievable width for a subtree with leaf set S is
-
-    f(S) = max(cutvalue(S), min over bipartitions S = T + (S-T) of
-               max(f(T), f(S-T)))
-
-which ranges over exactly the subtrees realizable by rooted binary trees,
-so f(V) equals the minimum over all (2n-3)!! decompositions (the tests
-cross-check this against explicit enumeration). A set's scan over its
-splits stops at the first split with max(f(T), f(S-T)) <= cutvalue(S),
-since that settles f(S) = cutvalue(S); f stays exact for every set. Only
-the tree's n - 1 internal nodes then need a split, and they get it top
-down, from a scan for the first minimizing split; where f(S) is above
-cutvalue(S), f(S) is that minimum, and the scan stops at the first split
-that reaches it. f and the cut values (one per pair S, V-S) are byte
-tables, within TABLE_BUDGET.
+solver decide, for t = L, L + 1, ..., w - 1, whether a decomposition of
+width at most t exists (`_threshold_tree`). A vertex set S is good at t
+when its cut has no induced matching of t + 1 edges and S is one vertex
+or splits, around its lowest vertex, into two good sets. So S is good iff
+some rooted binary tree with leaf set S has every subtree's cut at most
+t, and V is good iff mimw <= t (the tests check the widths against a
+full subset DP and explicit enumeration). Every proper subset of S is
+below S as a bitmask, so one ascending pass over the sets decides it.
+The first good t is exact, since L is a lower bound and every t below
+was refuted; if none is, the merge's w is exact. The pass keeps one byte
+per set (good at t) and one per key min(S, V-S) (cut value known to be
+at most t), within TABLE_BUDGET, and keeps its cut results out of the
+cut solver's record.
 
 One per-graph cut solver serves both mim-width solvers. It keeps one
 record per vertex-set key min(S, V-S): the lower and upper bounds that its
@@ -38,12 +35,6 @@ clique-cover bound, the colouring bound of Tomita and Seki applied to the
 complement: the members of a clique of the conflict graph pairwise
 conflict, so the candidate edges add at most one edge per clique of a
 cover, which is grown greedily.
-
-The subset DP needs every cut value, and gets them from one depth-first
-walk over the keys that runs only threshold searches
-(`_CutSolver.cut_values`). Before each, the walk asks the clique cover
-alone, which refutes most of them without the search's greedy start. The
-DP records the tree's cuts as exact.
 
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
@@ -210,13 +201,25 @@ def _first_fit(arcs, t, enter, leave):
     return size
 
 
+def _has_matching(cs, arcs, t):
+    """Whether the arcs `arcs` (a bitmask of arc indices) of the cut solver
+    `cs` hold an induced matching of t edges, outside its record: first
+    fit, then the clique-cover refutation with t - 1 cliques (`_covered`),
+    then the threshold search."""
+    enter, leave = cs.enter, cs.leave
+    if _first_fit(arcs, t, enter, leave) >= t:
+        return True
+    return not _covered(arcs, enter, leave, t - 1) and len(cs._search(arcs, t)) >= t
+
+
 class _CutSolver:
     """Per-graph solver for threshold queries on cut mim-values. `bounds`
     is its one record: bitmask key min(S, V-S) -> the (lo, hi) that its
     searches proved, exact iff lo == hi. `nodes` counts the
     branch-and-bound nodes of every search it ran; a search prunes a node
     whose candidates have a greedy clique cover (`_covered`) too small to
-    beat its floor."""
+    beat its floor. `side_nodes` counts the placements that
+    `_balanced_side` visited."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -224,9 +227,7 @@ class _CutSolver:
         self.full = (1 << n) - 1
         self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
-        self.splits = 0  # split pairs examined by the subset DP
-        self.settled = 0  # keys that `cut_values` settled without a search
-        self.side_nodes = 0  # placements that `_balanced_side` visited
+        self.side_nodes = 0
         self.edges, tail, head = g.arc_tables
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc i conflicts, whatever the cut,
@@ -339,97 +340,6 @@ class _CutSolver:
         self.nodes += nodes
         return best_set
 
-    def cut_values(self):
-        """The cut value of every key, a subset of V - {n-1}, in a bytearray
-        indexed by the key, from one depth-first walk that goes from each
-        key s to s + v for every v < n - 1 above the highest vertex of s.
-
-        Moving one vertex across a cut changes its value by at most one:
-        drop from an induced matching of the old cut its at most one arc
-        at that vertex, and the rest still cross the new cut, while arc
-        conflicts do not depend on the cut. So each key carries its cut
-        arcs, the arcs entering it, a maximum matching as arc indices and
-        its size p. The child s + v gets its cut arcs in O(1) mask
-        operations. Its value is at most hi, one more than the least value
-        of the keys s + v - u, u in s + v: each is one move away, and the
-        walk has met each (it takes children from the highest v down, and
-        where the sorted vertex lists of s + v - u and s + v first differ,
-        the former has the higher vertex). The parent s is one of them.
-
-        The child's seed is the parent's matching minus the arc into v,
-        grown by free arcs (ones that conflict with none of it) up to hi.
-        A seed that reaches hi settles the key without a search
-        (`settled` counts these). Else a seed that lost its arc into v
-        asks a threshold search for p arcs, and then, below hi, a matching
-        of p + 1 arcs, if any, has an arc leaving v (without one it would
-        cross the parent's cut): one threshold search for p arcs per arc
-        leaving v, among the cut arcs that arc does not conflict with,
-        finds it. A search for t arcs among candidates that a greedy
-        clique cover (`_covered`) covers with t - 1 cliques can only fail,
-        so the walk skips it: the bound that the search's root applies,
-        without the greedy start before it. The walk holds, per open key,
-        its masks and its matching: O(n^2) small ints in all."""
-        _, tail, head = self.g.arc_tables
-        enter, leave = self.enter, self.leave
-        top = self.n - 1
-        cut_of = bytearray(1 << top)
-        settled = 0
-
-        def search(cand, t):
-            return [] if _covered(cand, enter, leave, t - 1) else self._search(cand, t)
-
-        root = (0, 0, [], 0)  # cut arcs, arcs entering s, matching, its size
-        stack = [(1 << v, v, root) for v in range(top)]
-        while stack:
-            # Key s = parent + v, where the parent had value p.
-            s, v, (arcs, into, match, p) = stack.pop()
-            into |= head[v]
-            arcs = arcs & ~head[v] | tail[v] & ~into
-            # Each s - u, u in s, is one move away and was met before s.
-            hi = p
-            rest = s ^ 1 << v
-            while rest:
-                low = rest & -rest
-                x = cut_of[s ^ low]
-                if x < hi:
-                    hi = x
-                rest ^= low
-            hi += 1
-            seed = [a for a in match if not head[v] >> a & 1]
-            block = 0
-            for a in seed:
-                block |= enter[a] | leave[a]
-            free = arcs & ~block
-            while free and len(seed) < hi:
-                a = free.bit_length() - 1
-                seed.append(a)
-                free &= ~(enter[a] | leave[a])
-            if len(seed) >= hi:
-                settled += 1
-            else:
-                if len(seed) < p:
-                    found = search(arcs, p)
-                    if len(found) == p:
-                        seed = found
-                if len(seed) == p < hi:
-                    # A matching of p + 1 arcs has one leaving v: without
-                    # it, it would cross the parent's cut.
-                    out = tail[v] & arcs
-                    while out:
-                        low = out & -out
-                        a = low.bit_length() - 1
-                        found = search(arcs & ~(enter[a] | leave[a]), p)
-                        if len(found) == p:
-                            seed = found + [a]
-                            break
-                        out ^= low
-            q = cut_of[s] = len(seed)
-            if v + 1 < top:
-                state = (arcs, into, seed, q)
-                stack += [(s | 1 << w, w, state) for w in range(v + 1, top)]
-        self.settled += settled
-        return cut_of
-
 
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     """Maximum induced matching of the bipartite cut graph G[A, A-bar]."""
@@ -452,7 +362,9 @@ def _critical(cs, decomposition, width):
 
 def _check_limit(n, limit, what):
     """Refuse n above the limit, and any n whose two up-front byte tables
-    over all 2^n vertex sets exceed TABLE_BUDGET, whatever the limit."""
+    over all 2^n vertex sets exceed TABLE_BUDGET, whatever the limit: the
+    good sets and the cut keys of `mimw_exact`'s threshold pass, and the
+    f and the choice of `treewidth_exact`."""
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
     if 2 << n > TABLE_BUDGET:
@@ -474,77 +386,6 @@ def _width_report(g, mode, search) -> WidthReport:
         return WidthReport(0, mode, t, cut, InducedMatching(cut.a_side, ()))
     cut, matching = _critical(cs, t, value)
     return WidthReport(value, mode, t, cut, matching)
-
-
-def _first_split(f, s, floor):
-    """The first split t of `s` in the scan order, over the t that hold
-    the lowest bit of s, that minimizes max(f(t), f(s - t)). `floor` is at
-    most that minimum, so the scan stops at the first split that reaches
-    it; -1 scans every split."""
-    low = s & -s
-    rest = s ^ low
-    best = best_t = None
-    sub = rest
-    while True:
-        sub = (sub - 1) & rest
-        t = low | sub
-        inner = max(f[t], f[s ^ t])
-        if best is None or inner < best:
-            if inner <= floor:
-                return t
-            best = inner
-            best_t = t
-        if sub == 0:
-            return best_t
-
-
-def _exact_search(cs):
-    """The subset DP above: f(V) and a decomposition attaining it, over
-    the cut values of `_CutSolver.cut_values`."""
-    full = cs.full
-    half = (full + 1) >> 1
-    # Every proper submask of s is smaller than s, so ascending order
-    # solves both halves of each split before s itself. A split with
-    # max(f(T), f(S-T)) <= cutvalue(S) settles f(S) = cutvalue(S), so the
-    # scan stops there; f stays exact for every set either way.
-    f = bytearray(full + 1)
-    # The cut value of each key min(S, V-S) < 2^(n-1).
-    cut_of = cs.cut_values()
-    splits = 0
-    for s in range(1, full + 1):
-        low = s & -s
-        rest = s ^ low
-        cut = cut_of[s if s < half else full ^ s]
-        if not rest:
-            f[s] = cut
-            continue
-        best = cs.n  # above any f
-        sub = rest
-        while sub and best > cut:
-            sub = (sub - 1) & rest
-            t = low | sub
-            splits += 1
-            inner = f[t]
-            other = f[s ^ t]
-            if other > inner:
-                inner = other
-            if inner < best:
-                best = inner
-        f[s] = best if best > cut else cut
-    cs.splits += splits
-
-    # Only the tree's internal nodes need their split, by the first
-    # minimum. f(S) above the cut value of S is the least split itself, so
-    # that scan stops at the first split that reaches it.
-    def split(s):
-        fs = f[s]
-        t = _first_split(f, s, fs if fs > cut_of[s if s < half else full ^ s] else 0)
-        for part in (t, s ^ t):
-            key = min(part, full ^ part)
-            cs.bounds[key] = (cut_of[key],) * 2  # for the critical-cut queries
-        return t
-
-    return f[full], _tree(full, split)
 
 
 def _tree(full, split):
@@ -585,8 +426,7 @@ def _balanced_side(cs, x, t, lo, hi, cap=None):
     side and entering the other or V - X cross every cut that completes
     the placement, and arc conflicts do not depend on the cut. So once
     those decided arcs hold an induced matching of t edges, the branch
-    closes. The test (`opens`) takes first fit, then the clique-cover
-    refutation (`_covered`), then the threshold search. The first complete
+    closes. The test (`opens`) asks `_has_matching`. The first complete
     placement left open in range is the answer. The first one out of range
     is kept, and returned if no other follows, and the cap then drops to
     hi: one walk prefers a side in range to the other sides up to the cap.
@@ -608,10 +448,7 @@ def _balanced_side(cs, x, t, lo, hi, cap=None):
         while fresh:
             a = fresh.bit_length() - 1
             fresh ^= 1 << a
-            rest = new & ~(enter[a] | leave[a])
-            if _first_fit(rest, t - 1, enter, leave) >= t - 1 or not _covered(
-                rest, enter, leave, t - 2
-            ) and len(cs._search(rest, t - 1)) >= t - 1:
+            if _has_matching(cs, new & ~(enter[a] | leave[a]), t - 1):
                 return False
         return True
 
@@ -686,6 +523,56 @@ def _top_down(cs, t, root):
     return _tree(cs.full, split)
 
 
+def _good_split(good, s):
+    """The first split t of `s` in the scan order, over the t that hold
+    the lowest vertex of s, with both t and s - t good; None if there is
+    none."""
+    low = s & -s
+    rest = s ^ low
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest
+        t = low | sub
+        if good[t] and good[s ^ t]:
+            return t
+    return None
+
+
+def _threshold_tree(cs, lo, hi):
+    """(t, tree) for the least t in lo..hi-1 at which V is good (module
+    docstring), with the tree of the first good splits from V down, of
+    width at most t; None if there is no such t.
+
+    A key min(S, V-S) holds 1 once its cut value is known to be at most
+    t, which stays true as t rises. Each key s < 2^(n-1) is filled at s
+    itself, before V - s, the other set that reads it: a side of
+    min(k, n - k) <= t vertices is at most t, and otherwise
+    `_has_matching` asks for t + 1 edges."""
+    n, full = cs.n, cs.full
+    half = (full + 1) >> 1
+    cut_arcs = cs.g.cut_arcs
+    small = bytearray(half)  # key -> 1 if its cut value is at most t
+    small[0] = 1  # the cut of V is empty
+    good = bytearray(full + 1)
+    for t in range(lo, hi):
+        for s in range(1, full + 1):
+            if s < half:
+                if not small[s]:
+                    k = s.bit_count()
+                    small[s] = (
+                        k <= t or n - k <= t or not _has_matching(cs, cut_arcs(s), t + 1)
+                    )
+                ok = small[s]
+            else:
+                ok = small[full ^ s]
+            if ok and s & (s - 1):
+                ok = _good_split(good, s) is not None
+            good[s] = ok
+        if good[full]:
+            return t, _tree(full, lambda s: _good_split(good, s))
+    return None
+
+
 def _bounded_search(cs):
     """(width, tree) in the three steps of `mimw_exact`. A graph with an
     edge has mimw >= 1, as a leaf cut at an end of that edge has value 1,
@@ -703,8 +590,10 @@ def _bounded_search(cs):
         root, t = side, t - 1
     if root is None:
         return w, tree
-    tree = _top_down(cs, t, root)
-    return (t, tree) if tree else _exact_search(cs)
+    down = _top_down(cs, t, root)
+    if down:
+        return t, down
+    return _threshold_tree(cs, t, w) or (w, tree)
 
 
 def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
@@ -715,13 +604,15 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     induced matching of w edges. Else L < w is the largest t, at least 1,
     that every balanced cut reaches, and a tree of width L that
     `_top_down` finds is the answer. Only where it finds none does the
-    subset DP run, and then the report is the DP's.
+    threshold pass of `_threshold_tree` decide t = L, ..., w - 1 in turn:
+    the tree of the first t that admits one is the answer, and with none
+    the merge's tree is.
 
     Convention: graphs with n <= 1 have no branch decomposition and get
     width 0 with an empty witness (from `mimw_upper` too).
     """
-    # f over the 2^n sets and the cut values over 2^(n-1) keys: within
-    # two tables. The limit applies whether or not the DP runs.
+    # The threshold pass's good sets over 2^n sets and its keys over
+    # 2^(n-1): within two tables. The limit applies whether or not it runs.
     _check_limit(g.n, limit, "exact mim-width")
     return _width_report(g, "exact", _bounded_search)
 

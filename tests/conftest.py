@@ -99,8 +99,9 @@ def table_mimw(g):
     from mimlab.solver import _width_report
 
     def _exact_search(cs):
-        """The subset DP of `mimlab.solver`: f(V) and a decomposition
-        attaining it."""
+        """f(S) = max(cutvalue(S), min over the splits T of S that hold
+        its lowest vertex of max(f(T), f(S-T))), the least width of a
+        subtree with leaf set S: f(V) and a decomposition attaining it."""
         full = cs.full
         cuts = {}  # min(S, V-S) -> the cut's maximum induced matching size
 

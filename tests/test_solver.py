@@ -123,30 +123,44 @@ def check_table_oracle(g, kernels):
     return "reduced"
 
 
-def check_bounds_first(g, made_solvers):
-    """mimw_exact against the oracles: the table's value always; where the
-    subset DP ran (scanned a split), the table's report bytes; where the
-    bounds met, the merge's report as exact; elsewhere, a top-down tree
-    below the merge's width, which validates and whose cuts, by brute
-    force, attain the value. Returns the path."""
-    made_solvers.clear()
+@pytest.fixture
+def threshold_passes(monkeypatch):
+    """(lo, hi, the t found or None, keys it added to the cut record) for
+    each threshold pass of mimw_exact during the test, in order."""
+    passes = []
+    run = solver._threshold_tree
+
+    def recording(cs, lo, hi):
+        keys = len(cs.bounds)
+        found = run(cs, lo, hi)
+        passes.append((lo, hi, found and found[0], len(cs.bounds) - keys))
+        return found
+
+    monkeypatch.setattr(solver, "_threshold_tree", recording)
+    return passes
+
+
+def check_bounds_first(g, threshold_passes):
+    """mimw_exact against the oracles: the table's value always; where it
+    equals the merge's width, the merge's report as exact; elsewhere a
+    tree below it, which validates and whose cuts, by brute force, attain
+    the value. Returns the path: "threshold" where the threshold pass
+    ran, else "bounds" where the bounds met and "top-down" otherwise."""
+    threshold_passes.clear()
     rep = mimw_exact(g, limit=g.n)
-    cs = made_solvers[0]
-    want = table_mimw(g)
-    assert rep.value == want.value, g.edges
-    if cs.splits:
-        assert rep.to_json() == want.to_json(), g.edges
-        return "dp"
+    assert rep.value == table_mimw(g).value, g.edges
     merged = dataclasses.replace(mimw_upper(g), mode="exact")
     if rep.value == merged.value:
         assert rep.to_json() == merged.to_json(), g.edges
-        return "bounds"
-    validate(rep.decomposition, g)
-    assert verify_induced_matching(g, rep.witness_matching), g.edges
-    assert len(rep.witness_matching.edges) == rep.value, g.edges
-    cuts = subtree_leaf_sets(rep.decomposition)
-    assert max(brute_max_induced_matching(g, a) for a in cuts) == rep.value, g.edges
-    return "top-down"
+    if rep.value < merged.value or threshold_passes:
+        validate(rep.decomposition, g)
+        assert verify_induced_matching(g, rep.witness_matching), g.edges
+        assert len(rep.witness_matching.edges) == rep.value, g.edges
+        cuts = subtree_leaf_sets(rep.decomposition)
+        assert max(brute_max_induced_matching(g, a) for a in cuts) == rep.value
+    if threshold_passes:
+        return "threshold"
+    return "bounds" if rep.value == merged.value else "top-down"
 
 
 class TestMaxInducedMatchingCut:
@@ -190,62 +204,6 @@ class TestMaxInducedMatchingCut:
             assert len(max_induced_matching_cut(g, a).edges) == len(
                 max_induced_matching_cut(g, comp).edges
             )
-
-
-class TestCutWalk:
-    def test_one_vertex_stability(self):
-        # Moving one vertex across a cut changes its value by at most one.
-        for seed in range(16):
-            rng = random.Random(seed)
-            g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
-            value = [
-                brute_max_induced_matching(g, mask_to_set(a)) for a in range(1 << g.n)
-            ]
-            for a in range(1 << g.n):
-                for v in range(g.n):
-                    assert abs(value[a ^ 1 << v] - value[a]) <= 1, (g.edges, a, v)
-
-    def test_walk_matches_brute_force(self, made_solvers):
-        graphs = []
-        for seed in range(24):
-            rng = random.Random(seed)
-            n = rng.randint(2, 9)
-            # Sparser at n = 9, where the oracle's time grows as 2^m.
-            p = rng.choice((0.25, 0.4, 0.55)) if n < 9 else 0.3
-            graphs.append(random_graph(n, p, seed))
-        graphs += [
-            Graph(1),
-            Graph(2),
-            Graph(2, [(0, 1)]),
-            Graph(7),  # edgeless
-            complete(7),
-            Graph(8, [(1, 2), (2, 4), (4, 5), (5, 1), (2, 6)]),  # 0, 3, 7 isolated
-        ]
-        for g in graphs:
-            cut_of = solver._CutSolver(g).cut_values()
-            assert len(cut_of) == 1 << max(g.n - 1, 0)
-            for key, got in enumerate(cut_of):
-                want = brute_max_induced_matching(g, mask_to_set(key))
-                assert got == want, (g.n, g.edges, key)
-        # Keys were settled without a search, and searches ran too.
-        assert all(cs.settled for cs in made_solvers if cs.n > 2 and cs.g.m)
-        assert sum(cs.nodes for cs in made_solvers)
-
-    def test_walk_skips_refuted_searches(self, monkeypatch):
-        # A search for t arcs among candidates that t - 1 greedy cliques
-        # cover can only fail, so the walk refutes them without one.
-        refuted = []
-        search = solver._CutSolver._search
-
-        def checked(self, arcs, t=0):
-            if t and solver._covered(arcs, self.enter, self.leave, t - 1):
-                refuted.append((arcs, t))
-            return search(self, arcs, t)
-
-        monkeypatch.setattr(solver._CutSolver, "_search", checked)
-        for name, g in frontier_mimw_graphs().items():
-            solver._CutSolver(g).cut_values()
-            assert not refuted, name
 
 
 class TestBalancedFloor:
@@ -408,8 +366,7 @@ class TestThresholdQueries:
     def test_record_brackets_every_cut(self, made_solvers):
         # What the solver stores, not only what it answers: each key's
         # (lo, hi) brackets the key's value, after the heuristic's queries,
-        # after mimw_exact's and after threshold queries in random order,
-        # and the subset DP stores only exact values.
+        # after mimw_exact's and after threshold queries in random order.
         open_keys = 0
         for seed in range(40):
             rng = random.Random(seed)
@@ -417,8 +374,7 @@ class TestThresholdQueries:
             made_solvers.clear()
             mimw_upper(g)
             mimw_exact(g)
-            exact_dp(g)
-            upper, bounded, exact = made_solvers
+            upper, bounded = made_solvers
             shuffled = solver._CutSolver(g)
             for _ in range(3 * g.n):
                 shuffled.at_least(rng.randrange(1 << g.n), rng.randint(1, g.n // 2))
@@ -426,9 +382,6 @@ class TestThresholdQueries:
                 for key, (lo, hi) in cs.bounds.items():
                     assert lo <= brute_max_induced_matching(g, mask_to_set(key)) <= hi
                     open_keys += lo < hi
-            assert exact.bounds
-            for key, (lo, hi) in exact.bounds.items():
-                assert lo == hi == brute_max_induced_matching(g, mask_to_set(key))
         assert open_keys  # some keys stay inexact
 
 
@@ -515,87 +468,20 @@ def relabelled_k4():
     return Graph(k4.n, [(perm[u], perm[v]) for u, v in k4.edges])
 
 
-def exact_dp(g):
-    """The subset DP's report, which `mimw_exact` gives only on a gap
-    between its bounds."""
-    return solver._width_report(g, "exact", solver._exact_search)
-
-
 class TestExactWork:
-    # Branch-and-bound nodes, split pairs examined and keys that the cut
-    # walk settled without a search, in the subset DP. The nodes and settled
-    # keys pin the walk, which the early stop of the split scan leaves as
-    # it is; the split pairs pin the early stop itself.
+    # Branch-and-bound nodes and balanced-search placements of the whole
+    # `mimw_exact`, exact counts: the floor alone on the grid, the floor
+    # and the top-down tree on the relabelled subdivided K4.
     @pytest.mark.parametrize(
-        "name, nodes, splits, settled",
-        [
-            ("grid-3x4", 174, 23852, 1159),
-            ("split-grid-3x4", 126, 8151, 606),
-            ("cocomp-grid-3x4", 1592, 20751, 222),
-            ("circle-cubic-4", 61, 8715, 198),
-        ],
-        ids=["grid-3x4", "split-grid-3x4", "cocomp-grid-3x4", "circle-cubic-4"],
-    )
-    def test_work_counts(self, made_solvers, name, nodes, splits, settled):
-        g = frontier_mimw_graphs()[name]
-        exact_dp(g)
-        (cs,) = made_solvers
-        assert (cs.nodes, cs.splits, cs.settled) == (nodes, splits, settled)
-
-    # The same counts and the balanced-search nodes of the whole
-    # `mimw_exact`: the floor alone on the grid, the floor and the
-    # top-down tree on the relabelled subdivided K4.
-    @pytest.mark.parametrize(
-        "name, nodes, splits, settled, side_nodes",
-        [("grid-3x4", 9, 0, 0, 126), ("relabelled-subdivided-K4", 4, 0, 0, 174)],
+        "name, nodes, side_nodes",
+        [("grid-3x4", 9, 126), ("relabelled-subdivided-K4", 4, 174)],
         ids=["grid-3x4", "relabelled-subdivided-K4"],
     )
-    def test_bounds_work_counts(
-        self, made_solvers, name, nodes, splits, settled, side_nodes
-    ):
+    def test_bounds_work_counts(self, made_solvers, name, nodes, side_nodes):
         graphs = {**frontier_mimw_graphs(), "relabelled-subdivided-K4": relabelled_k4()}
         mimw_exact(graphs[name], limit=12)
         (cs,) = made_solvers
-        counts = (cs.nodes, cs.splits, cs.settled, cs.side_nodes)
-        assert counts == (nodes, splits, settled, side_nodes)
-
-    # sha256 prefixes of report JSON: the cut search's pruning must leave
-    # the witness matchings, which `table_mimw` shares, byte for byte.
-    REPORTS = {
-        "grid-3x4": "c373da1e28ab265a",
-        "split-grid-3x4": "b52a990105fdd32f",
-        "cocomp-grid-3x4": "6f28d42ac2aa17d9",
-        "subdivided-K4": "c31dd78acdccf147",
-        "circle-cubic-4": "c31dd78acdccf147",
-    }
-
-    def test_report_bytes(self):
-        for name, g in frontier_mimw_graphs().items():
-            text = exact_dp(g).to_json()
-            want = self.REPORTS[name]
-            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name
-
-
-class TestFirstSplit:
-    def test_floor_keeps_the_first_minimum(self):
-        # Any floor at or below the least split stops the scan at the
-        # split that the full scan (floor -1) returns.
-        for seed in range(60):
-            rng = random.Random(seed)
-            n = rng.randint(2, 7)
-            f = bytes(rng.randrange(6) for _ in range(1 << n))
-            s = rng.randrange(1, 1 << n)
-            while s & (s - 1) == 0:
-                s = rng.randrange(1, 1 << n)
-            low = s & -s
-            least = min(
-                max(f[t], f[s ^ t]) for t in range(1, s) if t & s == t and t & low
-            )
-            want = solver._first_split(f, s, -1)
-            assert max(f[want], f[s ^ want]) == least
-            for floor in range(least + 1):
-                assert solver._first_split(f, s, floor) == want, (seed, floor)
-
+        assert (cs.nodes, cs.side_nodes) == (nodes, side_nodes)
 
 def frontier_tw_graphs():
     g44 = two_color(grid(4, 4))
@@ -662,41 +548,29 @@ class TestMimwExact:
             mimw_exact(Graph(40), limit=40)
         with pytest.raises(LimitExceeded, match="MiB"):
             mimw_exact(Graph(28), limit=28)
-        # f and the cut values count as two byte tables: n = 9 fills a
-        # 1 KiB budget.
+        # The threshold pass's good sets and cut keys count as two byte
+        # tables: n = 9 fills a 1 KiB budget.
         monkeypatch.setattr(solver, "TABLE_BUDGET", 1 << 10)
         assert mimw_exact(Graph(9), limit=9).value == 0
         with pytest.raises(LimitExceeded):
             mimw_exact(Graph(10), limit=10)
 
-    def test_cut_values_live_in_the_table(self, made_solvers):
-        # The DP keeps its 2^(n-1) cut values in a counted byte table; the
-        # record gets only the keys of the tree's 2n - 1 sets.
-        g = frontier_mimw_graphs()["grid-3x4"]
-        exact_dp(g)
-        (cs,) = made_solvers
-        assert len(cs.bounds) <= 2 * g.n - 1
+    def test_threshold_pass_keeps_out_of_the_record(self, threshold_passes):
+        # Its cut tests go to a byte table, not through `at_least`, whose
+        # record would grow by a dict entry per key, outside the budget.
+        for n, seed in self.THRESHOLD_PASSES:
+            mimw_exact(random_cubic(n, seed), limit=n)
+        assert len(threshold_passes) == 3
+        assert all(added == 0 for *_, added in threshold_passes)
 
-    def test_matches_table_oracle_on_randoms(self):
-        # Same report bytes as the DP that scans every split of every set.
-        for seed in range(180):
-            rng = random.Random(seed)
-            g = random_graph(rng.randint(2, 10), (1 + seed % 9) / 10, seed)
-            assert exact_dp(g).to_json() == table_mimw(g).to_json(), seed
-
-    @pytest.mark.parametrize("name", sorted(frontier_mimw_graphs()))
-    def test_matches_table_oracle_on_frontier(self, name):
-        g = frontier_mimw_graphs()[name]
-        assert exact_dp(g).to_json() == table_mimw(g).to_json()
-
-    def test_bounds_first_on_randoms(self, made_solvers):
-        # The same 180 graphs: each of the three paths answers some of them.
+    def test_bounds_first_on_randoms(self, threshold_passes):
+        # Each of the three paths answers some of these graphs.
         paths = set()
         for seed in range(180):
             rng = random.Random(seed)
             g = random_graph(rng.randint(2, 10), (1 + seed % 9) / 10, seed)
-            paths.add(check_bounds_first(g, made_solvers))
-        assert paths == {"bounds", "top-down", "dp"}
+            paths.add(check_bounds_first(g, threshold_passes))
+        assert paths == {"bounds", "top-down", "threshold"}
 
     @pytest.mark.parametrize(
         "name, path",
@@ -708,16 +582,27 @@ class TestMimwExact:
             ("circle-cubic-4", "bounds"),
             # The merge gives 3 on this labelling, the balanced floor 2.
             ("relabelled-subdivided-K4", "top-down"),
-            # Exact 2 = merge, floor 1: the top-down tree at 1 gets stuck.
-            ("cubic-12", "dp"),
         ],
     )
-    def test_bounds_first_on_frontier(self, made_solvers, name, path):
+    def test_bounds_first_on_frontier(self, threshold_passes, name, path):
         graphs = frontier_mimw_graphs()
         graphs["relabelled-subdivided-K4"] = relabelled_k4()
-        graphs["cubic-12"] = random_cubic(12, 2)
-        assert check_bounds_first(graphs[name], made_solvers) == path
-        assert (made_solvers[0].splits > 0) == (path == "dp")
+        assert check_bounds_first(graphs[name], threshold_passes) == path
+
+    # (n, seed) of random_cubic -> (floor L, merge w, t found), where the
+    # top-down tree at L gets stuck: at 2 below the merge's 3, the pass
+    # finds 2; with merge 4 and floor 2, it refutes 2 and finds 3; with
+    # merge 2 = exact, it refutes 1 and the report is the merge's.
+    THRESHOLD_PASSES = {(10, 4): (2, 3, 2), (12, 6): (2, 4, 3), (12, 2): (1, 2, None)}
+
+    @pytest.mark.parametrize(
+        "n, seed", THRESHOLD_PASSES, ids=["cubic-10-4", "cubic-12-6", "cubic-12-2"]
+    )
+    def test_threshold_pass(self, threshold_passes, n, seed):
+        g = random_cubic(n, seed)
+        assert check_bounds_first(g, threshold_passes) == "threshold"
+        ((lo, hi, found, _),) = threshold_passes
+        assert (lo, hi, found) == self.THRESHOLD_PASSES[n, seed]
 
     def test_limit_applies_where_the_bounds_meet(self, made_solvers):
         # A path has width 1, so the bounds meet at once, but n = 12 is
@@ -750,11 +635,14 @@ class TestMimwExact:
         assert verify_induced_matching(cycle(6), rep.witness_matching)
 
     def test_matches_enumeration_oracle(self):
-        # DP over subsets vs. explicit enumeration of all decompositions
+        # mimw_exact vs. explicit enumeration of all decompositions
         for seed in range(8):
             g = random_graph(5, 0.5, seed)
             assert mimw_exact(g).value == brute_mimw(g)
         assert mimw_exact(cycle(6)).value == brute_mimw(cycle(6))
+        # The threshold pass runs on this one and refutes width 1.
+        g = random_graph(6, 0.6, 10)
+        assert mimw_exact(g).value == brute_mimw(g) == 2
 
     def test_report_json_field_order(self):
         rep = mimw_exact(path(3))
