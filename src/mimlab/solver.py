@@ -25,8 +25,9 @@ One per-graph cut solver serves both mim-width solvers. It keeps one
 record per vertex-set key min(S, V-S): the lower and upper bounds that its
 searches proved, and the value is exact when they meet. Its one query is
 the threshold "mim >= t?", answered from the record when the record
-settles it, else by first fit (take the highest free arc, t times) and,
-only when that stops short of t, by branch and bound over the conflict
+settles it, else by first fit from both ends (take the highest free arc,
+t times, and where that stops short of t, the lowest) and, only when both
+stop short of t, by branch and bound over the conflict
 graph of the cut's edges. That search stops at the first matching of t
 edges and prunes every branch that cannot reach t. An unknown record
 starts at (0, min(k, n-k)) for a side of k vertices, since a matching
@@ -41,9 +42,14 @@ per vertex, it joins the first pair of parts whose union has a cut value
 of at most the current width w, and raises w by one only when no pair
 fits. It asks only "mim >= w + 1?", and each union once per w: a pair
 that failed fails again until w rises, so after a merge it asks only the
-pairs with the new part and the rows of the scan not yet asked. Each part
-carries the arcs leaving and entering it, so a union's cut arcs take two
-mask operations. It is deterministic: it takes no seed.
+pairs with the new part and the rows of the scan not yet asked. The
+parts live in parallel lists, and each row of the scan is one loop that
+puts the threshold query to the cut solver. Each part carries the arcs
+leaving and entering it, so a union's cut arcs take two mask operations.
+At w = 1 a union of two one-vertex parts {u, v} skips the query: its cut
+has an induced matching of two edges iff N(u) is not within N[v] and
+N(v) is not within N[u], read off the neighbour masks. It is
+deterministic: it takes no seed.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
@@ -191,23 +197,34 @@ def _covered(cand, enter, leave, room):
 
 
 def _first_fit(arcs, t, enter, leave):
-    """The size, up to t, of the matching that first fit takes from the
-    arcs `arcs` (a bitmask of arc indices): the highest free arc each time."""
+    """Whether first fit takes an induced matching of t edges from the arcs
+    `arcs` (a bitmask of arc indices): the highest free arc each time, and,
+    where that stops short of t, the lowest free arc each time."""
+    rest = arcs
     size = 0
-    while arcs and size < t:
-        a = arcs.bit_length() - 1
+    while rest:
+        a = rest.bit_length() - 1
         size += 1
+        if size >= t:
+            return True
+        rest &= ~(enter[a] | leave[a])
+    size = 0
+    while arcs:
+        a = (arcs & -arcs).bit_length() - 1
+        size += 1
+        if size >= t:
+            return True
         arcs &= ~(enter[a] | leave[a])
-    return size
+    return t <= 0
 
 
 def _has_matching(cs, arcs, t):
     """Whether the arcs `arcs` (a bitmask of arc indices) of the cut solver
     `cs` hold an induced matching of t edges, outside its record: first
-    fit, then the clique-cover refutation with t - 1 cliques (`_covered`),
-    then the threshold search."""
+    fit from both ends, then the clique-cover refutation with t - 1
+    cliques (`_covered`), then the threshold search."""
     enter, leave = cs.enter, cs.leave
-    if _first_fit(arcs, t, enter, leave) >= t:
+    if _first_fit(arcs, t, enter, leave):
         return True
     return not _covered(arcs, enter, leave, t - 1) and len(cs._search(arcs, t)) >= t
 
@@ -219,7 +236,9 @@ class _CutSolver:
     branch-and-bound nodes of every search it ran; a search prunes a node
     whose candidates have a greedy clique cover (`_covered`) too small to
     beat its floor. `side_nodes` counts the placements that
-    `_balanced_side` visited."""
+    `_balanced_side` visited, and `queries` the (union, w) that
+    `_merge_search` asked, those it decided from the neighbour masks
+    included."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -228,6 +247,7 @@ class _CutSolver:
         self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
         self.side_nodes = 0
+        self.queries = 0
         self.edges, tail, head = g.arc_tables
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc i conflicts, whatever the cut,
@@ -250,25 +270,34 @@ class _CutSolver:
     def at_least(self, mask, t, arcs=None):
         """Whether the cut at `mask` has an induced matching of t edges.
         A caller that has the cut's arcs passes them as `arcs`. Past the
-        record, first fit takes the highest free arc t times, and only a
-        first fit that stops short of t runs the threshold search."""
-        key = min(mask, self.full ^ mask)
-        k = mask.bit_count()
-        # A matching uses distinct vertices on each side: at most min(k, n-k).
-        lo, hi = self.bounds.get(key) or (0, min(k, self.n - k))
+        record, first fit (`_first_fit`) takes the highest free arc t
+        times and then the lowest, and only where both stop short of t
+        does the threshold search run."""
+        other = self.full ^ mask
+        key = mask if mask < other else other
+        bound = self.bounds.get(key)
+        if bound is None:
+            # A matching uses distinct vertices on each side: at most min(k, n-k).
+            lo = 0
+            hi = mask.bit_count()
+            if hi + hi > self.n:
+                hi = self.n - hi
+        else:
+            lo, hi = bound
         if lo >= t:
             return True
         if hi < t:
             return False
         if arcs is None:
             arcs = self.g.cut_arcs(mask)
-        size = _first_fit(arcs, t, self.enter, self.leave)
-        if size < t:
-            size = len(self._search(arcs, t))
+        if _first_fit(arcs, t, self.enter, self.leave):
+            self.bounds[key] = (t, hi)
+            return True
+        size = len(self._search(arcs, t))
         if size >= t:
             self.bounds[key] = (size, hi)
             return True
-        self.bounds[key] = (max(lo, size), t - 1)
+        self.bounds[key] = (size if size > lo else lo, t - 1)
         return False
 
     def matching(self, mask) -> InducedMatching:
@@ -633,45 +662,89 @@ def _merge_search(cs):
     (`done`) or is not yet asked. Every part before the slot i of the
     last merge has failed against every part but the new one. So the
     first pair that fits is a pair (a, i), else is in row i or in the
-    first later row not done. A part carries the OR of `tail` and `head`
-    over its vertices, so a union's cut arcs take two big-int
-    operations."""
-    full = cs.full
+    first later row not done. Two parts left have the union V and merge
+    without a question.
+
+    The parts live in parallel lists (vertex masks, tree nodes, and the
+    OR of `tail` and of `head` over their vertices), so a union's cut
+    arcs take two big-int operations, and each row is one loop that asks
+    `cs.at_least(union, w + 1, arcs)`. At w = 1 a union of two one-vertex
+    parts {u, v} is decided from the neighbour masks instead: its cut has
+    an induced matching of two edges iff N(u) is not within N[v] and N(v)
+    is not within N[u] (an edge ux with x not adjacent to v and an edge vy
+    with y not adjacent to u), and the record gets the entry that
+    `at_least` would store. `cs.queries` counts the (union, w) asked,
+    these included."""
+    n, full, bounds, at_least = cs.n, cs.full, cs.bounds, cs.at_least
+    nbr = cs.g.nbr_masks
     _, tail, head = cs.g.arc_tables
-    # (vertex mask, tree node, arcs leaving it, arcs entering it)
-    parts = [(1 << v, v, tail[v], head[v]) for v in range(cs.n)]
-    done = [False] * cs.n
+    masks = [1 << v for v in range(n)]
+    nodes = list(range(n))  # a one-vertex part's node is its vertex
+    outs, ins = list(tail), list(head)  # the arcs leaving and entering a part
+    done = [False] * n
     w = 1 if cs.g.m else 0
     new = 0  # the slot of the last merge; 0 after w rises
 
-    def fits(a, b):
-        union, _, out, into = parts[a]
-        other, _, out2, into2 = parts[b]
-        union |= other
-        arcs = (out | out2) & ~(into | into2)
-        return union == full or not cs.at_least(union, w + 1, arcs)
+    def scan(p, start, stop):
+        """The first part q in start..stop-1 whose union with part p fits
+        at w, or None."""
+        mp, out, into = masks[p], outs[p], ins[p]
+        t = w + 1
+        # At w = 1 a one-vertex p meets the other one-vertex parts by masks.
+        single = t == 2 and not mp & (mp - 1)
+        if single:
+            nu = nbr[nodes[p]]
+            closed = nu | mp
+        q = start
+        while q < stop:
+            mq = masks[q]
+            union = mp | mq
+            if single and not mq & (mq - 1):
+                nv = nbr[nodes[q]]
+                other = full ^ union
+                key = union if union < other else other
+                if not (nu & ~(nv | mq) and nv & ~closed):
+                    # As at_least: lo is 1 iff the cut has an edge, and with
+                    # n = 3 the size bound min(k, n - k) = 1 answers without
+                    # an entry.
+                    if n > 3:
+                        bounds[key] = (1 if (nu | nv) & other else 0, 1)
+                    break
+                bounds[key] = (2, 2)
+            elif not at_least(union, t, (out | outs[q]) & ~(into | ins[q])):
+                break
+            q += 1
+        if q < stop:
+            cs.queries += q - start + 1
+            return q
+        cs.queries += stop - start
+        return None
 
-    while len(parts) > 1:
-        pair = next(((a, new) for a in range(new) if fits(a, new)), None)
-        a = new
-        while pair is None and a < len(parts):
-            if not done[a]:
-                done[a] = True
-                later = range(a + 1, len(parts))
-                pair = next(((a, b) for b in later if fits(a, b)), None)
-            a += 1
-        if pair is None:
-            w += 1
-            done = [False] * len(parts)
-            new = 0
-            continue
-        i, j = pair
-        (mi, ni, ti, hi), (mj, nj, tj, hj) = parts[i], parts[j]
-        parts[i] = (mi | mj, (ni, nj), ti | tj, hi | hj)
-        del parts[j], done[j]
+    while len(masks) > 2:
+        i = scan(new, 0, new)  # the pairs (a, new) of the last merge
+        if i is not None:
+            j = new
+        else:
+            for i in range(new, len(masks)):
+                if not done[i]:
+                    done[i] = True
+                    j = scan(i, i + 1, len(masks))
+                    if j is not None:
+                        break
+            else:
+                w += 1
+                done = [False] * len(masks)
+                new = 0
+                continue
+        masks[i] |= masks[j]
+        nodes[i] = (nodes[i], nodes[j])
+        outs[i] |= outs[j]
+        ins[i] |= ins[j]
+        del masks[j], nodes[j], outs[j], ins[j], done[j]
         done[i] = False
         new = i
-    return w, BranchDecomposition(parts[0][1])
+    root = (nodes[0], nodes[1]) if len(nodes) == 2 else nodes[0]  # union V
+    return w, BranchDecomposition(root)
 
 
 def mimw_upper(g: Graph) -> WidthReport:

@@ -354,12 +354,29 @@ class TestThresholdQueries:
                 for a, want in brute.items():
                     assert cs.at_least(a, want) and not cs.at_least(a, want + 1)
 
-    def test_search_when_first_fit_falls_short(self):
+    def test_first_fit_from_the_low_end(self):
         # The path 1-0-3-4-2, cut at A = {1, 2, 3}: every edge crosses.
-        # First fit takes the highest arc, 3->4, which conflicts with every
-        # other arc, and stops at one edge; {01, 24} is induced.
+        # The highest arc, 3->4, conflicts with every other arc, so first
+        # fit from the top stops at one edge; from the bottom it takes
+        # 1->0 and then 2->4, an induced matching of two, with no search.
         g = Graph(5, [(0, 1), (0, 3), (3, 4), (2, 4)])
         cs = solver._CutSolver(g)
+        arcs = g.cut_arcs(0b01110)
+        top = arcs.bit_length() - 1
+        assert not arcs & ~(cs.enter[top] | cs.leave[top])
+        cs._search = None  # a search would fail here
+        assert cs.at_least(0b01110, 2)
+        assert cs.bounds[0b01110] == (2, 2)
+        assert cs.nodes == 0
+
+    def test_search_when_first_fit_falls_short(self):
+        # The path 3-0-2-4-1, cut at A = {1, 2, 3}: every edge crosses.
+        # The highest arc, 2->4, and the lowest, 2->0, each conflict with
+        # every other arc, so first fit stops at one edge from both ends;
+        # the search finds {03, 14}, which is induced.
+        g = Graph(5, [(0, 2), (0, 3), (2, 4), (1, 4)])
+        cs = solver._CutSolver(g)
+        assert not solver._first_fit(g.cut_arcs(0b01110), 2, cs.enter, cs.leave)
         assert cs.at_least(0b01110, 2)
         assert cs.bounds[0b01110] == (2, 2)
 
@@ -393,7 +410,7 @@ class TestUpperWork:
         [
             (lambda: build_subdivided_family(10, 0).graph, 47),
             (lambda: build_subdivided_family(14, 0).graph, 267),
-            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 23),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 14),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
@@ -403,25 +420,43 @@ class TestUpperWork:
         assert cs.nodes == nodes
 
     @pytest.mark.parametrize(
-        "make, calls",
+        "make, calls, by_masks",
         [
-            (lambda: relabelled_path(120, 1), 5554),
-            (lambda: build_subdivided_family(14, 0).graph, 1284),
+            (lambda: relabelled_path(120, 1), 5554, 1942),
+            (lambda: build_subdivided_family(14, 0).graph, 1284, 595),
         ],
         ids=["relabelled-path-120", "circle-cubic-14"],
     )
-    def test_one_query_per_pair_and_width(self, make, calls):
+    def test_one_query_per_pair_and_width(self, make, calls, by_masks):
+        # The merge asks `at_least` about every union but those of two
+        # vertices at w = 1, which it decides from the neighbour masks and
+        # stores in the record: each (union, w) once, either way.
         cs = solver._CutSolver(make())
-        asked = []
+        asked, decided = [], []
+
+        class Record(dict):
+            def __setitem__(self, key, value):
+                decided.append(key)
+                super().__setitem__(key, value)
+
+        cs.bounds = Record()
         at_least = cs.at_least
 
-        def recording(mask, t, *arcs):
+        def recording(mask, t, arcs):
             asked.append((mask, t))
-            return at_least(mask, t, *arcs)
+            stored = len(decided)
+            answer = at_least(mask, t, arcs)
+            del decided[stored:]  # its own store
+            return answer
 
         cs.at_least = recording
         solver._merge_search(cs)
-        assert len(set(asked)) == len(asked) == calls
+        assert len(set(asked)) == len(asked)
+        assert not any(mask.bit_count() == 2 and t == 2 for mask, t in asked)
+        # A two-vertex key names its union: the side of two vertices (n > 4).
+        assert all(2 in (k.bit_count(), (cs.full ^ k).bit_count()) for k in decided)
+        assert len(set(decided)) == len(decided) == by_masks
+        assert len(asked) + len(decided) == cs.queries == calls
 
     # sha256 prefixes of report JSON, recorded also with the clique-cover
     # pruning off: pruning the cut search must not change a report byte.
@@ -474,7 +509,7 @@ class TestExactWork:
     # and the top-down tree on the relabelled subdivided K4.
     @pytest.mark.parametrize(
         "name, nodes, side_nodes",
-        [("grid-3x4", 9, 126), ("relabelled-subdivided-K4", 4, 174)],
+        [("grid-3x4", 7, 126), ("relabelled-subdivided-K4", 4, 174)],
         ids=["grid-3x4", "relabelled-subdivided-K4"],
     )
     def test_bounds_work_counts(self, made_solvers, name, nodes, side_nodes):
@@ -706,6 +741,43 @@ class TestMimwUpper:
             ours += new.nodes
             theirs += old.nodes
         assert ours < theirs  # first fit skips searches that the greedy missed
+
+    def test_two_vertex_unions_match_brute_force(self):
+        # At w = 1 the merge decides a union of two vertices from the
+        # neighbour masks, and its first question is {0, 1}. Relabelled so
+        # that {u, v} comes first, each pair gets the record entry that
+        # `at_least` would store: (2, 2) if its cut has an induced matching
+        # of two edges, else (value, 1). With n = 3 the size bound
+        # min(2, n - 2) = 1 settles the pair and nothing is stored.
+        graphs = [Graph(5, [(0, 1)]), Graph(6, [(0, 1), (2, 3)]), path(3), path(4)]
+        for seed in range(60):
+            rng = random.Random(seed)
+            graphs.append(random_graph(rng.randint(2, 9), rng.choice((0.2, 0.4, 0.6)), seed))
+        seen = set()
+        for g in graphs:
+            if not g.m:  # the merge starts at w = 0
+                continue
+            for u, v in itertools.combinations(range(g.n), 2):
+                label = {x: i for i, x in enumerate([u, v, *sorted(set(range(g.n)) - {u, v})])}
+                cs = solver._CutSolver(Graph(g.n, [(label[a], label[b]) for a, b in g.edges]))
+                asked = []
+                at_least = cs.at_least
+
+                def recording(mask, t, arcs):
+                    asked.append((mask, t))
+                    return at_least(mask, t, arcs)
+
+                cs.at_least = recording
+                solver._merge_search(cs)
+                assert (0b11, 2) not in asked
+                value = brute_max_induced_matching(g, {u, v})
+                got = cs.bounds.get(0b11)
+                if g.n > 3:
+                    assert got == ((2, 2) if value == 2 else (value, 1)), (g.edges, u, v)
+                else:
+                    assert got is None and value <= 1, (g.edges, u, v)
+                seen.add(got)
+        assert seen == {None, (0, 1), (1, 1), (2, 2)}
 
     @pytest.mark.parametrize(
         "make",
