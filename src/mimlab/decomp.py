@@ -1,9 +1,12 @@
 """Branch decompositions: rooted binary trees whose leaves are the vertices.
 
 A tree node is either an int (leaf label) or a tuple of child nodes.
-Decompositions are canonicalized on construction: at every internal node
-the child with the smaller minimum leaf label comes first, so equality is
-syntactic.
+Decompositions are canonical: at every internal node the child with the
+smaller minimum leaf label comes first, so equality is syntactic. The
+public constructors (`BranchDecomposition(root)`, `from_text`,
+`caterpillar_from_order`) canonicalize on construction. The solver builds
+its trees canonical and wraps them by `BranchDecomposition._canonical`,
+which skips the fold.
 """
 
 from __future__ import annotations
@@ -59,6 +62,14 @@ class BranchDecomposition:
 
     def __init__(self, root):
         self.root = _canon(root)
+
+    @classmethod
+    def _canonical(cls, root):
+        """The decomposition of `root`, which must already be canonical:
+        no fold, and no check."""
+        t = cls.__new__(cls)
+        t.root = root
+        return t
 
     def to_text(self):
         return _fold(self.root, str, lambda kids: "(" + " ".join(kids) + ")")[-1]

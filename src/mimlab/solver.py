@@ -19,7 +19,14 @@ The first good t is exact, since L is a lower bound and every t below
 was refuted; if none is, the merge's w is exact. The pass keeps one byte
 per set (good at t) and one per key min(S, V-S) (cut value known to be
 at most t), within TABLE_BUDGET, and keeps its cut results out of the
-cut solver's record.
+cut solver's record. Before each scan it tests the keys still open in
+Gray-code order, so each key's cut arcs follow from the last key's by
+one vertex's arcs.
+
+Each search builds its tree canonical (the child with the lower least
+leaf first at every node), so the report wraps it without the fold of
+`BranchDecomposition`. The report's critical cut comes from one
+postorder walk over the tree's vertex masks.
 
 One per-graph cut solver serves both mim-width solvers. It keeps one
 record per vertex-set key min(S, V-S): the lower and upper bounds that its
@@ -72,7 +79,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import BranchDecomposition, Cut, subtree_leaf_sets
+from .decomp import BranchDecomposition, Cut
 from .errors import LimitExceeded
 from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
 
@@ -238,7 +245,8 @@ class _CutSolver:
     beat its floor. `side_nodes` counts the placements that
     `_balanced_side` visited, and `queries` the (union, w) that
     `_merge_search` asked, those it decided from the neighbour masks
-    included."""
+    included. `cut_tests` counts the keys that `_threshold_tree` handed
+    to `_has_matching`."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -248,18 +256,19 @@ class _CutSolver:
         self.nodes = 0
         self.side_nodes = 0
         self.queries = 0
+        self.cut_tests = 0
         self.edges, tail, head = g.arc_tables
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc i conflicts, whatever the cut,
         # with enter[i] | leave[i] (itself included). Those are masks
         # shared per vertex: O(n m) bits in all, not an O(m)-bit row per arc.
-        nbr = g.nbr_masks
         heads_near = [0] * n  # vertex -> the arcs entering its neighbors
         tails_near = [0] * n  # vertex -> the arcs leaving its neighbors
-        for x in range(n):
-            for w in _bits(nbr[x]):
-                heads_near[x] |= head[w]
-                tails_near[x] |= tail[w]
+        for u, v in self.edges:
+            heads_near[u] |= head[v]
+            heads_near[v] |= head[u]
+            tails_near[u] |= tail[v]
+            tails_near[v] |= tail[u]
         enter = []  # arc a->b -> the arcs entering a neighbor of a
         leave = []  # arc a->b -> the arcs leaving a neighbor of b
         for u, v in self.edges:
@@ -377,16 +386,35 @@ def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
 
 def _critical(cs, decomposition, width):
     """Locate a cut of mim-value `width`, the decomposition's width: the
-    lexicographically smallest sorted a_side among them."""
+    lexicographically smallest sorted a_side among them. One postorder
+    walk carries each node's vertex mask and asks `at_least` only of a
+    mask that precedes the best so far. Two sorted sides first differ at
+    the lowest vertex v of a ^ b: the side that holds v comes first
+    unless the other goes on above v, and a side that ends first comes
+    first."""
     best = None
-    for a in subtree_leaf_sets(decomposition):
-        mask = set_to_mask(a)
-        key = tuple(sorted(a))
-        if (best is None or key < best[0]) and cs.at_least(mask, width):
-            best = (key, a, mask)
-    _, a, mask = best
-    cut = Cut(a, tuple(cs.g.cut_edges(mask)))
-    return cut, cs.matching(mask)
+    done = []  # masks of the finished children of open nodes
+    stack = [decomposition.root]
+    while stack:
+        node = stack.pop()
+        if node is None:  # closes an internal node, after both children
+            mask = done.pop() | done.pop()
+        elif node.__class__ is tuple:
+            stack += (None, node[1], node[0])
+            continue
+        else:
+            mask = 1 << node
+        done.append(mask)
+        if best is not None:
+            low = mask ^ best
+            low &= -low
+            if not (best & -low if mask & low else not mask & -low):
+                continue
+        if cs.at_least(mask, width):
+            best = mask
+    a = mask_to_set(best)
+    cut = Cut(a, tuple(cs.g.cut_edges(best)))
+    return cut, InducedMatching(a, cs._max_induced_matching(best))
 
 
 def _check_limit(n, limit, what):
@@ -420,7 +448,9 @@ def _width_report(g, mode, search) -> WidthReport:
 def _tree(full, split):
     """The decomposition that splits each node set s of two or more
     vertices, from V down, into split(s) and s - split(s), built bottom-up
-    without recursion; None as soon as a split(s) is None."""
+    without recursion; None as soon as a split(s) is None. The half that
+    holds the lowest vertex of s comes first, so the tree is canonical as
+    built."""
     sets = [full]
     halves = {}
     for s in sets:
@@ -432,8 +462,13 @@ def _tree(full, split):
     node = {}
     for s in reversed(sets):
         y = halves.get(s)
-        node[s] = (node[y], node[s ^ y]) if y else s.bit_length() - 1
-    return BranchDecomposition(node[full])
+        if not y:
+            node[s] = s.bit_length() - 1
+        elif y & s & -s:
+            node[s] = (node[y], node[s ^ y])
+        else:
+            node[s] = (node[s ^ y], node[y])
+    return BranchDecomposition._canonical(node[full])
 
 
 def _balanced_side(cs, x, t, lo, hi, cap=None):
@@ -573,27 +608,35 @@ def _threshold_tree(cs, lo, hi):
     width at most t; None if there is no such t.
 
     A key min(S, V-S) holds 1 once its cut value is known to be at most
-    t, which stays true as t rises. Each key s < 2^(n-1) is filled at s
-    itself, before V - s, the other set that reads it: a side of
-    min(k, n - k) <= t vertices is at most t, and otherwise
-    `_has_matching` asks for t + 1 edges."""
+    t, which stays true as t rises. At each t the keys s < 2^(n-1) not
+    yet at most t are filled first, in Gray-code order: each step adds or
+    drops one vertex v, so XOR with tail[v] and head[v] keeps the arcs
+    leaving and entering s, and s's cut arcs cost two operations. A side
+    of min(k, n - k) <= t vertices is at most t, and otherwise
+    `_has_matching` asks for t + 1 edges; `cs.cut_tests` counts those
+    asks. The ascending scan of the good sets then reads the keys only."""
     n, full = cs.n, cs.full
     half = (full + 1) >> 1
-    cut_arcs = cs.g.cut_arcs
+    _, tail, head = cs.g.arc_tables
     small = bytearray(half)  # key -> 1 if its cut value is at most t
     small[0] = 1  # the cut of V is empty
     good = bytearray(full + 1)
     for t in range(lo, hi):
+        s = leave = enter = 0  # the key and the arcs leaving and entering it
+        for i in range(1, half):
+            v = (i & -i).bit_length() - 1  # s goes to the Gray code of i
+            s ^= 1 << v
+            leave ^= tail[v]
+            enter ^= head[v]
+            if not small[s]:
+                k = s.bit_count()
+                if k <= t or n - k <= t:
+                    small[s] = 1
+                else:
+                    cs.cut_tests += 1
+                    small[s] = not _has_matching(cs, leave & ~enter, t + 1)
         for s in range(1, full + 1):
-            if s < half:
-                if not small[s]:
-                    k = s.bit_count()
-                    small[s] = (
-                        k <= t or n - k <= t or not _has_matching(cs, cut_arcs(s), t + 1)
-                    )
-                ok = small[s]
-            else:
-                ok = small[full ^ s]
+            ok = small[s] if s < half else small[full ^ s]
             if ok and s & (s - 1):
                 ok = _good_split(good, s) is not None
             good[s] = ok
@@ -744,7 +787,9 @@ def _merge_search(cs):
         done[i] = False
         new = i
     root = (nodes[0], nodes[1]) if len(nodes) == 2 else nodes[0]  # union V
-    return w, BranchDecomposition(root)
+    # Slots stay in lowest-vertex order and a merge keeps the lower slot
+    # first, so the tree is canonical as built.
+    return w, BranchDecomposition._canonical(root)
 
 
 def mimw_upper(g: Graph) -> WidthReport:

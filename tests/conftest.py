@@ -171,6 +171,24 @@ def rescan_merge(cs):
     return w, BranchDecomposition(parts[0][1])
 
 
+def lexmin_critical(cs, decomposition, width):
+    """`solver._critical` by a fold of frozensets: over the subtree leaf
+    sets in postorder, the lexicographically smallest sorted side whose
+    cut has an induced matching of `width` edges, with `at_least` asked
+    only of a side that precedes the best so far."""
+    from mimlab.decomp import Cut, subtree_leaf_sets
+    from mimlab.graph import set_to_mask
+
+    best = None
+    for a in subtree_leaf_sets(decomposition):
+        mask = set_to_mask(a)
+        key = tuple(sorted(a))
+        if (best is None or key < best[0]) and cs.at_least(mask, width):
+            best = (key, a, mask)
+    _, a, mask = best
+    return Cut(a, tuple(cs.g.cut_edges(mask))), cs.matching(mask)
+
+
 def search_at_least(self, mask, t):
     """`_CutSolver.at_least` without first fit: every query that the
     record leaves open runs the threshold search."""

@@ -13,13 +13,14 @@ from conftest import (
     brute_mimw,
     brute_treewidth,
     cut_edge_list,
+    lexmin_critical,
     rescan_merge,
     search_at_least,
     simulate_elimination,
     table_mimw,
     table_treewidth,
 )
-from mimlab import solver
+from mimlab import decomp, solver
 from mimlab.errors import LimitExceeded
 from mimlab.construct import (
     build_subdivided_family,
@@ -517,6 +518,124 @@ class TestExactWork:
         mimw_exact(graphs[name], limit=12)
         (cs,) = made_solvers
         assert (cs.nodes, cs.side_nodes) == (nodes, side_nodes)
+
+    # The keys that the threshold pass hands to `_has_matching`, over all
+    # its t: the counts of the ascending fill, which the Gray-code fill
+    # must equal, since it tests the same pending keys at each t.
+    @pytest.mark.parametrize(
+        "n, seed, cut_tests", [(12, 2, 2035), (10, 4, 456)], ids=["cubic-12-2", "cubic-10-4"]
+    )
+    def test_threshold_cut_tests(self, made_solvers, n, seed, cut_tests):
+        mimw_exact(random_cubic(n, seed), limit=n)
+        (cs,) = made_solvers
+        assert cs.cut_tests == cut_tests
+
+
+def solver_trees(g):
+    """The roots that `_merge_search`, `_top_down` and `_threshold_tree`
+    return on g, each from a fresh cut solver: the merge's w, a top-down
+    tree at w from a balanced root side, and the threshold pass over
+    1..w (skipped above 10 vertices). None where one gives no tree."""
+    cs = solver._CutSolver(g)
+    w, merged = solver._merge_search(cs)
+    roots = {"merge": merged.root, "top-down": None, "threshold": None}
+    if g.n < 3 or not w:
+        return roots
+    cs = solver._CutSolver(g)
+    side = solver._balanced_side(cs, cs.full, w + 1, -(-g.n // 3), 2 * g.n // 3)
+    down = solver._top_down(cs, w, side)
+    roots["top-down"] = down and down.root
+    if g.n <= 10:
+        _, tree = solver._threshold_tree(solver._CutSolver(g), 1, w + 1)
+        roots["threshold"] = tree.root
+    return roots
+
+
+class TestCanonicalTrees:
+    # The solver wraps its trees without the canonical fold, so each one
+    # must come out of the search canonical: the child with the lower
+    # least leaf first at every node.
+    def check(self, graphs):
+        found = dict.fromkeys(("merge", "top-down", "threshold"), 0)
+        for g in graphs:
+            for how, root in solver_trees(g).items():
+                if root is not None:
+                    assert root == decomp._canon(root), (how, g.edges)
+                    found[how] += 1
+        return found
+
+    def test_randoms(self):
+        graphs = []
+        for seed in range(120):
+            rng = random.Random(seed)
+            graphs.append(random_graph(rng.randint(2, 12), (1 + seed % 9) / 10, seed))
+        assert all(self.check(graphs).values())
+
+    def test_frontier(self):
+        graphs = [*frontier_mimw_graphs().values(), relabelled_k4()]
+        assert all(self.check(graphs).values())
+
+    def test_circle_cubic(self):
+        graphs = [build_subdivided_family(k, s).graph for k in (10, 12, 14) for s in range(3)]
+        found = self.check(graphs)
+        assert found["merge"] == 9 and found["top-down"]
+
+
+def critical_cases():
+    """(graph, search) pairs for the critical-cut oracle: seeded randoms
+    under both searches (the exact one to n = 10), the frontier graphs
+    under both, and circle-cubic k = 10..14 under the merge."""
+    cases = []
+    for seed in range(80):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(2, 12), (1 + seed % 9) / 10, seed)
+        cases.append((g, solver._merge_search))
+        if g.n <= 10:
+            cases.append((g, solver._bounded_search))
+    for g in [*frontier_mimw_graphs().values(), relabelled_k4()]:
+        cases += ((g, solver._merge_search), (g, solver._bounded_search))
+    for k in (10, 12, 14):
+        for s in range(3):
+            cases.append((build_subdivided_family(k, s).graph, solver._merge_search))
+    return cases
+
+
+class TestCriticalCut:
+    def test_matches_lexmin_oracle(self):
+        # The mask walk picks the oracle's cut and puts the same questions
+        # to the record, so the record (items and order) and the node count
+        # match too.
+        checked = 0
+        for g, search in critical_cases():
+            walk, fold = solver._CutSolver(g), solver._CutSolver(g)
+            value, tree = search(walk)
+            assert search(fold) == (value, tree)
+            if not value:
+                continue
+            assert solver._critical(walk, tree, value) == lexmin_critical(fold, tree, value)
+            assert list(walk.bounds.items()) == list(fold.bounds.items()), g.edges
+            assert walk.nodes == fold.nodes, g.edges
+            checked += 1
+        assert checked > 150
+
+    def test_lexmin_side_on_any_tree(self):
+        # At width 1 on a connected graph every cut but the root's has the
+        # value, so the walk returns the least sorted side of all proper
+        # subtrees, here over trees that no search built.
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 12)
+            order = rng.sample(range(n), n)
+            g = path(n)
+            parts = [*order]
+            while len(parts) > 1:
+                i, j = sorted(rng.sample(range(len(parts)), 2))
+                parts[i] = (parts[i], parts.pop(j))
+            tree = decomp.BranchDecomposition(parts[0])
+            cut, matching = solver._critical(solver._CutSolver(g), tree, 1)
+            sides = [a for a in subtree_leaf_sets(tree) if len(a) < n]
+            assert sorted(cut.a_side) == min(sorted(a) for a in sides), tree
+            assert cut.a_side == matching.a_side
 
 def frontier_tw_graphs():
     g44 = two_color(grid(4, 4))
