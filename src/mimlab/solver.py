@@ -30,19 +30,20 @@ postorder walk over the tree's vertex masks.
 
 One per-graph cut solver serves both mim-width solvers. It keeps one
 record per vertex-set key min(S, V-S): the lower and upper bounds that its
-searches proved, and the value is exact when they meet. Its one query is
-the threshold "mim >= t?", answered from the record when the record
-settles it, else by first fit from both ends (take the highest free arc,
-t times, and where that stops short of t, the lowest) and, only when both
-stop short of t, by branch and bound over the conflict
-graph of the cut's edges. That search stops at the first matching of t
-edges and prunes every branch that cannot reach t. An unknown record
-starts at (0, min(k, n-k)) for a side of k vertices, since a matching
-uses distinct vertices on each side. Every search also prunes by a
-clique-cover bound, the colouring bound of Tomita and Seki applied to the
-complement: the members of a clique of the conflict graph pairwise
-conflict, so the candidate edges add at most one edge per clique of a
-cover, which is grown greedily.
+tests proved, and the value is exact when they meet. Its one query is the
+threshold "mim >= t?", answered from the record when the record settles
+it, else by one ladder of cut tests (`_has_matching`). First fit from both
+ends (take the highest free arc, t times, and where that stops short of
+t, the lowest) answers yes. A clique-cover bound answers no: it is the
+colouring bound of Tomita and Seki applied to the complement, since the
+members of a clique of the conflict graph pairwise conflict, so a cover
+by t - 1 cliques, grown greedily, leaves room for t - 1 edges at most.
+Only where neither answers does branch and bound over the conflict graph
+of the cut's edges run. That search stops at the first matching of t
+edges and prunes, by the same cover, every branch that cannot reach t. An
+unknown record starts at (0, min(k, n-k)) for a side of k vertices, since
+a matching uses distinct vertices on each side; a yes raises its lower
+bound to t, a no drops its upper bound to t - 1.
 
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
@@ -50,20 +51,26 @@ of at most the current width w, and raises w by one only when no pair
 fits. It asks only "mim >= w + 1?", and each union once per w: a pair
 that failed fails again until w rises, so after a merge it asks only the
 pairs with the new part and the rows of the scan not yet asked. The
-parts live in parallel lists, and each row of the scan is one loop that
-puts the threshold query to the cut solver. Each part carries the arcs
-leaving and entering it, so a union's cut arcs take two mask operations.
-At w = 1 a union of two one-vertex parts {u, v} skips the query: its cut
-has an induced matching of two edges iff N(u) is not within N[v] and
-N(v) is not within N[u], read off the neighbour masks. It is
-deterministic: it takes no seed.
+parts live in parallel lists, and each row of the scan is one loop. Each
+part carries the arcs leaving and entering it, so a union's cut arcs take
+two mask operations, and the loop tries first fit from the high end on
+them inline; only where it stops short of w + 1 edges does it put the
+threshold query to the cut solver. At w = 1 a union of two one-vertex
+parts {u, v} skips both: its cut has an induced matching of two edges iff
+N(u) is not within N[v] and N(v) is not within N[u], read off the
+neighbour masks. It is deterministic: it takes no seed.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
 conflict iff b ~ c or d ~ a, whatever the cut. So the solver builds, once
-per graph, the arcs entering and leaving the neighbors of each vertex; an
-arc's conflicts are the OR of two of them, and the tables take O(n m)
-bits.
+per graph, one conflict row per arc: the arcs entering a neighbour of a
+or leaving a neighbour of b. Every test reads one row per arc it takes.
+The 2m rows of 2m bits take m^2 / 2 bytes for m edges, more than the
+O(n m) bits of per-vertex tables whose OR would give each row, but little
+wherever the merge finishes: 882 bytes for the 42 edges of circle-cubic
+k = 14 (n = 35), and 3 MB for the 2,430 edges of a G(100, 1/2), on which
+the merge runs for minutes, since each of its questions works on masks of
+2m bits too.
 
 Exact treewidth eliminates simplicial and almost-simplicial vertices
 first, by the safe rules of Bodlaender, Koster and van den Eijkhof, and
@@ -162,7 +169,7 @@ def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     return True
 
 
-def _min_conflict(cand, enter, leave):
+def _min_conflict(cand, conf):
     """Lowest index among the candidates with the fewest conflicts inside
     `cand` (a bitmask of arc indices)."""
     best = best_deg = None
@@ -170,7 +177,7 @@ def _min_conflict(cand, enter, leave):
     while rest:
         low = rest & -rest
         i = low.bit_length() - 1
-        deg = ((enter[i] | leave[i]) & cand).bit_count()  # i itself included
+        deg = (conf[i] & cand).bit_count()  # i itself included
         if deg == 1:
             return i
         if best is None or deg < best_deg:
@@ -179,7 +186,7 @@ def _min_conflict(cand, enter, leave):
     return best
 
 
-def _covered(cand, enter, leave, room):
+def _covered(cand, conf, room):
     """Whether greedy cliques of the conflict graph cover the candidates
     `cand` (a bitmask of arc indices) with at most `room` cliques. Each
     clique starts at the lowest candidate left and adds, lowest first, the
@@ -190,63 +197,61 @@ def _covered(cand, enter, leave, room):
         if room < 0:
             return False
         low = cand & -cand
-        i = low.bit_length() - 1
-        pool = (enter[i] | leave[i]) & cand  # i itself included
+        pool = conf[low.bit_length() - 1] & cand  # the lowest itself included
         clique = 0
         while pool:
             b = pool & -pool
             clique |= b
-            j = b.bit_length() - 1
-            pool &= enter[j] | leave[j]
+            pool &= conf[b.bit_length() - 1]
             pool ^= b
         cand ^= clique
     return True
 
 
-def _first_fit(arcs, t, enter, leave):
+def _first_fit(arcs, t, conf):
     """Whether first fit takes an induced matching of t edges from the arcs
     `arcs` (a bitmask of arc indices): the highest free arc each time, and,
     where that stops short of t, the lowest free arc each time."""
     rest = arcs
     size = 0
     while rest:
-        a = rest.bit_length() - 1
         size += 1
         if size >= t:
             return True
-        rest &= ~(enter[a] | leave[a])
+        rest &= ~conf[rest.bit_length() - 1]
     size = 0
     while arcs:
-        a = (arcs & -arcs).bit_length() - 1
         size += 1
         if size >= t:
             return True
-        arcs &= ~(enter[a] | leave[a])
+        arcs &= ~conf[(arcs & -arcs).bit_length() - 1]
     return t <= 0
 
 
 def _has_matching(cs, arcs, t):
     """Whether the arcs `arcs` (a bitmask of arc indices) of the cut solver
-    `cs` hold an induced matching of t edges, outside its record: first
-    fit from both ends, then the clique-cover refutation with t - 1
-    cliques (`_covered`), then the threshold search."""
-    enter, leave = cs.enter, cs.leave
-    if _first_fit(arcs, t, enter, leave):
+    `cs` hold an induced matching of t edges, outside its record. The one
+    ladder of cut tests: first fit from both ends (`_first_fit`) answers
+    yes, a cover by t - 1 greedy cliques (`_covered`) answers no, and only
+    where neither does the threshold search runs."""
+    conf = cs.conf
+    if _first_fit(arcs, t, conf):
         return True
-    return not _covered(arcs, enter, leave, t - 1) and len(cs._search(arcs, t)) >= t
+    return not _covered(arcs, conf, t - 1) and len(cs._search(arcs, t)) >= t
 
 
 class _CutSolver:
-    """Per-graph solver for threshold queries on cut mim-values. `bounds`
-    is its one record: bitmask key min(S, V-S) -> the (lo, hi) that its
-    searches proved, exact iff lo == hi. `nodes` counts the
-    branch-and-bound nodes of every search it ran; a search prunes a node
-    whose candidates have a greedy clique cover (`_covered`) too small to
-    beat its floor. `side_nodes` counts the placements that
-    `_balanced_side` visited, and `queries` the (union, w) that
-    `_merge_search` asked, those it decided from the neighbour masks
-    included. `cut_tests` counts the keys that `_threshold_tree` handed
-    to `_has_matching`."""
+    """Per-graph solver for threshold queries on cut mim-values. `conf`
+    holds one conflict row per arc: the arcs that cannot share an induced
+    matching with it, whatever the cut. `bounds` is its one record:
+    bitmask key min(S, V-S) -> the (lo, hi) that its tests proved, exact
+    iff lo == hi. `nodes` counts the branch-and-bound nodes of every
+    search it ran; a search prunes a node whose candidates have a greedy
+    clique cover (`_covered`) too small to beat its floor. `side_nodes`
+    counts the placements that `_balanced_side` visited, and `queries`
+    the (union, w) that `_merge_search` decided, inline or by the
+    neighbour masks included. `cut_tests` counts the keys that
+    `_threshold_tree` handed to `_has_matching`."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -259,29 +264,26 @@ class _CutSolver:
         self.cut_tests = 0
         self.edges, tail, head = g.arc_tables
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
-        # end is one such adjacency. So arc i conflicts, whatever the cut,
-        # with enter[i] | leave[i] (itself included). Those are masks
-        # shared per vertex: O(n m) bits in all, not an O(m)-bit row per arc.
-        heads_near = [0] * n  # vertex -> the arcs entering its neighbors
-        tails_near = [0] * n  # vertex -> the arcs leaving its neighbors
+        # end is one such adjacency. So arc a->b conflicts, whatever the
+        # cut, with the arcs entering a neighbour of a or leaving a
+        # neighbour of b (itself included).
+        heads_near = [0] * n  # vertex -> the arcs entering its neighbours
+        tails_near = [0] * n  # vertex -> the arcs leaving its neighbours
         for u, v in self.edges:
             heads_near[u] |= head[v]
             heads_near[v] |= head[u]
             tails_near[u] |= tail[v]
             tails_near[v] |= tail[u]
-        enter = []  # arc a->b -> the arcs entering a neighbor of a
-        leave = []  # arc a->b -> the arcs leaving a neighbor of b
-        for u, v in self.edges:
-            enter += (heads_near[u], heads_near[v])
-            leave += (tails_near[v], tails_near[u])
-        self.enter, self.leave = enter, leave
+        conf = []  # arc -> its conflict row
+        for u, v in self.edges:  # arcs u->v and v->u
+            conf += (heads_near[u] | tails_near[v], heads_near[v] | tails_near[u])
+        self.conf = conf
 
     def at_least(self, mask, t, arcs=None):
         """Whether the cut at `mask` has an induced matching of t edges.
         A caller that has the cut's arcs passes them as `arcs`. Past the
-        record, first fit (`_first_fit`) takes the highest free arc t
-        times and then the lowest, and only where both stop short of t
-        does the threshold search run."""
+        record and the size bound, `_has_matching` decides, and the record
+        stores (t, hi) on yes and (lo, t - 1) on no."""
         other = self.full ^ mask
         key = mask if mask < other else other
         bound = self.bounds.get(key)
@@ -297,16 +299,10 @@ class _CutSolver:
             return True
         if hi < t:
             return False
-        if arcs is None:
-            arcs = self.g.cut_arcs(mask)
-        if _first_fit(arcs, t, self.enter, self.leave):
+        if _has_matching(self, self.g.cut_arcs(mask) if arcs is None else arcs, t):
             self.bounds[key] = (t, hi)
             return True
-        size = len(self._search(arcs, t))
-        if size >= t:
-            self.bounds[key] = (size, hi)
-            return True
-        self.bounds[key] = (size if size > lo else lo, t - 1)
+        self.bounds[key] = (lo, t - 1)
         return False
 
     def matching(self, mask) -> InducedMatching:
@@ -329,16 +325,16 @@ class _CutSolver:
         m = arcs.bit_count()
         if m <= 1:
             return [arcs.bit_length() - 1] if m else []
-        enter, leave = self.enter, self.leave
+        conf = self.conf
 
         goal = t or m + 1  # the search stops once it holds this many edges
         # Greedy initial solution: repeatedly take a min-conflict edge.
         cand = arcs
         greedy = []
         while cand and len(greedy) < goal:
-            v = _min_conflict(cand, enter, leave)
+            v = _min_conflict(cand, conf)
             greedy.append(v)
-            cand &= ~(enter[v] | leave[v])
+            cand &= ~conf[v]
         best_size = len(greedy)
         best_set = greedy
         if best_size >= goal:
@@ -358,20 +354,20 @@ class _CutSolver:
                 return
             if cur_size + cand.bit_count() <= floor:
                 return
-            if _covered(cand, enter, leave, floor - cur_size):
+            if _covered(cand, conf, floor - cur_size):
                 return
             # Min-degree pivot: some optimal solution contains a member of
             # its closed conflict neighborhood, so branch only over those.
-            pivot = _min_conflict(cand, enter, leave)
+            pivot = _min_conflict(cand, conf)
             options = [pivot]
-            branch = (enter[pivot] | leave[pivot]) & cand ^ (1 << pivot)
+            branch = conf[pivot] & cand ^ (1 << pivot)
             while branch:
                 low = branch & -branch
                 options.append(low.bit_length() - 1)
                 branch ^= low
             for u in options:
                 cur.append(u)
-                rec(cand & ~(enter[u] | leave[u]), cur, cur_size + 1)
+                rec(cand & ~conf[u], cur, cur_size + 1)
                 cur.pop()
 
         rec(arcs, [], 0)
@@ -387,30 +383,35 @@ def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
 def _critical(cs, decomposition, width):
     """Locate a cut of mim-value `width`, the decomposition's width: the
     lexicographically smallest sorted a_side among them. One postorder
-    walk carries each node's vertex mask and asks `at_least` only of a
-    mask that precedes the best so far. Two sorted sides first differ at
-    the lowest vertex v of a ^ b: the side that holds v comes first
-    unless the other goes on above v, and a side that ends first comes
-    first."""
+    walk carries each node's vertex mask and the arcs leaving and entering
+    its vertices, and asks `at_least`, with the cut's arcs, only of a mask
+    that precedes the best so far. Two sorted sides first differ at the
+    lowest vertex v of a ^ b: the side that holds v comes first unless the
+    other goes on above v, and a side that ends first comes first."""
+    _, tail, head = cs.g.arc_tables
     best = None
-    done = []  # masks of the finished children of open nodes
+    done = []  # (mask, arcs out, arcs in) of the finished children of open nodes
     stack = [decomposition.root]
     while stack:
         node = stack.pop()
         if node is None:  # closes an internal node, after both children
-            mask = done.pop() | done.pop()
+            mask, out, into = done.pop()
+            other, more_out, more_in = done.pop()
+            mask |= other
+            out |= more_out
+            into |= more_in
         elif node.__class__ is tuple:
             stack += (None, node[1], node[0])
             continue
         else:
-            mask = 1 << node
-        done.append(mask)
+            mask, out, into = 1 << node, tail[node], head[node]
+        done.append((mask, out, into))
         if best is not None:
             low = mask ^ best
             low &= -low
             if not (best & -low if mask & low else not mask & -low):
                 continue
-        if cs.at_least(mask, width):
+        if cs.at_least(mask, width, out & ~into):
             best = mask
     a = mask_to_set(best)
     cut = Cut(a, tuple(cs.g.cut_edges(best)))
@@ -498,7 +499,7 @@ def _balanced_side(cs, x, t, lo, hi, cap=None):
     g = cs.g
     nbr = g.nbr_masks
     _, tail, head = g.arc_tables
-    enter, leave = cs.enter, cs.leave
+    conf = cs.conf
     far = 0  # the arcs entering V - X
     for v in _bits(cs.full ^ x):
         far |= head[v]
@@ -512,7 +513,7 @@ def _balanced_side(cs, x, t, lo, hi, cap=None):
         while fresh:
             a = fresh.bit_length() - 1
             fresh ^= 1 << a
-            if _has_matching(cs, new & ~(enter[a] | leave[a]), t - 1):
+            if _has_matching(cs, new & ~conf[a], t - 1):
                 return False
         return True
 
@@ -614,7 +615,9 @@ def _threshold_tree(cs, lo, hi):
     leaving and entering s, and s's cut arcs cost two operations. A side
     of min(k, n - k) <= t vertices is at most t, and otherwise
     `_has_matching` asks for t + 1 edges; `cs.cut_tests` counts those
-    asks. The ascending scan of the good sets then reads the keys only."""
+    asks. The ascending scan of the good sets then reads the keys only,
+    and skips the sets good at an earlier t: a tree whose cuts are at
+    most t - 1 has them at most t."""
     n, full = cs.n, cs.full
     half = (full + 1) >> 1
     _, tail, head = cs.g.arc_tables
@@ -636,10 +639,8 @@ def _threshold_tree(cs, lo, hi):
                     cs.cut_tests += 1
                     small[s] = not _has_matching(cs, leave & ~enter, t + 1)
         for s in range(1, full + 1):
-            ok = small[s] if s < half else small[full ^ s]
-            if ok and s & (s - 1):
-                ok = _good_split(good, s) is not None
-            good[s] = ok
+            if not good[s] and (small[s] if s < half else small[full ^ s]):
+                good[s] = not s & (s - 1) or _good_split(good, s) is not None
         if good[full]:
             return t, _tree(full, lambda s: _good_split(good, s))
     return None
@@ -710,15 +711,19 @@ def _merge_search(cs):
 
     The parts live in parallel lists (vertex masks, tree nodes, and the
     OR of `tail` and of `head` over their vertices), so a union's cut
-    arcs take two big-int operations, and each row is one loop that asks
-    `cs.at_least(union, w + 1, arcs)`. At w = 1 a union of two one-vertex
-    parts {u, v} is decided from the neighbour masks instead: its cut has
-    an induced matching of two edges iff N(u) is not within N[v] and N(v)
-    is not within N[u] (an edge ux with x not adjacent to v and an edge vy
-    with y not adjacent to u), and the record gets the entry that
-    `at_least` would store. `cs.queries` counts the (union, w) asked,
-    these included."""
-    n, full, bounds, at_least = cs.n, cs.full, cs.bounds, cs.at_least
+    arcs take two big-int operations, and each row is one loop. It runs
+    first fit from the high end inline on the union's arcs, one conflict
+    row per arc taken, and asks `cs.at_least(union, w + 1, arcs)` only
+    where that stops short of w + 1 edges. A (union, w) is asked once and
+    w only rises, so a yes in the record would never be read by the merge
+    again, and the inline yes stores none. At w = 1 a union of two
+    one-vertex parts {u, v} is decided from the neighbour masks instead:
+    its cut has an induced matching of two edges iff N(u) is not within
+    N[v] and N(v) is not within N[u] (an edge ux with x not adjacent to v
+    and an edge vy with y not adjacent to u), and the record gets its
+    exact value, or (1 if the cut has an edge else 0, 1). `cs.queries`
+    counts the (union, w) decided, both of these ways included."""
+    n, full, bounds, at_least, conf = cs.n, cs.full, cs.bounds, cs.at_least, cs.conf
     nbr = cs.g.nbr_masks
     _, tail, head = cs.g.arc_tables
     masks = [1 << v for v in range(n)]
@@ -747,15 +752,24 @@ def _merge_search(cs):
                 other = full ^ union
                 key = union if union < other else other
                 if not (nu & ~(nv | mq) and nv & ~closed):
-                    # As at_least: lo is 1 iff the cut has an edge, and with
-                    # n = 3 the size bound min(k, n - k) = 1 answers without
-                    # an entry.
+                    # lo is 1 iff the cut has an edge; with n = 3 the size
+                    # bound min(k, n - k) = 1 answers, as in at_least,
+                    # without an entry.
                     if n > 3:
                         bounds[key] = (1 if (nu | nv) & other else 0, 1)
                     break
                 bounds[key] = (2, 2)
-            elif not at_least(union, t, (out | outs[q]) & ~(into | ins[q])):
-                break
+            else:
+                arcs = rest = (out | outs[q]) & ~(into | ins[q])
+                left = t  # first fit from the high end: t arcs taken are a yes
+                while rest:
+                    left -= 1
+                    if not left:
+                        break
+                    rest &= ~conf[rest.bit_length() - 1]
+                else:
+                    if not at_least(union, t, arcs):
+                        break
             q += 1
         if q < stop:
             cs.queries += q - start + 1

@@ -189,9 +189,10 @@ def lexmin_critical(cs, decomposition, width):
     return Cut(a, tuple(cs.g.cut_edges(mask))), cs.matching(mask)
 
 
-def search_at_least(self, mask, t):
+def search_at_least(self, mask, t, arcs=None):
     """`_CutSolver.at_least` without first fit: every query that the
-    record leaves open runs the threshold search."""
+    record leaves open runs the threshold search, on the cut's arcs
+    `arcs` where the caller passes them."""
     key = min(mask, self.full ^ mask)
     k = mask.bit_count()
     # A matching uses distinct vertices on each side: at most min(k, n-k).
@@ -200,7 +201,7 @@ def search_at_least(self, mask, t):
         return True
     if hi < t:
         return False
-    size = len(self._search(self.g.cut_arcs(mask), t))
+    size = len(self._search(self.g.cut_arcs(mask) if arcs is None else arcs, t))
     if size >= t:
         self.bounds[key] = (size, hi)
         return True

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,14 @@ class TestArcTables:
             g = random_graph(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
             cs = solver._CutSolver(g)
             edges = g.arc_tables[0]
+            # Every arc's row, against every arc: a->b and c->d conflict
+            # iff b ~ c or d ~ a, so a->b's own bit is set and b->a's not.
+            ends = [(u, v)[::step] for u, v in edges for step in (1, -1)]
+            assert len(cs.conf) == len(ends) == 2 * g.m
+            for i, (a, b) in enumerate(ends):
+                for j, (c, d) in enumerate(ends):
+                    want = c in g.adj[b] or a in g.adj[d]
+                    assert bool(cs.conf[i] >> j & 1) == want, (seed, i, j)
             for mask in range(1 << g.n):
                 arcs = g.cut_arcs(mask)
                 ids = [i for i in range(2 * g.m) if arcs >> i & 1]
@@ -286,7 +295,7 @@ class TestArcTables:
                 assert ce == cut_edge_list(g, mask_to_set(mask))
                 cut_set = set(ce)
                 for i in ids:
-                    row = cs.enter[i] | cs.leave[i]  # itself included
+                    row = cs.conf[i]  # itself included
                     for j in ids:
                         e, f = edges[i >> 1], edges[j >> 1]
                         want = conflict(e, f, cut_set)
@@ -322,10 +331,10 @@ class TestCliqueCover:
                     ):
                         best += 1
                     for room in range(len(cand) + 1):
-                        if solver._covered(bits, cs.enter, cs.leave, room):
+                        if solver._covered(bits, cs.conf, room):
                             pruned += 1
                             assert best <= room, (g.edges, mask, cand, room)
-                    assert solver._covered(bits, cs.enter, cs.leave, len(cand))
+                    assert solver._covered(bits, cs.conf, len(cand))
         assert pruned
 
 
@@ -364,7 +373,7 @@ class TestThresholdQueries:
         cs = solver._CutSolver(g)
         arcs = g.cut_arcs(0b01110)
         top = arcs.bit_length() - 1
-        assert not arcs & ~(cs.enter[top] | cs.leave[top])
+        assert not arcs & ~cs.conf[top]
         cs._search = None  # a search would fail here
         assert cs.at_least(0b01110, 2)
         assert cs.bounds[0b01110] == (2, 2)
@@ -377,7 +386,7 @@ class TestThresholdQueries:
         # the search finds {03, 14}, which is induced.
         g = Graph(5, [(0, 2), (0, 3), (2, 4), (1, 4)])
         cs = solver._CutSolver(g)
-        assert not solver._first_fit(g.cut_arcs(0b01110), 2, cs.enter, cs.leave)
+        assert not solver._first_fit(g.cut_arcs(0b01110), 2, cs.conf)
         assert cs.at_least(0b01110, 2)
         assert cs.bounds[0b01110] == (2, 2)
 
@@ -409,9 +418,9 @@ class TestUpperWork:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: build_subdivided_family(10, 0).graph, 47),
-            (lambda: build_subdivided_family(14, 0).graph, 267),
-            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 14),
+            (lambda: build_subdivided_family(10, 0).graph, 38),
+            (lambda: build_subdivided_family(14, 0).graph, 257),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 1),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
@@ -429,11 +438,13 @@ class TestUpperWork:
         ids=["relabelled-path-120", "circle-cubic-14"],
     )
     def test_one_query_per_pair_and_width(self, make, calls, by_masks):
-        # The merge asks `at_least` about every union but those of two
-        # vertices at w = 1, which it decides from the neighbour masks and
-        # stores in the record: each (union, w) once, either way.
+        # The merge decides each (union, w) that its scan takes up once:
+        # by first fit inline, by `at_least`, or, for two vertices at
+        # w = 1, from the neighbour masks, with the entry stored in the
+        # record. A trace of the scan's frames reads off every pair (p, q)
+        # it takes up, so a union decided twice shows whichever way it was.
         cs = solver._CutSolver(make())
-        asked, decided = [], []
+        asked, decided, taken = [], [], {}
 
         class Record(dict):
             def __setitem__(self, key, value):
@@ -451,13 +462,36 @@ class TestUpperWork:
             return answer
 
         cs.at_least = recording
-        solver._merge_search(cs)
-        assert len(set(asked)) == len(asked)
+        scans = itertools.count()
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            if code.co_name != "scan" or code.co_filename != solver.__file__:
+                return None
+            scan = next(scans)
+
+            def lines(frame, event, arg):
+                f = frame.f_locals  # the loop runs q over start..stop-1
+                if event == "line" and f.get("q", f["stop"]) < f["stop"]:
+                    taken[scan, f["q"]] = (f["mp"] | f["masks"][f["q"]], f["t"])
+                return lines
+
+            return lines
+
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            solver._merge_search(cs)
+        finally:
+            sys.settrace(old)
+        pairs = list(taken.values())
+        assert len(set(pairs)) == len(pairs) == cs.queries == calls
+        assert len(set(asked)) == len(asked) and set(asked) < set(pairs)
         assert not any(mask.bit_count() == 2 and t == 2 for mask, t in asked)
         # A two-vertex key names its union: the side of two vertices (n > 4).
         assert all(2 in (k.bit_count(), (cs.full ^ k).bit_count()) for k in decided)
         assert len(set(decided)) == len(decided) == by_masks
-        assert len(asked) + len(decided) == cs.queries == calls
+        assert len(asked) + len(decided) < calls  # the rest were inline yeses
 
     # sha256 prefixes of report JSON, recorded also with the clique-cover
     # pruning off: pruning the cut search must not change a report byte.
@@ -510,7 +544,7 @@ class TestExactWork:
     # and the top-down tree on the relabelled subdivided K4.
     @pytest.mark.parametrize(
         "name, nodes, side_nodes",
-        [("grid-3x4", 7, 126), ("relabelled-subdivided-K4", 4, 174)],
+        [("grid-3x4", 1, 126), ("relabelled-subdivided-K4", 1, 174)],
         ids=["grid-3x4", "relabelled-subdivided-K4"],
     )
     def test_bounds_work_counts(self, made_solvers, name, nodes, side_nodes):
