@@ -18,32 +18,29 @@ below S as a bitmask, so one ascending pass over the sets decides it.
 The first good t is exact, since L is a lower bound and every t below
 was refuted; if none is, the merge's w is exact. The pass keeps one byte
 per set (good at t) and one per key min(S, V-S) (cut value known to be
-at most t), within TABLE_BUDGET, and keeps its cut results out of the
-cut solver's record. Before each scan it tests the keys still open in
-Gray-code order, so each key's cut arcs follow from the last key's by
-one vertex's arcs.
+at most t), within TABLE_BUDGET. Before each scan it tests the keys
+still open in Gray-code order, so each key's cut arcs follow from the
+last key's by one vertex's arcs.
 
 Each search builds its tree canonical (the child with the lower least
 leaf first at every node), so the report wraps it without the fold of
 `BranchDecomposition`. The report's critical cut comes from one
 postorder walk over the tree's vertex masks.
 
-One per-graph cut solver serves both mim-width solvers. It keeps one
-record per vertex-set key min(S, V-S): the lower and upper bounds that its
-tests proved, and the value is exact when they meet. Its one query is the
-threshold "mim >= t?", answered from the record when the record settles
-it, else by one ladder of cut tests (`_has_matching`). First fit from both
-ends (take the highest free arc, t times, and where that stops short of
-t, the lowest) answers yes. A clique-cover bound answers no: it is the
-colouring bound of Tomita and Seki applied to the complement, since the
-members of a clique of the conflict graph pairwise conflict, so a cover
-by t - 1 cliques, grown greedily, leaves room for t - 1 edges at most.
-Only where neither answers does branch and bound over the conflict graph
-of the cut's edges run. That search stops at the first matching of t
-edges and prunes, by the same cover, every branch that cannot reach t. An
-unknown record starts at (0, min(k, n-k)) for a side of k vertices, since
-a matching uses distinct vertices on each side; a yes raises its lower
-bound to t, a no drops its upper bound to t - 1.
+One per-graph cut solver serves both mim-width solvers. It keeps no
+state per cut, so an answer and the work behind it do not depend on the
+questions asked before. Its one query is the threshold "mim >= t?". A
+side of k vertices answers no when t > min(k, n - k), since a matching
+uses distinct vertices on each side; else one ladder of cut tests
+(`_has_matching`) decides. First fit from both ends (take the highest
+free arc, t times, and where that stops short of t, the lowest) answers
+yes. A clique-cover bound answers no: it is the colouring bound of
+Tomita and Seki applied to the complement, since the members of a clique
+of the conflict graph pairwise conflict, so a cover by t - 1 cliques,
+grown greedily, leaves room for t - 1 edges at most. Only where neither
+answers does branch and bound over the conflict graph of the cut's edges
+run. That search stops at the first matching of t edges and prunes, by
+the same cover, every branch that cannot reach t.
 
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
@@ -230,10 +227,10 @@ def _first_fit(arcs, t, conf):
 
 def _has_matching(cs, arcs, t):
     """Whether the arcs `arcs` (a bitmask of arc indices) of the cut solver
-    `cs` hold an induced matching of t edges, outside its record. The one
-    ladder of cut tests: first fit from both ends (`_first_fit`) answers
-    yes, a cover by t - 1 greedy cliques (`_covered`) answers no, and only
-    where neither does the threshold search runs."""
+    `cs` hold an induced matching of t edges. The one ladder of cut tests:
+    first fit from both ends (`_first_fit`) answers yes, a cover by t - 1
+    greedy cliques (`_covered`) answers no, and only where neither does
+    the threshold search runs."""
     conf = cs.conf
     if _first_fit(arcs, t, conf):
         return True
@@ -243,21 +240,19 @@ def _has_matching(cs, arcs, t):
 class _CutSolver:
     """Per-graph solver for threshold queries on cut mim-values. `conf`
     holds one conflict row per arc: the arcs that cannot share an induced
-    matching with it, whatever the cut. `bounds` is its one record:
-    bitmask key min(S, V-S) -> the (lo, hi) that its tests proved, exact
-    iff lo == hi. `nodes` counts the branch-and-bound nodes of every
-    search it ran; a search prunes a node whose candidates have a greedy
-    clique cover (`_covered`) too small to beat its floor. `side_nodes`
-    counts the placements that `_balanced_side` visited, and `queries`
-    the (union, w) that `_merge_search` decided, inline or by the
-    neighbour masks included. `cut_tests` counts the keys that
+    matching with it, whatever the cut. It keeps nothing per cut; its
+    other fields are work counters. `nodes` counts the branch-and-bound
+    nodes of every search it ran; a search prunes a node whose candidates
+    have a greedy clique cover (`_covered`) too small to beat its floor.
+    `side_nodes` counts the placements that `_balanced_side` visited, and
+    `queries` the (union, w) that `_merge_search` decided, inline or by
+    the neighbour masks included. `cut_tests` counts the keys that
     `_threshold_tree` handed to `_has_matching`."""
 
     def __init__(self, g: Graph):
         self.g = g
         n = self.n = g.n
         self.full = (1 << n) - 1
-        self.bounds = {}  # key -> (proven lower bound, proven upper bound)
         self.nodes = 0
         self.side_nodes = 0
         self.queries = 0
@@ -282,38 +277,19 @@ class _CutSolver:
     def at_least(self, mask, t, arcs=None):
         """Whether the cut at `mask` has an induced matching of t edges.
         A caller that has the cut's arcs passes them as `arcs`. Past the
-        record and the size bound, `_has_matching` decides, and the record
-        stores (t, hi) on yes and (lo, t - 1) on no."""
-        other = self.full ^ mask
-        key = mask if mask < other else other
-        bound = self.bounds.get(key)
-        if bound is None:
-            # A matching uses distinct vertices on each side: at most min(k, n-k).
-            lo = 0
-            hi = mask.bit_count()
-            if hi + hi > self.n:
-                hi = self.n - hi
-        else:
-            lo, hi = bound
-        if lo >= t:
-            return True
-        if hi < t:
+        size bound, `_has_matching` decides."""
+        # A matching uses distinct vertices on each side: at most min(k, n-k).
+        k = mask.bit_count()
+        if t > k or t > self.n - k:
             return False
-        if _has_matching(self, self.g.cut_arcs(mask) if arcs is None else arcs, t):
-            self.bounds[key] = (t, hi)
-            return True
-        self.bounds[key] = (lo, t - 1)
-        return False
+        return _has_matching(self, self.g.cut_arcs(mask) if arcs is None else arcs, t)
 
     def matching(self, mask) -> InducedMatching:
-        return InducedMatching(mask_to_set(mask), self._max_induced_matching(mask))
-
-    def _max_induced_matching(self, mask):
-        """A maximum induced matching among the edges leaving `mask`, in
-        sorted order."""
+        """A maximum induced matching among the edges leaving `mask`, its
+        edges in sorted order."""
         edges = self.edges
-        arcs = self._search(self.g.cut_arcs(mask))
-        return tuple(edges[i >> 1] for i in sorted(arcs))
+        arcs = sorted(self._search(self.g.cut_arcs(mask)))
+        return InducedMatching(mask_to_set(mask), tuple(edges[i >> 1] for i in arcs))
 
     def _search(self, arcs, t=0):
         """An induced matching among the cut arcs `arcs` (a bitmask of arc
@@ -413,9 +389,8 @@ def _critical(cs, decomposition, width):
                 continue
         if cs.at_least(mask, width, out & ~into):
             best = mask
-    a = mask_to_set(best)
-    cut = Cut(a, tuple(cs.g.cut_edges(best)))
-    return cut, InducedMatching(a, cs._max_induced_matching(best))
+    matching = cs.matching(best)
+    return Cut(matching.a_side, tuple(cs.g.cut_edges(best))), matching
 
 
 def _check_limit(n, limit, what):
@@ -613,11 +588,11 @@ def _threshold_tree(cs, lo, hi):
     yet at most t are filled first, in Gray-code order: each step adds or
     drops one vertex v, so XOR with tail[v] and head[v] keeps the arcs
     leaving and entering s, and s's cut arcs cost two operations. A side
-    of min(k, n - k) <= t vertices is at most t, and otherwise
-    `_has_matching` asks for t + 1 edges; `cs.cut_tests` counts those
-    asks. The ascending scan of the good sets then reads the keys only,
-    and skips the sets good at an earlier t: a tree whose cuts are at
-    most t - 1 has them at most t."""
+    of min(k, n - k) <= t vertices is at most t, by the size bound of
+    `at_least`, and otherwise `_has_matching` asks for t + 1 edges;
+    `cs.cut_tests` counts those asks. The ascending scan of the good sets
+    then reads the keys only, and skips the sets good at an earlier t: a
+    tree whose cuts are at most t - 1 has them at most t."""
     n, full = cs.n, cs.full
     half = (full + 1) >> 1
     _, tail, head = cs.g.arc_tables
@@ -714,16 +689,13 @@ def _merge_search(cs):
     arcs take two big-int operations, and each row is one loop. It runs
     first fit from the high end inline on the union's arcs, one conflict
     row per arc taken, and asks `cs.at_least(union, w + 1, arcs)` only
-    where that stops short of w + 1 edges. A (union, w) is asked once and
-    w only rises, so a yes in the record would never be read by the merge
-    again, and the inline yes stores none. At w = 1 a union of two
+    where that stops short of w + 1 edges. At w = 1 a union of two
     one-vertex parts {u, v} is decided from the neighbour masks instead:
     its cut has an induced matching of two edges iff N(u) is not within
     N[v] and N(v) is not within N[u] (an edge ux with x not adjacent to v
-    and an edge vy with y not adjacent to u), and the record gets its
-    exact value, or (1 if the cut has an edge else 0, 1). `cs.queries`
-    counts the (union, w) decided, both of these ways included."""
-    n, full, bounds, at_least, conf = cs.n, cs.full, cs.bounds, cs.at_least, cs.conf
+    and an edge vy with y not adjacent to u). `cs.queries` counts the
+    (union, w) decided, both of these ways included."""
+    n, at_least, conf = cs.n, cs.at_least, cs.conf
     nbr = cs.g.nbr_masks
     _, tail, head = cs.g.arc_tables
     masks = [1 << v for v in range(n)]
@@ -746,19 +718,10 @@ def _merge_search(cs):
         q = start
         while q < stop:
             mq = masks[q]
-            union = mp | mq
             if single and not mq & (mq - 1):
                 nv = nbr[nodes[q]]
-                other = full ^ union
-                key = union if union < other else other
                 if not (nu & ~(nv | mq) and nv & ~closed):
-                    # lo is 1 iff the cut has an edge; with n = 3 the size
-                    # bound min(k, n - k) = 1 answers, as in at_least,
-                    # without an entry.
-                    if n > 3:
-                        bounds[key] = (1 if (nu | nv) & other else 0, 1)
                     break
-                bounds[key] = (2, 2)
             else:
                 arcs = rest = (out | outs[q]) & ~(into | ins[q])
                 left = t  # first fit from the high end: t arcs taken are a yes
@@ -768,7 +731,7 @@ def _merge_search(cs):
                         break
                     rest &= ~conf[rest.bit_length() - 1]
                 else:
-                    if not at_least(union, t, arcs):
+                    if not at_least(mp | mq, t, arcs):
                         break
             q += 1
         if q < stop:

@@ -108,7 +108,7 @@ def table_mimw(g):
         def cut_value(s):
             key = min(s, full ^ s)
             if key not in cuts:
-                cuts[key] = len(cs._max_induced_matching(s))
+                cuts[key] = len(cs.matching(s).edges)
             return cuts[key]
 
         # Every proper submask of s is smaller than s, so ascending order
@@ -152,8 +152,8 @@ def table_mimw(g):
 
 def rescan_merge(cs):
     """The merge upper bound of `mimlab.solver` as a full rescan: after
-    every merge the pair scan restarts at (0, 1), and the cut record
-    answers the pairs that failed before."""
+    every merge the pair scan restarts at (0, 1), and the cut solver
+    answers again the pairs that failed before."""
     from mimlab.decomp import BranchDecomposition
 
     full = cs.full
@@ -190,23 +190,14 @@ def lexmin_critical(cs, decomposition, width):
 
 
 def search_at_least(self, mask, t, arcs=None):
-    """`_CutSolver.at_least` without first fit: every query that the
-    record leaves open runs the threshold search, on the cut's arcs
-    `arcs` where the caller passes them."""
-    key = min(mask, self.full ^ mask)
+    """`_CutSolver.at_least` without first fit: every query past the size
+    bound runs the threshold search, on the cut's arcs `arcs` where the
+    caller passes them."""
     k = mask.bit_count()
     # A matching uses distinct vertices on each side: at most min(k, n-k).
-    lo, hi = self.bounds.get(key) or (0, min(k, self.n - k))
-    if lo >= t:
-        return True
-    if hi < t:
+    if t > min(k, self.n - k):
         return False
-    size = len(self._search(self.g.cut_arcs(mask) if arcs is None else arcs, t))
-    if size >= t:
-        self.bounds[key] = (size, hi)
-        return True
-    self.bounds[key] = (max(lo, size), t - 1)
-    return False
+    return len(self._search(self.g.cut_arcs(mask) if arcs is None else arcs, t)) >= t
 
 
 def brute_treewidth(g):

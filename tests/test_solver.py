@@ -93,6 +93,37 @@ def made_solvers(monkeypatch):
     return made
 
 
+def merge_scans(cs):
+    """The scans of `solver._merge_search(cs)` in order, each as the
+    (union, t) it took up, in order, and the part it returned or None,
+    read off by a trace of the scan's frames."""
+    scans = []
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code.co_name != "scan" or code.co_filename != solver.__file__:
+            return None
+        taken = {}  # q -> (union, t)
+
+        def lines(frame, event, arg):
+            f = frame.f_locals  # the loop runs q over start..stop-1
+            if event == "return":
+                scans.append((list(taken.values()), arg))
+            elif event == "line" and f.get("q", f["stop"]) < f["stop"]:
+                taken[f["q"]] = (f["mp"] | f["masks"][f["q"]], f["t"])
+            return lines
+
+        return lines
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        solver._merge_search(cs)
+    finally:
+        sys.settrace(old)
+    return scans
+
+
 @pytest.fixture
 def kernels(monkeypatch):
     """The kernel size after each pass of the treewidth reductions during
@@ -127,15 +158,14 @@ def check_table_oracle(g, kernels):
 
 @pytest.fixture
 def threshold_passes(monkeypatch):
-    """(lo, hi, the t found or None, keys it added to the cut record) for
-    each threshold pass of mimw_exact during the test, in order."""
+    """(lo, hi, the t found or None) for each threshold pass of mimw_exact
+    during the test, in order."""
     passes = []
     run = solver._threshold_tree
 
     def recording(cs, lo, hi):
-        keys = len(cs.bounds)
         found = run(cs, lo, hi)
-        passes.append((lo, hi, found and found[0], len(cs.bounds) - keys))
+        passes.append((lo, hi, found and found[0]))
         return found
 
     monkeypatch.setattr(solver, "_threshold_tree", recording)
@@ -356,13 +386,37 @@ class TestThresholdQueries:
                 a: brute_max_induced_matching(g, mask_to_set(a)) for a in range(1 << n)
             }
             queries = [(a, t) for a in brute for t in range(n // 2 + 2)]
-            for _ in range(3):  # a solver per order: each meets its bounds anew
+            for _ in range(3):  # three orders, a fresh solver each
                 cs = solver._CutSolver(g)
                 rng.shuffle(queries)
                 for a, t in queries:
                     assert cs.at_least(a, t) == (brute[a] >= t), (g.edges, a, t)
                 for a, want in brute.items():
                     assert cs.at_least(a, want) and not cs.at_least(a, want + 1)
+
+    def test_work_does_not_depend_on_history(self):
+        # One solver answers a list of queries, each asked twice and in
+        # both orders, as a fresh solver per query does, in the sum of the
+        # fresh solvers' branch-and-bound nodes: it keeps nothing per cut.
+        searched = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(4, 12), 0.5, seed)
+            queries = [
+                (mask, t)
+                for mask in rng.sample(range(1, 1 << g.n), 8)
+                for t in range(1, g.n // 2 + 2)
+            ]
+            queries += queries[::-1]
+            shared = solver._CutSolver(g)
+            nodes = 0
+            for mask, t in queries:
+                fresh = solver._CutSolver(g)
+                assert shared.at_least(mask, t) == fresh.at_least(mask, t), (g.edges, mask, t)
+                nodes += fresh.nodes
+            assert shared.nodes == nodes, g.edges
+            searched += nodes > 0
+        assert searched > 20
 
     def test_first_fit_from_the_low_end(self):
         # The path 1-0-3-4-2, cut at A = {1, 2, 3}: every edge crosses.
@@ -376,40 +430,19 @@ class TestThresholdQueries:
         assert not arcs & ~cs.conf[top]
         cs._search = None  # a search would fail here
         assert cs.at_least(0b01110, 2)
-        assert cs.bounds[0b01110] == (2, 2)
         assert cs.nodes == 0
 
     def test_search_when_first_fit_falls_short(self):
         # The path 3-0-2-4-1, cut at A = {1, 2, 3}: every edge crosses.
         # The highest arc, 2->4, and the lowest, 2->0, each conflict with
         # every other arc, so first fit stops at one edge from both ends;
-        # the search finds {03, 14}, which is induced.
+        # the search finds {03, 14}, which is induced, by its greedy start,
+        # before any branch-and-bound node.
         g = Graph(5, [(0, 2), (0, 3), (2, 4), (1, 4)])
         cs = solver._CutSolver(g)
         assert not solver._first_fit(g.cut_arcs(0b01110), 2, cs.conf)
         assert cs.at_least(0b01110, 2)
-        assert cs.bounds[0b01110] == (2, 2)
-
-    def test_record_brackets_every_cut(self, made_solvers):
-        # What the solver stores, not only what it answers: each key's
-        # (lo, hi) brackets the key's value, after the heuristic's queries,
-        # after mimw_exact's and after threshold queries in random order.
-        open_keys = 0
-        for seed in range(40):
-            rng = random.Random(seed)
-            g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
-            made_solvers.clear()
-            mimw_upper(g)
-            mimw_exact(g)
-            upper, bounded = made_solvers
-            shuffled = solver._CutSolver(g)
-            for _ in range(3 * g.n):
-                shuffled.at_least(rng.randrange(1 << g.n), rng.randint(1, g.n // 2))
-            for cs in (upper, bounded, shuffled):
-                for key, (lo, hi) in cs.bounds.items():
-                    assert lo <= brute_max_induced_matching(g, mask_to_set(key)) <= hi
-                    open_keys += lo < hi
-        assert open_keys  # some keys stay inexact
+        assert cs.nodes == 0
 
 
 class TestUpperWork:
@@ -440,58 +473,26 @@ class TestUpperWork:
     def test_one_query_per_pair_and_width(self, make, calls, by_masks):
         # The merge decides each (union, w) that its scan takes up once:
         # by first fit inline, by `at_least`, or, for two vertices at
-        # w = 1, from the neighbour masks, with the entry stored in the
-        # record. A trace of the scan's frames reads off every pair (p, q)
-        # it takes up, so a union decided twice shows whichever way it was.
+        # w = 1, from the neighbour masks. The trace of the scan's frames
+        # reads off every pair it takes up, so a union decided twice shows
+        # whichever way it was.
         cs = solver._CutSolver(make())
-        asked, decided, taken = [], [], {}
-
-        class Record(dict):
-            def __setitem__(self, key, value):
-                decided.append(key)
-                super().__setitem__(key, value)
-
-        cs.bounds = Record()
+        asked = []
         at_least = cs.at_least
 
         def recording(mask, t, arcs):
             asked.append((mask, t))
-            stored = len(decided)
-            answer = at_least(mask, t, arcs)
-            del decided[stored:]  # its own store
-            return answer
+            return at_least(mask, t, arcs)
 
         cs.at_least = recording
-        scans = itertools.count()
-
-        def trace(frame, event, arg):
-            code = frame.f_code
-            if code.co_name != "scan" or code.co_filename != solver.__file__:
-                return None
-            scan = next(scans)
-
-            def lines(frame, event, arg):
-                f = frame.f_locals  # the loop runs q over start..stop-1
-                if event == "line" and f.get("q", f["stop"]) < f["stop"]:
-                    taken[scan, f["q"]] = (f["mp"] | f["masks"][f["q"]], f["t"])
-                return lines
-
-            return lines
-
-        old = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            solver._merge_search(cs)
-        finally:
-            sys.settrace(old)
-        pairs = list(taken.values())
+        scans = merge_scans(cs)
+        pairs = [pair for taken, _ in scans for pair in taken]
         assert len(set(pairs)) == len(pairs) == cs.queries == calls
         assert len(set(asked)) == len(asked) and set(asked) < set(pairs)
-        assert not any(mask.bit_count() == 2 and t == 2 for mask, t in asked)
-        # A two-vertex key names its union: the side of two vertices (n > 4).
-        assert all(2 in (k.bit_count(), (cs.full ^ k).bit_count()) for k in decided)
-        assert len(set(decided)) == len(decided) == by_masks
-        assert len(asked) + len(decided) < calls  # the rest were inline yeses
+        by_rule = [(mask, t) for mask, t in pairs if mask.bit_count() == 2 and t == 2]
+        assert not set(by_rule) & set(asked)
+        assert len(by_rule) == by_masks
+        assert len(asked) + len(by_rule) < calls  # the rest were inline yeses
 
     # sha256 prefixes of report JSON, recorded also with the clique-cover
     # pruning off: pruning the cut search must not change a report byte.
@@ -637,8 +638,7 @@ def critical_cases():
 class TestCriticalCut:
     def test_matches_lexmin_oracle(self):
         # The mask walk picks the oracle's cut and puts the same questions
-        # to the record, so the record (items and order) and the node count
-        # match too.
+        # to the cut solver, so the node count matches too.
         checked = 0
         for g, search in critical_cases():
             walk, fold = solver._CutSolver(g), solver._CutSolver(g)
@@ -647,7 +647,6 @@ class TestCriticalCut:
             if not value:
                 continue
             assert solver._critical(walk, tree, value) == lexmin_critical(fold, tree, value)
-            assert list(walk.bounds.items()) == list(fold.bounds.items()), g.edges
             assert walk.nodes == fold.nodes, g.edges
             checked += 1
         assert checked > 150
@@ -743,14 +742,6 @@ class TestMimwExact:
         with pytest.raises(LimitExceeded):
             mimw_exact(Graph(10), limit=10)
 
-    def test_threshold_pass_keeps_out_of_the_record(self, threshold_passes):
-        # Its cut tests go to a byte table, not through `at_least`, whose
-        # record would grow by a dict entry per key, outside the budget.
-        for n, seed in self.THRESHOLD_PASSES:
-            mimw_exact(random_cubic(n, seed), limit=n)
-        assert len(threshold_passes) == 3
-        assert all(added == 0 for *_, added in threshold_passes)
-
     def test_bounds_first_on_randoms(self, threshold_passes):
         # Each of the three paths answers some of these graphs.
         paths = set()
@@ -789,7 +780,7 @@ class TestMimwExact:
     def test_threshold_pass(self, threshold_passes, n, seed):
         g = random_cubic(n, seed)
         assert check_bounds_first(g, threshold_passes) == "threshold"
-        ((lo, hi, found, _),) = threshold_passes
+        ((lo, hi, found),) = threshold_passes
         assert (lo, hi, found) == self.THRESHOLD_PASSES[n, seed]
 
     def test_limit_applies_where_the_bounds_meet(self, made_solvers):
@@ -897,18 +888,17 @@ class TestMimwUpper:
 
     def test_two_vertex_unions_match_brute_force(self):
         # At w = 1 the merge decides a union of two vertices from the
-        # neighbour masks, and its first question is {0, 1}. Relabelled so
-        # that {u, v} comes first, each pair gets the record entry that
-        # `at_least` would store: (2, 2) if its cut has an induced matching
-        # of two edges, else (value, 1). With n = 3 the size bound
-        # min(2, n - 2) = 1 settles the pair and nothing is stored.
+        # neighbour masks, and its first question is {0, 1}, in the scan of
+        # row 0, which returns part 1 iff the union fits. Relabelled so
+        # that {u, v} comes first, each pair fits iff its cut has no
+        # induced matching of two edges.
         graphs = [Graph(5, [(0, 1)]), Graph(6, [(0, 1), (2, 3)]), path(3), path(4)]
         for seed in range(60):
             rng = random.Random(seed)
             graphs.append(random_graph(rng.randint(2, 9), rng.choice((0.2, 0.4, 0.6)), seed))
         seen = set()
         for g in graphs:
-            if not g.m:  # the merge starts at w = 0
+            if not g.m or g.n < 3:  # the merge starts at w = 0, or asks nothing
                 continue
             for u, v in itertools.combinations(range(g.n), 2):
                 label = {x: i for i, x in enumerate([u, v, *sorted(set(range(g.n)) - {u, v})])}
@@ -921,16 +911,14 @@ class TestMimwUpper:
                     return at_least(mask, t, arcs)
 
                 cs.at_least = recording
-                solver._merge_search(cs)
+                scans = merge_scans(cs)
                 assert (0b11, 2) not in asked
+                taken, q = next(scan for scan in scans if scan[0])
+                assert taken[0] == (0b11, 2)
                 value = brute_max_induced_matching(g, {u, v})
-                got = cs.bounds.get(0b11)
-                if g.n > 3:
-                    assert got == ((2, 2) if value == 2 else (value, 1)), (g.edges, u, v)
-                else:
-                    assert got is None and value <= 1, (g.edges, u, v)
-                seen.add(got)
-        assert seen == {None, (0, 1), (1, 1), (2, 2)}
+                assert (q == 1) == (value <= 1), (g.edges, u, v)
+                seen.add(value)
+        assert seen == {0, 1, 2}
 
     @pytest.mark.parametrize(
         "make",
