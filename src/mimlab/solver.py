@@ -4,10 +4,11 @@ degeneracy-based lower bound.
 The exact mim-width solver takes three steps. (1) The merge below gives
 an upper bound w and a tree of that width, exact when a lower bound meets
 w: w <= 1, since a graph with an edge has a leaf cut of value 1, or every
-balanced cut has an induced matching of w edges (`_balanced_side`). (2) On
-a gap, a top-down tree (`_top_down`) at the largest such floor L < w has
-width L, exact, where it completes. (3) Only where it gets stuck does the
-solver decide, for t = L, L + 1, ..., w - 1, whether a decomposition of
+balanced cut has an induced matching of w edges (`_balanced_side`, whose
+one bound caps both parts of a side). (2) On a gap, a top-down tree
+(`_top_down`) at the largest such floor L < w has width L, exact, where
+it completes. (3) Only where it gets stuck does the solver decide,
+for t = L, L + 1, ..., w - 1, whether a decomposition of
 width at most t exists (`_threshold_tree`). A vertex set S is good at t
 when its cut has no induced matching of t + 1 edges and S is one vertex
 or splits, around its lowest vertex, into two good sets. So S is good iff
@@ -84,7 +85,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomp import BranchDecomposition, Cut
-from .errors import LimitExceeded
+from .errors import InvalidParameter, LimitExceeded
 from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
 
 DEFAULT_EXACT_LIMIT = 9
@@ -146,8 +147,11 @@ class Eq1Bound:
 
 
 def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
-    """Independent validity check: edges cross the cut, are pairwise
-    vertex-disjoint, and no cut edge joins two distinct matching edges."""
+    """Independent validity check: the side lies within 0..n-1, edges
+    cross the cut, are pairwise vertex-disjoint, and no cut edge joins two
+    distinct matching edges."""
+    if not all(v in range(g.n) for v in matching.a_side):
+        return False
     cut_set = set(g.cut_edges(set_to_mask(matching.a_side)))
     seen = set()
     for e in matching.edges:
@@ -274,15 +278,15 @@ class _CutSolver:
             conf += (heads_near[u] | tails_near[v], heads_near[v] | tails_near[u])
         self.conf = conf
 
-    def at_least(self, mask, t, arcs=None):
-        """Whether the cut at `mask` has an induced matching of t edges.
-        A caller that has the cut's arcs passes them as `arcs`. Past the
-        size bound, `_has_matching` decides."""
+    def at_least(self, mask, t, arcs):
+        """Whether the cut at `mask`, whose arcs are `arcs` (`Graph.cut_arcs`),
+        has an induced matching of t edges. Past the size bound,
+        `_has_matching` decides."""
         # A matching uses distinct vertices on each side: at most min(k, n-k).
         k = mask.bit_count()
         if t > k or t > self.n - k:
             return False
-        return _has_matching(self, self.g.cut_arcs(mask) if arcs is None else arcs, t)
+        return _has_matching(self, arcs, t)
 
     def matching(self, mask) -> InducedMatching:
         """A maximum induced matching among the edges leaving `mask`, its
@@ -352,7 +356,10 @@ class _CutSolver:
 
 
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
-    """Maximum induced matching of the bipartite cut graph G[A, A-bar]."""
+    """Maximum induced matching of the bipartite cut graph G[A, A-bar].
+    Raises InvalidParameter if A has a vertex outside 0..n-1."""
+    if not all(v in range(g.n) for v in a):
+        raise InvalidParameter(f"side {set(a)} has a vertex outside [0,{g.n})")
     return _CutSolver(g).matching(set_to_mask(a))
 
 
@@ -447,30 +454,27 @@ def _tree(full, split):
     return BranchDecomposition._canonical(node[full])
 
 
-def _balanced_side(cs, x, t, lo, hi, cap=None):
-    """The first side Y of the vertex set X, with lo <= |Y| <= hi, such
-    that neither the cut of Y nor that of X - Y (each taken in G) has an
-    induced matching of t edges, or None if there is none. Every caller
-    has lo = |X| - hi, so X - Y qualifies whenever Y does.
+def _balanced_side(cs, x, t, hi):
+    """The first side Y of the vertex set X, with neither Y nor X - Y
+    above hi vertices, such that neither the cut of Y nor that of X - Y
+    (each taken in G) has an induced matching of t edges, or None if there
+    is none.
 
-    With X = V, None proves mimw >= t for the balanced range, ceil(n/3)
-    to floor(2n/3): every branch decomposition has an edge with a
-    balanced cut (from the root, step into the larger subtree while it
-    has more than 2n/3 leaves; the last one has more than n/3), and then
-    the two cuts are one.
+    With X = V and hi = floor(2n/3), None proves mimw >= t: every branch
+    decomposition has an edge with a balanced cut, of ceil(n/3) to
+    floor(2n/3) vertices on each side (from the root, step into the larger
+    subtree while it has more than 2n/3 leaves; the last one has more than
+    n/3), and then the two cuts are one.
 
     A depth-first search places the vertices of X in BFS order on side Y
-    or side X - Y, the first one on Y and neither side above `cap` (hi by
-    default), with V - X on the far side of both. It carries the arcs
-    leaving and entering each side's placed vertices. Arcs leaving one
-    side and entering the other or V - X cross every cut that completes
-    the placement, and arc conflicts do not depend on the cut. So once
-    those decided arcs hold an induced matching of t edges, the branch
-    closes. The test (`opens`) asks `_has_matching`. The first complete
-    placement left open in range is the answer. The first one out of range
-    is kept, and returned if no other follows, and the cap then drops to
-    hi: one walk prefers a side in range to the other sides up to the cap.
-    `side_nodes` counts the placements visited."""
+    or side X - Y, the first one on Y and neither side above hi, with
+    V - X on the far side of both. It carries the arcs leaving and
+    entering each side's placed vertices. Arcs leaving one side and
+    entering the other or V - X cross every cut that completes the
+    placement, and arc conflicts do not depend on the cut. So once those
+    decided arcs hold an induced matching of t edges, the branch closes.
+    The test (`opens`) asks `_has_matching`. The first complete placement
+    left open is the answer. `side_nodes` counts the placements visited."""
     g = cs.g
     nbr = g.nbr_masks
     _, tail, head = g.arc_tables
@@ -510,45 +514,39 @@ def _balanced_side(cs, x, t, lo, hi, cap=None):
     # arcs leaving and entering X - Y); V - X enters both
     stack = [(0, 0, 0, 0, far, 0, far)]
     nodes = 0
-    cap = cap or hi
-    spare = None
     while stack:
         i, y, k, out_y, in_y, out_z, in_z = stack.pop()
         nodes += 1
         if i == size:
-            if lo <= k <= hi:
-                cs.side_nodes += nodes
-                return y
-            spare, cap = y, hi  # the first side out of range; the rest are in it
-            stack = [e for e in stack if e[2] <= hi and e[0] - e[2] <= hi]
-            continue
+            cs.side_nodes += nodes
+            return y
         v = order[i]
         cut_y = out_y & in_z
         cut_z = out_z & in_y
         # v on X - Y, which the first vertex never joins, or else on Y
-        if k and i - k < cap and opens(cut_y, out_y & (in_z | head[v])) and (
+        if k and i - k < hi and opens(cut_y, out_y & (in_z | head[v])) and (
             not both or opens(cut_z, (out_z | tail[v]) & in_y)
         ):
             stack.append((i + 1, y, k, out_y, in_y, out_z | tail[v], in_z | head[v]))
-        if k < cap and opens(cut_y, (out_y | tail[v]) & in_z) and (
+        if k < hi and opens(cut_y, (out_y | tail[v]) & in_z) and (
             not both or opens(cut_z, out_z & (in_y | head[v]))
         ):
             stack.append(
                 (i + 1, y | 1 << v, k + 1, out_y | tail[v], in_y | head[v], out_z, in_z)
             )
     cs.side_nodes += nodes
-    return spare
+    return None
 
 
 def _top_down(cs, t, root):
     """A decomposition of width at most t whose root splits V into `root`
     and V - root, both of cut value at most t, or None. It splits every
-    other node X greedily, without backtracking, by one `_balanced_side`
-    walk for t + 1 that prefers the balanced sides of X (ceil(|X|/3) to
-    floor(2|X|/3) vertices) to its other proper sides. A node of at most
-    2t vertices halves without a search, since a side of at most t
-    vertices has a cut value of at most t. A node with no split gives
-    None."""
+    other node X greedily, without backtracking, by `_balanced_side` for
+    t + 1: the first balanced side of X (neither part above floor(2|X|/3)
+    vertices), and only where there is none, the first proper side (a
+    second walk with the bound |X| - 1). A node of at most 2t vertices
+    halves without a search, since a side of at most t vertices has a cut
+    value of at most t. A node with no split gives None."""
 
     def split(s):
         if s == cs.full:
@@ -558,7 +556,8 @@ def _top_down(cs, t, root):
             for _ in range(k - k // 2):
                 s &= s - 1  # drop the lowest vertex
             return s
-        return _balanced_side(cs, s, t + 1, -(-k // 3), 2 * k // 3, k - 1)
+        side = _balanced_side(cs, s, t + 1, 2 * k // 3)
+        return side or _balanced_side(cs, s, t + 1, k - 1)
 
     return _tree(cs.full, split)
 
@@ -626,13 +625,11 @@ def _bounded_search(cs):
     edge has mimw >= 1, as a leaf cut at an end of that edge has value 1,
     and the merge starts at w = 1 exactly then."""
     w, tree = _merge_search(cs)
-    n = cs.n
-    lo, hi = -(-n // 3), 2 * n // 3
     root = None
     t = w
     # t falls to the floor L; root is a balanced side of cut value <= L.
     while t > 1:
-        side = _balanced_side(cs, cs.full, t, lo, hi)
+        side = _balanced_side(cs, cs.full, t, 2 * cs.n // 3)
         if side is None:
             break
         root, t = side, t - 1

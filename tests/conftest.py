@@ -162,7 +162,7 @@ def rescan_merge(cs):
     while len(parts) > 1:
         for i, j in itertools.combinations(range(len(parts)), 2):
             union = parts[i][0] | parts[j][0]
-            if union == full or not cs.at_least(union, w + 1):
+            if union == full or not cs.at_least(union, w + 1, cs.g.cut_arcs(union)):
                 parts[i] = (union, (parts[i][1], parts[j][1]))
                 del parts[j]
                 break
@@ -183,21 +183,20 @@ def lexmin_critical(cs, decomposition, width):
     for a in subtree_leaf_sets(decomposition):
         mask = set_to_mask(a)
         key = tuple(sorted(a))
-        if (best is None or key < best[0]) and cs.at_least(mask, width):
+        if (best is None or key < best[0]) and cs.at_least(mask, width, cs.g.cut_arcs(mask)):
             best = (key, a, mask)
     _, a, mask = best
     return Cut(a, tuple(cs.g.cut_edges(mask))), cs.matching(mask)
 
 
-def search_at_least(self, mask, t, arcs=None):
+def search_at_least(self, mask, t, arcs):
     """`_CutSolver.at_least` without first fit: every query past the size
-    bound runs the threshold search, on the cut's arcs `arcs` where the
-    caller passes them."""
+    bound runs the threshold search on the cut's arcs `arcs`."""
     k = mask.bit_count()
     # A matching uses distinct vertices on each side: at most min(k, n-k).
     if t > min(k, self.n - k):
         return False
-    return len(self._search(self.g.cut_arcs(mask) if arcs is None else arcs, t)) >= t
+    return len(self._search(arcs, t)) >= t
 
 
 def brute_treewidth(g):

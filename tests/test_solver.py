@@ -22,7 +22,7 @@ from conftest import (
     table_treewidth,
 )
 from mimlab import decomp, solver
-from mimlab.errors import LimitExceeded
+from mimlab.errors import InvalidParameter, LimitExceeded
 from mimlab.construct import (
     build_subdivided_family,
     complete_both_sides,
@@ -43,6 +43,7 @@ from mimlab.graph import (
     two_color,
 )
 from mimlab.solver import (
+    InducedMatching,
     max_induced_matching_cut,
     mimw_exact,
     mimw_lower_eq1,
@@ -213,6 +214,14 @@ class TestMaxInducedMatchingCut:
     def test_empty_cut(self):
         assert max_induced_matching_cut(path(4), set()).edges == ()
 
+    def test_side_outside_the_vertex_range(self):
+        # A side with a vertex outside 0..n-1 is no side of a cut of G.
+        g = path(4)
+        for side in ({9}, {-1}, {0, 4}, {1.5}, {"a"}):
+            assert not verify_induced_matching(g, InducedMatching(frozenset(side), ((0, 1),)))
+            with pytest.raises(InvalidParameter):
+                max_induced_matching_cut(g, side)
+
     def test_witness_passes_independent_checker(self):
         for seed in range(20):
             g = random_graph(7, 0.4, seed)
@@ -238,48 +247,74 @@ class TestMaxInducedMatchingCut:
             )
 
 
+def floor_graphs():
+    """The graphs of the balanced-side tests, on 2 to 10 vertices."""
+    graphs = [Graph(n) for n in (2, 3, 7)]
+    # Floors of 2 on every balanced cut.
+    graphs += [cycle(n) for n in range(6, 11)] + [grid(3, 3)]
+    graphs += [subdivide_all_edges(complete(4)).graph]
+    graphs += [random_cubic(n, seed) for n in (8, 10) for seed in range(3)]
+    for seed in range(190):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        # Sparser at n >= 8, where the oracle's time grows as 2^m.
+        p = rng.choice((0.2, 0.35, 0.5, 0.7)) if n < 8 else 0.2
+        graphs.append(random_graph(n, p, seed))
+    for seed in range(12):  # two random graphs side by side
+        a, b = random_graph(4, 0.6, seed), random_graph(5, 0.5, seed + 12)
+        graphs.append(Graph(9, [*a.edges, *((u + 4, v + 4) for u, v in b.edges)]))
+    return graphs
+
+
+def cut_values(g):
+    """The cut value of every vertex set of g, by brute force, on demand."""
+    full = (1 << g.n) - 1
+    cut = {}
+
+    def value(a):
+        if a not in cut:
+            cut[a] = cut[full ^ a] = brute_max_induced_matching(g, mask_to_set(a))
+        return cut[a]
+
+    return value
+
+
+def child_masks(node):
+    """The vertex masks (left, right) of the children of every internal
+    node of the tree `node`."""
+    pairs = []
+
+    def mask(node):
+        if node.__class__ is not tuple:
+            return 1 << node
+        pair = mask(node[0]), mask(node[1])
+        pairs.append(pair)
+        return pair[0] | pair[1]
+
+    mask(node)
+    return pairs
+
+
 class TestBalancedFloor:
     def test_matches_brute_force(self):
-        # With X = V and the balanced range, ceil(n/3) to floor(2n/3), the
-        # floor: None iff every balanced side has an induced matching of t
-        # edges. A side and its complement have the same value, so the
-        # sides that hold vertex 0 suffice. Then, on random X: a returned
-        # Y is a side of X in range whose cut and that of X - Y, taken in
-        # G, both stay below t, and None comes back iff no side of X
-        # does. With a cap of |X| - 1, a side in range comes first and any
-        # proper side second.
-        graphs = [Graph(n) for n in (2, 3, 7)]
-        # Floors of 2 on every balanced cut.
-        graphs += [cycle(n) for n in range(6, 11)] + [grid(3, 3)]
-        graphs += [subdivide_all_edges(complete(4)).graph]
-        graphs += [random_cubic(n, seed) for n in (8, 10) for seed in range(3)]
-        for seed in range(190):
-            rng = random.Random(seed)
-            n = rng.randint(2, 10)
-            # Sparser at n >= 8, where the oracle's time grows as 2^m.
-            p = rng.choice((0.2, 0.35, 0.5, 0.7)) if n < 8 else 0.2
-            graphs.append(random_graph(n, p, seed))
-        for seed in range(12):  # two random graphs side by side
-            a, b = random_graph(4, 0.6, seed), random_graph(5, 0.5, seed + 12)
-            graphs.append(Graph(9, [*a.edges, *((u + 4, v + 4) for u, v in b.edges)]))
+        # With X = V and hi = floor(2n/3), the floor: None iff every
+        # balanced side has an induced matching of t edges. A side and its
+        # complement have the same value, so the sides that hold vertex 0
+        # suffice. Then, on random X and for hi = floor(2|X|/3) and
+        # |X| - 1: a returned Y is a side of X, with neither Y nor X - Y
+        # above hi vertices, whose cut and that of X - Y, taken in G, both
+        # stay below t, and None comes back iff no such side of X does.
         met = 0
         found = set()
-        for index, g in enumerate(graphs):
+        for index, g in enumerate(floor_graphs()):
             n = g.n
             full = (1 << n) - 1
             cs = solver._CutSolver(g)
-            cut = {}
-
-            def value(a):
-                if a not in cut:
-                    v = brute_max_induced_matching(g, mask_to_set(a))
-                    cut[a] = cut[full ^ a] = v
-                return cut[a]
-
-            lo, hi = -(-n // 3), 2 * n // 3
-            least = min(value(a) for a in range(1, 1 << n, 2) if lo <= a.bit_count() <= hi)
+            value = cut_values(g)
+            hi = 2 * n // 3
+            least = min(value(a) for a in range(1, 1 << n, 2) if n - hi <= a.bit_count() <= hi)
             for t in (1, 2, 3):
-                got = solver._balanced_side(cs, full, t, lo, hi)
+                got = solver._balanced_side(cs, full, t, hi)
                 assert (got is None) == (least >= t), (g.edges, t)
                 met += got is None and t > 1
             rng = random.Random(index)
@@ -289,18 +324,47 @@ class TestBalancedFloor:
                 subs = [y for y in range(1, x) if y & x == y]
                 for t in (1, 2, 3):
                     ok = [y for y in subs if value(y) < t and value(x ^ y) < t]
-                    for lo, hi in ((-(-k // 3), 2 * k // 3), (1, k - 1)):
-                        y = solver._balanced_side(cs, x, t, lo, hi)
-                        fits = [y for y in ok if lo <= y.bit_count() <= hi]
-                        assert (y is None) == (not fits), (g.edges, x, t, lo)
-                        assert y is None or y in fits, (g.edges, x, t, lo)
-                    y = solver._balanced_side(cs, x, t, -(-k // 3), 2 * k // 3, k - 1)
-                    fits = [y for y in ok if -(-k // 3) <= y.bit_count() <= 2 * k // 3]
-                    assert (y is None) == (not ok), (g.edges, x, t)
-                    assert y is None or y in (fits or ok), (g.edges, x, t)
-                    found.add((x != full, y is not None and y not in fits))
+                    for hi in (2 * k // 3, k - 1):
+                        y = solver._balanced_side(cs, x, t, hi)
+                        fits = [y for y in ok if k - hi <= y.bit_count() <= hi]
+                        assert (y is None) == (not fits), (g.edges, x, t, hi)
+                        assert y is None or y in fits, (g.edges, x, t, hi)
+                        found.add((x != full, hi == k - 1, y is None))
         assert met  # some graphs have a floor above the trivial one
-        assert found == {(a, b) for a in (False, True) for b in (False, True)}
+        assert found == set(itertools.product((False, True), repeat=3))
+
+    def test_top_down_prefers_balanced_sides(self):
+        # Every split that `_top_down` makes of a node X of more than 2t
+        # vertices, other than V, is into two sides of cut value at most t:
+        # a balanced one, neither part above floor(2|X|/3) vertices,
+        # whenever X has such a side, and a proper one otherwise.
+        kinds = set()
+        for g in floor_graphs():
+            cs = solver._CutSolver(g)
+            w, _ = solver._merge_search(cs)
+            value = cut_values(g)
+            for t in range(1, w + 1):
+                root = solver._balanced_side(cs, cs.full, t + 1, 2 * g.n // 3)
+                down = root and solver._top_down(cs, t, root)
+                if not down:
+                    continue
+                for y, z in child_masks(down.root):
+                    x = y | z
+                    k = x.bit_count()
+                    if x == cs.full or k <= 2 * t:
+                        continue
+                    assert value(y) <= t and value(z) <= t, (g.edges, t, x)
+                    want = any(
+                        s & x == s
+                        and k - 2 * k // 3 <= s.bit_count() <= 2 * k // 3
+                        and value(s) <= t
+                        and value(x ^ s) <= t
+                        for s in range(1, x)
+                    )
+                    balanced = max(y.bit_count(), z.bit_count()) <= 2 * k // 3
+                    assert balanced == want, (g.edges, t, x)
+                    kinds.add(want)
+        assert kinds == {False, True}
 
 
 class TestArcTables:
@@ -390,9 +454,10 @@ class TestThresholdQueries:
                 cs = solver._CutSolver(g)
                 rng.shuffle(queries)
                 for a, t in queries:
-                    assert cs.at_least(a, t) == (brute[a] >= t), (g.edges, a, t)
+                    assert cs.at_least(a, t, g.cut_arcs(a)) == (brute[a] >= t), (g.edges, a, t)
                 for a, want in brute.items():
-                    assert cs.at_least(a, want) and not cs.at_least(a, want + 1)
+                    arcs = g.cut_arcs(a)
+                    assert cs.at_least(a, want, arcs) and not cs.at_least(a, want + 1, arcs)
 
     def test_work_does_not_depend_on_history(self):
         # One solver answers a list of queries, each asked twice and in
@@ -412,7 +477,10 @@ class TestThresholdQueries:
             nodes = 0
             for mask, t in queries:
                 fresh = solver._CutSolver(g)
-                assert shared.at_least(mask, t) == fresh.at_least(mask, t), (g.edges, mask, t)
+                arcs = g.cut_arcs(mask)
+                assert shared.at_least(mask, t, arcs) == fresh.at_least(mask, t, arcs), (
+                    g.edges, mask, t
+                )
                 nodes += fresh.nodes
             assert shared.nodes == nodes, g.edges
             searched += nodes > 0
@@ -429,7 +497,7 @@ class TestThresholdQueries:
         top = arcs.bit_length() - 1
         assert not arcs & ~cs.conf[top]
         cs._search = None  # a search would fail here
-        assert cs.at_least(0b01110, 2)
+        assert cs.at_least(0b01110, 2, arcs)
         assert cs.nodes == 0
 
     def test_search_when_first_fit_falls_short(self):
@@ -440,8 +508,9 @@ class TestThresholdQueries:
         # before any branch-and-bound node.
         g = Graph(5, [(0, 2), (0, 3), (2, 4), (1, 4)])
         cs = solver._CutSolver(g)
-        assert not solver._first_fit(g.cut_arcs(0b01110), 2, cs.conf)
-        assert cs.at_least(0b01110, 2)
+        arcs = g.cut_arcs(0b01110)
+        assert not solver._first_fit(arcs, 2, cs.conf)
+        assert cs.at_least(0b01110, 2, arcs)
         assert cs.nodes == 0
 
 
@@ -545,7 +614,7 @@ class TestExactWork:
     # and the top-down tree on the relabelled subdivided K4.
     @pytest.mark.parametrize(
         "name, nodes, side_nodes",
-        [("grid-3x4", 1, 126), ("relabelled-subdivided-K4", 1, 174)],
+        [("grid-3x4", 1, 126), ("relabelled-subdivided-K4", 1, 173)],
         ids=["grid-3x4", "relabelled-subdivided-K4"],
     )
     def test_bounds_work_counts(self, made_solvers, name, nodes, side_nodes):
@@ -577,7 +646,7 @@ def solver_trees(g):
     if g.n < 3 or not w:
         return roots
     cs = solver._CutSolver(g)
-    side = solver._balanced_side(cs, cs.full, w + 1, -(-g.n // 3), 2 * g.n // 3)
+    side = solver._balanced_side(cs, cs.full, w + 1, 2 * g.n // 3)
     down = solver._top_down(cs, w, side)
     roots["top-down"] = down and down.root
     if g.n <= 10:
