@@ -11,17 +11,16 @@ it completes. (3) Only where it gets stuck does the solver decide,
 for t = L, L + 1, ..., w - 1, whether a decomposition of
 width at most t exists (`_threshold_tree`). A vertex set S is good at t
 when its cut has no induced matching of t + 1 edges and S is one vertex
-or splits, around its lowest vertex, into two good sets. So S is good iff
-some rooted binary tree with leaf set S has every subtree's cut at most
-t, and V is good iff mimw <= t (the tests check the widths against a
-full subset DP and explicit enumeration). Every proper subset of S is
-below S as a bitmask, so one ascending pass over the sets decides it.
-The first good t is exact, since L is a lower bound and every t below
-was refuted; if none is, the merge's w is exact. The pass keeps one byte
-per set (good at t) and one per key min(S, V-S) (cut value known to be
-at most t), within TABLE_BUDGET. Before each scan it tests the keys
-still open in Gray-code order, so each key's cut arcs follow from the
-last key's by one vertex's arcs.
+or the union of two disjoint good sets. So S is good iff some rooted
+binary tree with leaf set S has every subtree's cut at most t, and V is
+good iff mimw <= t (the tests check the widths against a full subset DP
+and explicit enumeration). The good sets grow from the singletons, by
+trying the union of every pair of good sets found so far (after the
+positive-instance-driven search of Tamaki, ESA 2017), so the step
+visits only the good sets and the disjoint unions of two. The first t
+that reaches V is exact, since L is a lower bound and every t below was
+refuted; if none does, the merge's w is exact. It keeps one byte per
+vertex set (union tested at t), within TABLE_BUDGET.
 
 Each search builds its tree canonical (the child with the lower least
 leaf first at every node), so the report wraps it without the fold of
@@ -250,8 +249,8 @@ class _CutSolver:
     have a greedy clique cover (`_covered`) too small to beat its floor.
     `side_nodes` counts the placements that `_balanced_side` visited, and
     `queries` the (union, w) that `_merge_search` decided, inline or by
-    the neighbour masks included. `cut_tests` counts the keys that
-    `_threshold_tree` handed to `_has_matching`."""
+    the neighbour masks included. `cut_tests` counts the unions of good
+    sets that `_threshold_tree` handed to `_has_matching`."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -403,8 +402,9 @@ def _critical(cs, decomposition, width):
 def _check_limit(n, limit, what):
     """Refuse n above the limit, and any n whose two up-front byte tables
     over all 2^n vertex sets exceed TABLE_BUDGET, whatever the limit: the
-    good sets and the cut keys of `mimw_exact`'s threshold pass, and the
-    f and the choice of `treewidth_exact`."""
+    f and the choice of `treewidth_exact`. `mimw_exact`'s threshold step
+    keeps one such table (the unions it tested) and is held to the same
+    bound."""
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
     if 2 << n > TABLE_BUDGET:
@@ -562,61 +562,48 @@ def _top_down(cs, t, root):
     return _tree(cs.full, split)
 
 
-def _good_split(good, s):
-    """The first split t of `s` in the scan order, over the t that hold
-    the lowest vertex of s, with both t and s - t good; None if there is
-    none."""
-    low = s & -s
-    rest = s ^ low
-    sub = rest
-    while sub:
-        sub = (sub - 1) & rest
-        t = low | sub
-        if good[t] and good[s ^ t]:
-            return t
-    return None
-
-
 def _threshold_tree(cs, lo, hi):
     """(t, tree) for the least t in lo..hi-1 at which V is good (module
-    docstring), with the tree of the first good splits from V down, of
-    width at most t; None if there is no such t.
+    docstring), with a tree of width at most t; None if there is no such t.
 
-    A key min(S, V-S) holds 1 once its cut value is known to be at most
-    t, which stays true as t rises. At each t the keys s < 2^(n-1) not
-    yet at most t are filled first, in Gray-code order: each step adds or
-    drops one vertex v, so XOR with tail[v] and head[v] keeps the arcs
-    leaving and entering s, and s's cut arcs cost two operations. A side
-    of min(k, n - k) <= t vertices is at most t, by the size bound of
-    `at_least`, and otherwise `_has_matching` asks for t + 1 edges;
-    `cs.cut_tests` counts those asks. The ascending scan of the good sets
-    then reads the keys only, and skips the sets good at an earlier t: a
-    tree whose cuts are at most t - 1 has them at most t."""
+    At each t the good sets grow from the singletons (good, as lo >= 1),
+    in parallel lists of vertex masks and of the arcs leaving and entering
+    each set. A walk over the list, which grows behind it, pairs each set
+    with every set before it, so every pair of good sets meets once. A
+    disjoint union is tested once per t (`seen`, one byte per vertex set):
+    a side of min(k, n - k) <= t vertices is at most t, by the size bound
+    of `at_least`, and otherwise `_has_matching` asks for t + 1 edges on
+    the union's arcs; `cs.cut_tests` counts those asks. A union kept
+    records one of its halves, and V is good as soon as a kept union's
+    complement is good too; the tree of V is built from the halves."""
     n, full = cs.n, cs.full
-    half = (full + 1) >> 1
     _, tail, head = cs.g.arc_tables
-    small = bytearray(half)  # key -> 1 if its cut value is at most t
-    small[0] = 1  # the cut of V is empty
-    good = bytearray(full + 1)
     for t in range(lo, hi):
-        s = leave = enter = 0  # the key and the arcs leaving and entering it
-        for i in range(1, half):
-            v = (i & -i).bit_length() - 1  # s goes to the Gray code of i
-            s ^= 1 << v
-            leave ^= tail[v]
-            enter ^= head[v]
-            if not small[s]:
-                k = s.bit_count()
-                if k <= t or n - k <= t:
-                    small[s] = 1
-                else:
+        masks = [1 << v for v in range(n)]
+        outs, ins = list(tail), list(head)
+        seen = bytearray(full + 1)
+        half = dict.fromkeys(masks, 0)  # good set -> one of its halves
+        for i, s in enumerate(masks):
+            out, into = outs[i], ins[i]
+            for j in range(i):
+                u = masks[j]
+                if s & u or seen[s | u]:
+                    continue
+                union = s | u
+                seen[union] = 1
+                k = union.bit_count()
+                if k > t and n - k > t:
                     cs.cut_tests += 1
-                    small[s] = not _has_matching(cs, leave & ~enter, t + 1)
-        for s in range(1, full + 1):
-            if not good[s] and (small[s] if s < half else small[full ^ s]):
-                good[s] = not s & (s - 1) or _good_split(good, s) is not None
-        if good[full]:
-            return t, _tree(full, lambda s: _good_split(good, s))
+                    if _has_matching(cs, (out | outs[j]) & ~(into | ins[j]), t + 1):
+                        continue
+                half[union] = u
+                if full ^ union in half:
+                    half[full] = union
+                if full in half:
+                    return t, _tree(full, half.get)
+                masks.append(union)
+                outs.append(out | outs[j])
+                ins.append(into | ins[j])
     return None
 
 
@@ -648,16 +635,16 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     its tree, the answer when w <= 1 or when every balanced cut has an
     induced matching of w edges. Else L < w is the largest t, at least 1,
     that every balanced cut reaches, and a tree of width L that
-    `_top_down` finds is the answer. Only where it finds none does the
-    threshold pass of `_threshold_tree` decide t = L, ..., w - 1 in turn:
-    the tree of the first t that admits one is the answer, and with none
-    the merge's tree is.
+    `_top_down` finds is the answer. Only where it finds none does
+    `_threshold_tree` decide t = L, ..., w - 1 in turn, by growing the
+    good sets from the singletons: the tree of the first t whose good
+    sets reach V is the answer, and with none the merge's tree is.
 
     Convention: graphs with n <= 1 have no branch decomposition and get
     width 0 with an empty witness (from `mimw_upper` too).
     """
-    # The threshold pass's good sets over 2^n sets and its keys over
-    # 2^(n-1): within two tables. The limit applies whether or not it runs.
+    # The threshold step's byte per vertex set, within the budget of two
+    # tables. The limit applies whether or not it runs.
     _check_limit(g.n, limit, "exact mim-width")
     return _width_report(g, "exact", _bounded_search)
 

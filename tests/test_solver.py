@@ -39,6 +39,7 @@ from mimlab.graph import (
     mask_to_set,
     path,
     random_cubic,
+    set_to_mask,
     subdivide_all_edges,
     two_color,
 )
@@ -623,11 +624,11 @@ class TestExactWork:
         (cs,) = made_solvers
         assert (cs.nodes, cs.side_nodes) == (nodes, side_nodes)
 
-    # The keys that the threshold pass hands to `_has_matching`, over all
-    # its t: the counts of the ascending fill, which the Gray-code fill
-    # must equal, since it tests the same pending keys at each t.
+    # The unions of good sets that the threshold step hands to
+    # `_has_matching`, over all its t: each union once per t, and only
+    # until the good sets reach V.
     @pytest.mark.parametrize(
-        "n, seed, cut_tests", [(12, 2, 2035), (10, 4, 456)], ids=["cubic-12-2", "cubic-10-4"]
+        "n, seed, cut_tests", [(12, 2, 167), (10, 4, 525)], ids=["cubic-12-2", "cubic-10-4"]
     )
     def test_threshold_cut_tests(self, made_solvers, n, seed, cut_tests):
         mimw_exact(random_cubic(n, seed), limit=n)
@@ -851,6 +852,35 @@ class TestMimwExact:
         assert check_bounds_first(g, threshold_passes) == "threshold"
         ((lo, hi, found),) = threshold_passes
         assert (lo, hi, found) == self.THRESHOLD_PASSES[n, seed]
+
+    # Gap cases above the reach of `table_mimw` -> (floor L, merge w, t
+    # found), pinned from a scan of all 2^n vertex sets, so the pins do not
+    # depend on the closure. On the circle-cubic graph the pass refutes 3
+    # and the merge's 4 is exact.
+    PAST_THE_TABLE = {
+        "cubic-16-1": (lambda: random_cubic(16, 1), (2, 4, 3)),
+        "cubic-18-0": (lambda: random_cubic(18, 0), (2, 5, 3)),
+        "circle-cubic-8-1": (lambda: build_subdivided_family(8, 1).graph, (3, 4, None)),
+    }
+
+    @pytest.mark.parametrize("name", PAST_THE_TABLE)
+    def test_threshold_pass_past_the_table(self, threshold_passes, name):
+        make, want = self.PAST_THE_TABLE[name]
+        g = make()
+        rep = mimw_exact(g, limit=g.n)
+        ((lo, hi, found),) = threshold_passes
+        assert (lo, hi, found) == want
+        assert rep.value == (hi if found is None else found)
+        validate(rep.decomposition, g)
+        assert verify_induced_matching(g, rep.witness_matching)
+        assert len(rep.witness_matching.edges) == rep.value
+        if found is not None:
+            # Every cut of the tree found is at most t, by the threshold
+            # search alone, without the ladder of `_has_matching`.
+            cs = solver._CutSolver(g)
+            for a in subtree_leaf_sets(rep.decomposition):
+                mask = set_to_mask(a)
+                assert not search_at_least(cs, mask, found + 1, g.cut_arcs(mask)), a
 
     def test_limit_applies_where_the_bounds_meet(self, made_solvers):
         # A path has width 1, so the bounds meet at once, but n = 12 is
