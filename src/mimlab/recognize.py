@@ -5,10 +5,11 @@ re-verifies independently (positive) or exhibits a concrete violation
 (negative). All run in polynomial time. One worklist deletes vertices on
 neighbour bitmasks: chordality deletes simplicial vertices (Fulkerson and
 Gross 1965), and a stuck remainder yields a chordless cycle; strong
-chordality deletes simple vertices (Farber 1983), and chordal
-bipartiteness runs that test on the one-side completion. Comparability
-uses Golumbic's G-decomposition (1977). In this module only the
-verifiers read the set adjacency `Graph.adj`.
+chordality deletes simple vertices (Farber 1983), and a stuck chordal
+remainder shrinks to a sun, re-eliminated only while above six vertices.
+Chordal bipartiteness runs that test on the one-side completion.
+Comparability uses Golumbic's G-decomposition (1977). In this module
+only the verifiers read the set adjacency `Graph.adj`.
 """
 
 from __future__ import annotations
@@ -128,12 +129,20 @@ def is_split(g: Graph) -> RecognitionResult:
 
 def _simple(nbr, rest, v):
     """The closed neighbourhoods of v's closed neighbourhood in `rest` form
-    a chain."""
-    hoods = sorted(
-        ((nbr[u] | 1 << u) & rest for u in _bits((nbr[v] | 1 << v) & rest)),
-        key=int.bit_count,
-    )
-    return all(not a & ~b for a, b in zip(hoods, hoods[1:]))
+    a chain: sorted by size, each lies within the next."""
+    hoods = []
+    near = (nbr[v] | 1 << v) & rest
+    while near:
+        low = near & -near
+        near ^= low
+        hoods.append((nbr[low.bit_length() - 1] | low) & rest)
+    hoods.sort(key=int.bit_count)
+    inner = 0
+    for hood in hoods:
+        if inner & ~hood:
+            return False
+        inner = hood
+    return True
 
 
 def _simplicial(nbr, rest, v):
@@ -222,12 +231,18 @@ def is_chordal(g: Graph) -> RecognitionResult:
 
 
 def _sun_cycle(nbr, stuck):
-    """Shrink a stuck remainder to a minimal vertex set that still gets
-    stuck, dropping vertices in ascending order; a chordal minimal one is a
-    sun. Returns the sun's cycle u1 w1 u2 w2 ..., where the w are its
-    degree-2 vertices, from its smallest vertex towards the smaller
-    neighbour."""
+    """Shrink a stuck remainder S, chordal in both callers (a graph past
+    the chordality check, a split completion), to a minimal vertex set that
+    still gets stuck: for each v of S in ascending order, S becomes the
+    stuck remainder of S - v where that is not empty. A chordal minimal
+    one is a sun. A chordal set below six vertices holds no sun, so it
+    gets stuck nowhere: once S has six vertices or fewer, no S - v needs
+    an elimination. Returns the sun's cycle u1 w1 u2 w2 ..., where the w
+    are its degree-2 vertices, from its smallest vertex towards the
+    smaller neighbour."""
     for v in _bits(stuck):
+        if stuck.bit_count() <= 6:
+            break
         if stuck >> v & 1:
             rest = _eliminate(nbr, stuck ^ 1 << v, _simple)[1]
             if rest:

@@ -287,11 +287,13 @@ class _CutSolver:
             return False
         return _has_matching(self, arcs, t)
 
-    def matching(self, mask) -> InducedMatching:
-        """A maximum induced matching among the edges leaving `mask`, its
-        edges in sorted order."""
+    def matching(self, mask, t=0) -> InducedMatching:
+        """An induced matching among the edges leaving `mask`, its edges in
+        sorted order, from `_search` with threshold t: a maximum one with
+        t = 0, and with t > 0 the first one of t edges, which is a maximum
+        one where t is the cut's value."""
         edges = self.edges
-        arcs = sorted(self._search(self.g.cut_arcs(mask)))
+        arcs = sorted(self._search(self.g.cut_arcs(mask), t))
         return InducedMatching(mask_to_set(mask), tuple(edges[i >> 1] for i in arcs))
 
     def _search(self, arcs, t=0):
@@ -395,7 +397,7 @@ def _critical(cs, decomposition, width):
                 continue
         if cs.at_least(mask, width, out & ~into):
             best = mask
-    matching = cs.matching(best)
+    matching = cs.matching(best, width)  # the tree bounds the cut by width
     return Cut(matching.a_side, tuple(cs.g.cut_edges(best))), matching
 
 

@@ -186,7 +186,7 @@ def lexmin_critical(cs, decomposition, width):
         if (best is None or key < best[0]) and cs.at_least(mask, width, cs.g.cut_arcs(mask)):
             best = (key, a, mask)
     _, a, mask = best
-    return Cut(a, tuple(cs.g.cut_edges(mask))), cs.matching(mask)
+    return Cut(a, tuple(cs.g.cut_edges(mask))), cs.matching(mask, width)
 
 
 def search_at_least(self, mask, t, arcs):
@@ -376,6 +376,38 @@ def sweep_eliminate(nbr, rest, removable):
                 order.append(v)
                 swept = True
     return order, rest
+
+
+def brute_is_simple(g, rest, v):
+    """v is simple in the subgraph induced by the vertex set `rest`: every
+    two closed neighbourhoods, within `rest`, of the vertices of N[v] in
+    `rest` are nested, by comparing all pairs of sets."""
+    hoods = [(g.adj[u] | {u}) & rest for u in (g.adj[v] | {v}) & rest]
+    return all(a <= b or b <= a for a, b in itertools.combinations(hoods, 2))
+
+
+def linear_sun_shrink(nbr, stuck):
+    """`recognize._sun_cycle` with an elimination for every vertex: each
+    vertex of the stuck set, in ascending order, is dropped where the rest
+    still gets stuck, down to any size. Returns the sun's cycle."""
+    from mimlab.graph import _bits
+    from mimlab.recognize import _eliminate, _simple
+
+    for v in _bits(stuck):
+        if stuck >> v & 1:
+            rest = _eliminate(nbr, stuck ^ 1 << v, _simple)[1]
+            if rest:
+                stuck = rest
+    deg2 = sum(1 << v for v in _bits(stuck) if (nbr[v] & stuck).bit_count() == 2)
+    cyc = []
+    seen, prev, cur = 0, 0, stuck & -stuck
+    while cur and not cur & seen:
+        seen |= cur
+        v = cur.bit_length() - 1
+        cyc.append(v)
+        links = nbr[v] & (stuck if deg2 & cur else deg2) & ~prev
+        prev, cur = cur, links & -links
+    return cyc
 
 
 def all_graphs(n):

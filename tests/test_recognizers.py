@@ -7,8 +7,10 @@ from conftest import (
     brute_is_chordal,
     brute_is_chordal_bipartite,
     brute_is_comparability,
+    brute_is_simple,
     brute_is_strongly_chordal,
     enumerate_cycles,
+    linear_sun_shrink,
     sweep_eliminate,
 )
 from mimlab import recognize
@@ -16,6 +18,7 @@ from mimlab.construct import complete_both_sides, complete_one_side
 from mimlab.errors import CertificateViolation
 from mimlab.graph import (
     Graph,
+    _bits,
     complement,
     complete,
     complete_bipartite,
@@ -124,6 +127,10 @@ class TestScale:
         r = is_strongly_chordal(split)
         assert not r.verdict and r.certificate["kind"] == "even_cycle_no_odd_chord"
         assert_certified(split, r)
+        # The sun's cycle as the one-vertex-at-a-time shrink found it.
+        sun = [77, 78, 79, 89, 99, 98, 97, 87]
+        assert r.certificate["cycle"] == sun
+        assert is_chordal_bipartite(grid(10, 10)).certificate["cycle"] == sun
         split = complete_one_side(complete_bipartite(20, 20), "Y").result
         r = is_strongly_chordal(split)
         assert r.verdict
@@ -288,6 +295,72 @@ class TestElimination:
         order, stuck = recognize._eliminate(g.nbr_masks, (1 << g.n) - 1, counted)
         assert (order, stuck) == sweep_eliminate(g.nbr_masks, (1 << g.n) - 1, removable)
         assert calls <= 3 * g.n
+
+
+class TestSimple:
+    # The one-loop chain test against all pairs of neighbourhoods.
+    def check(self, g, rest):
+        mask = sum(1 << v for v in rest)
+        for v in rest:
+            assert recognize._simple(g.nbr_masks, mask, v) == brute_is_simple(g, rest, v)
+
+    def test_all_small_graphs_and_vertex_sets(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for mask in range(1, 1 << n):
+                    self.check(g, set(_bits(mask)))
+
+    def test_random_graphs(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.random(), seed)
+            self.check(g, {v for v in range(n) if rng.random() < 0.7})
+
+
+def sun_plus_apex():
+    """A 3-sun on 1..6 whose triangle 1, 2, 3 also meets vertex 0: no vertex
+    of the seven is simple, and dropping 0 leaves the sun."""
+    ears = [(1, 4), (2, 4), (2, 5), (3, 5), (1, 6), (3, 6)]
+    return Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] + ears)
+
+
+def simple_stuck(g):
+    return recognize._eliminate(g.nbr_masks, (1 << g.n) - 1, recognize._simple)[1]
+
+
+class TestSunShrink:
+    # `_sun_cycle` skips the eliminations below six vertices; the shrink
+    # that runs every one of them must give the same cycle.
+    def check(self, g):
+        nbr = g.nbr_masks
+        stuck = simple_stuck(g)
+        assert stuck and not recognize._eliminate(nbr, stuck, recognize._simplicial)[1]
+        cyc = recognize._sun_cycle(nbr, stuck)
+        assert cyc == linear_sun_shrink(nbr, stuck), g.edges
+        return stuck.bit_count()
+
+    def test_small_stuck_sets(self, three_sun):
+        assert self.check(three_sun) == 6
+        assert self.check(sun_plus_apex()) == 7
+        assert recognize._sun_cycle(sun_plus_apex().nbr_masks, 0b1111111) == [1, 4, 2, 5, 3, 6]
+
+    def test_grid_completions(self):
+        for k in range(3, 9):
+            self.check(complete_one_side(two_color(grid(k, k)), "Y").result)
+
+    def test_random_split_completions(self):
+        checked = 0
+        seed = 0
+        while checked < 200:
+            rng = random.Random(seed)
+            sides = rng.randint(3, 20), rng.randint(3, 20)
+            b = random_bipartite(*sides, rng.uniform(0.15, 0.6), seed)
+            g = complete_one_side(b, "Y").result
+            if 6 <= simple_stuck(g).bit_count() <= 40:
+                self.check(g)
+                checked += 1
+            seed += 1
 
 
 class TestStronglyChordal:

@@ -521,9 +521,9 @@ class TestUpperWork:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: build_subdivided_family(10, 0).graph, 38),
-            (lambda: build_subdivided_family(14, 0).graph, 257),
-            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 1),
+            (lambda: build_subdivided_family(10, 0).graph, 28),
+            (lambda: build_subdivided_family(14, 0).graph, 256),
+            (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 0),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
     )
@@ -615,7 +615,7 @@ class TestExactWork:
     # and the top-down tree on the relabelled subdivided K4.
     @pytest.mark.parametrize(
         "name, nodes, side_nodes",
-        [("grid-3x4", 1, 126), ("relabelled-subdivided-K4", 1, 173)],
+        [("grid-3x4", 0, 126), ("relabelled-subdivided-K4", 0, 173)],
         ids=["grid-3x4", "relabelled-subdivided-K4"],
     )
     def test_bounds_work_counts(self, made_solvers, name, nodes, side_nodes):
