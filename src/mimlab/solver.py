@@ -762,17 +762,18 @@ def mimw_upper(g: Graph) -> WidthReport:
 
 
 def _tw_family(nbr, n, k, choice):
-    """True iff f(V) <= k, for f and q as in `treewidth_exact`: grows the
-    sets S with f(S) <= k one size at a time from the empty set. Each
-    reached S gets its exact f(S) and, in `choice`, the smallest v
-    attaining it."""
+    """The least vertex mask S* of size c = max(0, n - k - 1) with
+    f(S*) <= k, for f and q as in `treewidth_exact`, or None if there is
+    none, which proves tw > k: grows the sets S with f(S) <= k one size at
+    a time from the empty set up to size c. Each reached S gets its exact
+    f(S) and, in `choice`, the smallest v attaining it."""
     full = (1 << n) - 1
     f1 = bytearray(full + 1)  # f(S) + 1 for the reached sets, else 0
     f1[0] = 1
     cmask = [0] * n  # vertex of T -> its component of G[T]
     cnbr = [0] * n  # vertex of T -> the neighbours of that component
     level = array("Q", (0,))
-    for _ in range(n):
+    for _ in range(n - k - 1):
         nxt = array("Q")
         for t in level:
             ft1 = f1[t]
@@ -825,9 +826,9 @@ def _tw_family(nbr, n, k, choice):
                 f1[s] = val1
                 choice[s] = v
         if not nxt:
-            return False
+            return None
         level = nxt
-    return True
+    return min(level)
 
 
 def _tw_reduce(nbr, rest, low, order):
@@ -881,16 +882,20 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     f(S) = min over v in S of max(f(S - v), q(S - v, v)) is the width of
     the best elimination order that starts with S; tw(kernel) = f(V). For
     k = low, low + 1, ..., the sets with f(S) <= k are grown forward from
-    the empty set one size at a time. q(T, v) comes from the components of
-    G[T], found once per T with their neighbourhoods. A k whose family
-    does not reach V proves tw > k, so low becomes k + 1 and the
-    reductions run again on the kernel. The first k whose family reaches V
-    is tw; a kernel that empties leaves tw = low.
+    the empty set one size at a time, up to size c = max(0, n' - k - 1).
+    q(T, v) comes from the components of G[T], found once per T with their
+    neighbourhoods. A k whose family dies out below c proves tw > k, so
+    low becomes k + 1 and the reductions run again on the kernel. The
+    first k whose family reaches size c is tw, since
+    tw <= max(f(S), |V - S| - 1) for every S: after S, a vertex has only
+    the rest as later neighbours. A kernel that empties leaves tw = low.
 
     Each reached S keeps its exact f(S) and, among the v attaining it, the
     smallest, as the full 2^n table would: a v with f(S - v) > k cannot
-    attain f(S) <= k. So when no vertex reduces, the witness order is the
-    table's order. f and the choice of v are bytearrays over the 2^n' sets;
+    attain f(S) <= k. The kernel's order is the table's order of S*, the
+    least reached set of size c, then the rest of the kernel ascending; so
+    when no vertex reduces, that is the order the full table gives by the
+    same rule. f and the choice of v are bytearrays over the 2^n' sets;
     a level is an array of set masks. The limit and the table budget
     bound each kernel's n', checked before its tables are allocated.
     """
@@ -911,14 +916,16 @@ def _treewidth(g, d, limit):
             sum(1 << i for i in range(size) if nbr[v] >> verts[i] & 1) for v in verts
         ]
         choice = bytearray(1 << size)
-        if _tw_family(kernel, size, low, choice):
+        top = _tw_family(kernel, size, low, choice)
+        if top is not None:
             tail = []
-            s = (1 << size) - 1
+            s = top
             while s:
                 i = choice[s]
                 tail.append(verts[i])
                 s ^= 1 << i
             order += reversed(tail)
+            order += (verts[i] for i in range(size) if not top >> i & 1)
             break
         rest, low = _tw_reduce(nbr, rest, low + 1, order)
     return TreewidthReport(low, tuple(order))

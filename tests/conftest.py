@@ -213,7 +213,9 @@ def table_treewidth(g):
     """Treewidth and witness order from the full table over all 2^n vertex
     sets: f(S) = min over v in S of max(f(S - v), q(S - v, v)), where
     q(T, v) counts the vertices outside T + v that v reaches through T.
-    The smallest v wins ties."""
+    The smallest v wins ties. The order is the table's order of S*, the
+    least set of max(0, n - tw - 1) vertices with f(S*) <= tw, then the
+    other vertices ascending."""
     from mimlab.solver import TreewidthReport
 
     n = g.n
@@ -245,12 +247,16 @@ def table_treewidth(g):
                 if best is None or val < best:
                     best, choice[s] = val, v
         f[s] = best
+    tw = f[full]
+    top = min(s for s in range(full + 1) if s.bit_count() == max(0, n - tw - 1) and f[s] <= tw)
     order = []
-    s = full
+    s = top
     while s:
         order.append(choice[s])
         s ^= 1 << choice[s]
-    return TreewidthReport(f[full], tuple(reversed(order)))
+    order.reverse()
+    order += (v for v in range(n) if not top >> v & 1)
+    return TreewidthReport(tw, tuple(order))
 
 
 def reference_degeneracy(g):

@@ -3,6 +3,8 @@ session and of the chordal bipartite corpus, recorded before the bitset
 rewrite of the cut code and the in-repo free-tree generator, and of the
 treewidth orders, recognizer certificates and chord diagrams of a seeded
 graph set, recorded before the neighbour-mask helpers moved into `graph`.
+The treewidth orders were re-recorded, with every other column equal,
+when the treewidth search began to stop at level n' - k - 1 of its kernel.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from mimlab.recognize import is_chordal, is_chordal_bipartite, is_strongly_chord
 from mimlab.solver import treewidth_exact
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
-MASK_PATHS_SHA256 = "7b33d35ecd9e7185e8bc9825a7b689df39c3a5b29a51cb3106b269e10d0486a8"
+MASK_PATHS_SHA256 = "9f5a8b54cf0c6c65f9576af1d2a90db37aedab3f68bd24e69ea94ecb4ec2436d"
 
 
 def _sha(data):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,27 @@ def kernels(monkeypatch):
 
     monkeypatch.setattr(solver, "_tw_reduce", recording)
     return sizes
+
+
+@pytest.fixture
+def dp_states(monkeypatch):
+    """The sets each call of the treewidth DP adds to its levels during the
+    test, one count per k tried, in order."""
+    counts = []
+    family = solver._tw_family
+
+    class Level(array):
+        def append(self, s):
+            counts[-1] += 1
+            super().append(s)
+
+    def recording(nbr, n, k, choice):
+        counts.append(0)
+        return family(nbr, n, k, choice)
+
+    monkeypatch.setattr(solver, "array", Level)
+    monkeypatch.setattr(solver, "_tw_family", recording)
+    return counts
 
 
 def check_table_oracle(g, kernels):
@@ -767,6 +789,21 @@ class TestTreewidthWork:
         assert treewidth_exact(g, limit=g.n).value == tw
         assert kernels == sizes
 
+    # The sets the DP adds to its levels, summed over the k tried.
+    @pytest.mark.parametrize(
+        "make, limit, states",
+        [
+            (lambda: grid(4, 4), 16, 52),
+            (lambda: grid(5, 5), 25, 1388),
+            (lambda: build_subdivided_family(14, 0).graph, 16, 220),
+            (lambda: random_cubic(20, 1), 20, 204),
+        ],
+        ids=["grid-4x4", "grid-5x5", "circle-cubic-14", "cubic-20-1"],
+    )
+    def test_dp_states(self, dp_states, make, limit, states):
+        treewidth_exact(make(), limit=limit)
+        assert sum(dp_states) == states
+
     def test_circle_cubic_14_reduces_to_its_cubic_kernel(self):
         # n = 35 is over the table budget, so only the reductions run.
         g = build_subdivided_family(14, 0).graph
@@ -1106,6 +1143,8 @@ class TestTreewidth:
 
     def test_matches_table_oracle_on_randoms(self, kernels):
         # One graph in 16 has 11 or 12 vertices, where the table is slow.
+        # At seed 196 (n = 9, tw = 6) the DP reaches a set of c = 2
+        # vertices before the least one, which the order must start from.
         seen = set()
         for seed in range(320):
             rng = random.Random(seed)
@@ -1140,6 +1179,37 @@ class TestTreewidth:
             core = random_graph(rng.randint(3, 5), 0.5, seed)
             if core.n + core.m <= 11:
                 check_table_oracle(subdivide_all_edges(core).graph, kernels)
+
+    def test_kernel_of_k_plus_1_vertices_builds_no_level(self, kernels, dp_states):
+        # A disjoint K6 raises low to 5; then the octahedron K_{2,2,2} or
+        # K_{3,3}, where no vertex reduces, is left as the kernel. Its six
+        # vertices need no level (c = 0) and close the order ascending.
+        octahedron = [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
+        k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+        k6 = [(u, v) for u in range(6, 12) for v in range(u + 1, 12)]
+        for core in (octahedron, k33):
+            for seed in range(2):
+                perm = random.Random(seed).sample(range(12), 12)
+                g = Graph(12, [(perm[u], perm[v]) for u, v in core + k6])
+                dp_states.clear()
+                assert check_table_oracle(g, kernels) == "reduced"
+                assert (kernels, dp_states) == ([6], [0])
+                assert treewidth_exact(g).elimination_order[6:] == tuple(sorted(perm[:6]))
+
+    def test_kernel_of_k_plus_2_vertices_builds_one_level(self, kernels, dp_states):
+        # K_{1,2,2,2}, the octahedron with a vertex u joined to all six,
+        # does not reduce and has tw = 5 = n - 2 (c = 1): level 1 holds
+        # the six vertices of degree 5, and S* is the least of them.
+        edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if v != u + 3 or u == 0]
+        for seed in range(4):
+            perm = random.Random(seed).sample(range(7), 7)
+            g = Graph(7, [(perm[u], perm[v]) for u, v in edges])
+            dp_states.clear()
+            assert check_table_oracle(g, kernels) == "unreduced"
+            assert dp_states == [6]
+            first = min(set(range(7)) - {perm[0]})
+            rest = tuple(v for v in range(7) if v != first)
+            assert treewidth_exact(g).elimination_order == (first, *rest)
 
     @given(small_graphs(), st.data())
     @settings(max_examples=60, deadline=None)
