@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .errors import GraphFormatError, InvalidParameter, OddCycleFound
 
@@ -25,10 +26,19 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_nbr_masks", "_arc_tables")
 
     def __init__(self, n, edges=()):
+        # operator.index takes ints and bools (as 0 or 1), not floats or strings.
+        try:
+            n = index(n)
+        except TypeError:
+            raise InvalidParameter(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise InvalidParameter("vertex count must be non-negative")
         es = set()
         for u, v in edges:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise InvalidParameter(f"edge ({u!r},{v!r}) has a non-integer end") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameter(f"edge ({u},{v}) outside [0,{n})")
             es.add(_norm_edge(u, v))

@@ -71,15 +71,15 @@ the merge runs for minutes, since each of its questions works on masks of
 
 Exact treewidth eliminates simplicial and almost-simplicial vertices
 first, by the safe rules of Bodlaender, Koster and van den Eijkhof, and
-runs its threshold search over the subsets of the kernel that is left;
-the limit and the table budget bound the kernel, not the raw graph.
+runs its threshold search on the kernel that is left, keeping only the
+vertex sets it reaches; the limit and TABLE_BUDGET bound the kernel, not
+the raw graph.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,7 +89,8 @@ from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
 
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TW_LIMIT = 16
-# Bytes that the up-front tables over all 2^n vertex sets may take.
+# Two bytes per vertex set over all 2^n sets must fit: it bounds n for the
+# closure's byte table and for the sets the treewidth DP may reach.
 TABLE_BUDGET = 256 << 20
 
 
@@ -148,10 +149,12 @@ class Eq1Bound:
 def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     """Independent validity check: the side lies within 0..n-1, edges
     cross the cut, are pairwise vertex-disjoint, and no cut edge joins two
-    distinct matching edges."""
-    if not all(v in range(g.n) for v in matching.a_side):
+    distinct matching edges. It reads only `g.edges`, not the arc tables
+    that the solvers share."""
+    side = set(matching.a_side)
+    if not all(v in range(g.n) for v in side):
         return False
-    cut_set = set(g.cut_edges(set_to_mask(matching.a_side)))
+    cut_set = {(u, v) for u, v in g.edges if (u in side) != (v in side)}
     seen = set()
     for e in matching.edges:
         u, v = min(e), max(e)
@@ -402,16 +405,17 @@ def _critical(cs, decomposition, width):
 
 
 def _check_limit(n, limit, what):
-    """Refuse n above the limit, and any n whose two up-front byte tables
-    over all 2^n vertex sets exceed TABLE_BUDGET, whatever the limit: the
-    f and the choice of `treewidth_exact`. `mimw_exact`'s threshold step
-    keeps one such table (the unions it tested) and is held to the same
-    bound."""
+    """Refuse n above the limit, and, whatever the limit, any n whose 2^n
+    vertex sets at two bytes each exceed TABLE_BUDGET (n >= 28 at
+    256 MiB). `mimw_exact`'s threshold step keeps a byte per vertex set
+    (the unions it tested). The treewidth DP keeps only the sets it
+    reaches, but may reach up to 2^n of them, and its time grows with
+    them, so it is held to the same bound."""
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
     if 2 << n > TABLE_BUDGET:
         raise LimitExceeded(
-            f"n={n}: 2 table(s) over 2^{n} vertex sets exceed "
+            f"n={n}: 2^{n} vertex sets at 2 bytes each exceed "
             f"{TABLE_BUDGET >> 20} MiB"
         )
 
@@ -646,7 +650,7 @@ def mimw_exact(g: Graph, limit=DEFAULT_EXACT_LIMIT) -> WidthReport:
     width 0 with an empty witness (from `mimw_upper` too).
     """
     # The threshold step's byte per vertex set, within the budget of two
-    # tables. The limit applies whether or not it runs.
+    # bytes per set. The limit applies whether or not it runs.
     _check_limit(g.n, limit, "exact mim-width")
     return _width_report(g, "exact", _bounded_search)
 
@@ -761,26 +765,25 @@ def mimw_upper(g: Graph) -> WidthReport:
     return _width_report(g, "upper", _merge_search)
 
 
-def _tw_family(nbr, n, k, choice):
-    """The least vertex mask S* of size c = max(0, n - k - 1) with
-    f(S*) <= k, for f and q as in `treewidth_exact`, or None if there is
-    none, which proves tw > k: grows the sets S with f(S) <= k one size at
-    a time from the empty set up to size c. Each reached S gets its exact
-    f(S) and, in `choice`, the smallest v attaining it."""
-    full = (1 << n) - 1
-    f1 = bytearray(full + 1)  # f(S) + 1 for the reached sets, else 0
-    f1[0] = 1
-    cmask = [0] * n  # vertex of T -> its component of G[T]
-    cnbr = [0] * n  # vertex of T -> the neighbours of that component
-    level = array("Q", (0,))
-    for _ in range(n - k - 1):
-        nxt = array("Q")
-        for t in level:
-            ft1 = f1[t]
+def _tw_family(nbr, rest, k):
+    """(S*, choice): S* is the least vertex mask of size
+    c = max(0, n' - k - 1) within the kernel `rest` of n' vertices, whose
+    neighbour masks `nbr` lie inside it, with f(S*) <= k, for f and q as
+    in `treewidth_exact`; S* is None if there is none, which proves
+    tw > k. Grows the sets S with f(S) <= k one size at a time from the
+    empty set up to size c. A level maps each reached S to f(S) + 1, and
+    `choice` maps every reached S to the smallest v attaining f(S)."""
+    cmask = [0] * len(nbr)  # vertex of T -> its component of G[T]
+    cnbr = [0] * len(nbr)  # vertex of T -> the neighbours of that component
+    choice = {}
+    level = {0: 1}
+    for _ in range(rest.bit_count() - k - 1):
+        nxt = {}
+        for t, ft1 in level.items():
             # The components of G[T], each with the neighbours of its vertices.
-            rest = t
-            while rest:
-                comp = frontier = rest & -rest
+            left = t
+            while left:
+                comp = frontier = left & -left
                 around = 0
                 while frontier:
                     grow = 0
@@ -789,9 +792,9 @@ def _tw_family(nbr, n, k, choice):
                         grow |= nbr[low.bit_length() - 1]
                         frontier ^= low
                     around |= grow
-                    frontier = grow & rest & ~comp
+                    frontier = grow & left & ~comp
                     comp |= frontier
-                rest ^= comp
+                left ^= comp
                 c = comp
                 while c:
                     low = c & -c
@@ -799,7 +802,7 @@ def _tw_family(nbr, n, k, choice):
                     cmask[u] = comp
                     cnbr[u] = around
                     c ^= low
-            out = full ^ t
+            out = rest ^ t
             rem = out
             while rem:
                 low = rem & -rem
@@ -818,17 +821,15 @@ def _tw_family(nbr, n, k, choice):
                     continue
                 val1 = ft1 if ft1 > q else q + 1
                 s = t | low
-                old = f1[s]
-                if not old:
-                    nxt.append(s)
-                elif val1 > old or val1 == old and v > choice[s]:
+                old = nxt.get(s)
+                if old and (val1 > old or val1 == old and v > choice[s]):
                     continue
-                f1[s] = val1
+                nxt[s] = val1
                 choice[s] = v
         if not nxt:
-            return None
+            return None, choice
         level = nxt
-    return min(level)
+    return min(level), choice
 
 
 def _tw_reduce(nbr, rest, low, order):
@@ -877,8 +878,8 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     eliminates simplicial and almost-simplicial vertices; they form a
     prefix of the witness order, and tw = max(low, tw(kernel)).
 
-    On the kernel, relabelled 0..n'-1 in index order, q(T, v) counts the
-    vertices outside T + v that v reaches through G[T], and
+    On the kernel of n' vertices, q(T, v) counts the vertices outside
+    T + v that v reaches through G[T], and
     f(S) = min over v in S of max(f(S - v), q(S - v, v)) is the width of
     the best elimination order that starts with S; tw(kernel) = f(V). For
     k = low, low + 1, ..., the sets with f(S) <= k are grown forward from
@@ -895,37 +896,30 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     attain f(S) <= k. The kernel's order is the table's order of S*, the
     least reached set of size c, then the rest of the kernel ascending; so
     when no vertex reduces, that is the order the full table gives by the
-    same rule. f and the choice of v are bytearrays over the 2^n' sets;
-    a level is an array of set masks. The limit and the table budget
-    bound each kernel's n', checked before its tables are allocated.
+    same rule. f and the choice of v are kept only for the reached sets,
+    on the kernel's own vertex masks. The limit and TABLE_BUDGET bound
+    each kernel's n', checked before its search.
     """
     return _treewidth(g, degeneracy(g).d, limit)
 
 
 def _treewidth(g, d, limit):
     """`treewidth_exact` for a graph of degeneracy d."""
-    n = g.n
     nbr = list(g.nbr_masks)
     order = []
-    rest, low = _tw_reduce(nbr, (1 << n) - 1, d, order)
+    rest, low = _tw_reduce(nbr, (1 << g.n) - 1, d, order)
     while rest:
-        verts = [v for v in range(n) if rest >> v & 1]
-        size = len(verts)
-        _check_limit(size, limit, "treewidth")
-        kernel = [
-            sum(1 << i for i in range(size) if nbr[v] >> verts[i] & 1) for v in verts
-        ]
-        choice = bytearray(1 << size)
-        top = _tw_family(kernel, size, low, choice)
+        _check_limit(rest.bit_count(), limit, "treewidth")
+        top, choice = _tw_family(nbr, rest, low)
         if top is not None:
             tail = []
             s = top
             while s:
-                i = choice[s]
-                tail.append(verts[i])
-                s ^= 1 << i
+                v = choice[s]
+                tail.append(v)
+                s ^= 1 << v
             order += reversed(tail)
-            order += (verts[i] for i in range(size) if not top >> i & 1)
+            order += _bits(rest & ~top)
             break
         rest, low = _tw_reduce(nbr, rest, low + 1, order)
     return TreewidthReport(low, tuple(order))

@@ -59,6 +59,14 @@ class TestGraph:
         with pytest.raises(InvalidParameter):
             Graph(2, [(0, 2)])
 
+    def test_rejects_non_integer_input(self):
+        for n, edges in ((2.0, ()), (3, [(0, 1.0), (1, 2)]), (3, [(0, "1")]), ("3", ())):
+            with pytest.raises(InvalidParameter):
+                Graph(n, edges)
+        # A bool is an integer: True is vertex 1.
+        g = Graph(3, [(0, True)])
+        assert g.edges == frozenset({(0, 1)}) and graph_to_text(g) == "graph 3 1\n0 1\n"
+
     def test_degree_and_adjacency(self):
         g = path(4)
         assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]

@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import random
 import sys
-from array import array
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,16 +150,11 @@ def dp_states(monkeypatch):
     counts = []
     family = solver._tw_family
 
-    class Level(array):
-        def append(self, s):
-            counts[-1] += 1
-            super().append(s)
+    def recording(nbr, rest, k):
+        top, choice = family(nbr, rest, k)
+        counts.append(len(choice))  # one entry per set added to a level
+        return top, choice
 
-    def recording(nbr, n, k, choice):
-        counts.append(0)
-        return family(nbr, n, k, choice)
-
-    monkeypatch.setattr(solver, "array", Level)
     monkeypatch.setattr(solver, "_tw_family", recording)
     return counts
 
@@ -244,6 +239,16 @@ class TestMaxInducedMatchingCut:
             assert not verify_induced_matching(g, InducedMatching(frozenset(side), ((0, 1),)))
             with pytest.raises(InvalidParameter):
                 max_induced_matching_cut(g, side)
+
+    def test_verifier_reads_no_arc_tables(self, monkeypatch):
+        # The checker builds the cut from g.edges, so a broken arc table
+        # in the solvers cannot turn a valid matching invalid.
+        g = cycle(6)
+        m = max_induced_matching_cut(g, {0, 1, 2})
+        assert len(m.edges) == 2 and verify_induced_matching(g, m)
+        monkeypatch.setattr(Graph, "cut_arcs", lambda self, mask: 0)
+        assert verify_induced_matching(g, m)
+        assert not verify_induced_matching(g, InducedMatching(m.a_side, ((0, 1),)))
 
     def test_witness_passes_independent_checker(self):
         for seed in range(20):
@@ -1128,6 +1133,20 @@ class TestTreewidth:
         assert (g.n, rep.value) == (35, 4)
         assert simulate_elimination(g, rep.elimination_order) == 4
         assert mimw_lower_eq1(g).treewidth == 4
+
+    def test_keeps_only_the_reached_sets(self):
+        # Grid 5x6 leaves kernels of 26 and then 18 vertices, on which the
+        # DP reaches 20,032 sets in all: no table over the 2^26 subsets.
+        g = grid(5, 6)
+        tracemalloc.start()
+        try:
+            rep = treewidth_exact(g, limit=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert rep.value == 5
+        assert simulate_elimination(g, rep.elimination_order) == 5
 
     def test_table_budget(self, monkeypatch):
         # Refused before any table is allocated, whatever the limit.
