@@ -35,7 +35,6 @@ from .graph import (
     path,
     random_bipartite,
     random_cubic,
-    save_graph,
     subdivide_all_edges,
     two_color,
 )

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invariant violation, 3 limit exceeded,
-4 I/O / parse / parameter / usage error. The exponential solvers' limits
-can be preset via the env var MIMLAB_LIMITS (e.g. "exact=10,tw=14");
-explicit flags win. The recognizers are polynomial and take no limit.
+4 I/O / parse / parameter / usage error. Each subcommand, gen family,
+construct kind and verify suite has its own parser, which declares only
+the options it reads, after its name; any other option exits 4. The
+exponential solvers' limits can be preset via the env var MIMLAB_LIMITS
+(e.g. "exact=10,tw=14"); explicit flags win. The recognizers are
+polynomial and take no limit.
 """
 
 from __future__ import annotations
@@ -78,30 +81,6 @@ def _resolve_limits(args, **defaults):
     return lim
 
 
-# Each verify suite and mimw mode -> the options that it reads, of
-# OPTIONS; its subcommand's parser defaults each option to None.
-OPTIONS = ("seed", "exact_limit", "tw_limit", "trials", "n_max", "corpus")
-READS = {
-    "verify lemma31": ("seed", "exact_limit", "trials", "n_max"),
-    "verify constructions": ("corpus",),
-    "verify eq1": ("corpus", "exact_limit", "tw_limit"),
-    "mimw --exact": ("exact_limit",),
-    "mimw --upper": (),
-    "mimw --lower": ("tw_limit",),
-}
-
-
-def _given_options(args, what):
-    """The options given to `what`, a key of READS; refuse any it does not
-    read."""
-    given = [k for k in OPTIONS if getattr(args, k, None) is not None]
-    extra = [k for k in given if k not in READS[what]]
-    if extra:
-        flags = ", ".join("--" + k.replace("_", "-") for k in extra)
-        raise InvalidParameter(f"{what} does not take {flags}")
-    return given
-
-
 def _emit(text, out):
     if out:
         with open(out, "w") as f:
@@ -153,12 +132,7 @@ GENERATORS = {
 
 
 def cmd_gen(args):
-    fam = args.family
-    if fam not in GENERATORS:
-        raise InvalidParameter(f"unknown family {fam!r}")
-    gen, kinds, seeded = GENERATORS[fam]
-    if len(args.params) != len(kinds):
-        raise InvalidParameter(f"family {fam!r} takes {len(kinds)} parameter(s)")
+    gen, kinds, seeded = GENERATORS[args.family]
     params = [_number(text, kind) for text, kind in zip(args.params, kinds)]
     obj = gen(*params, args.seed) if seeded else gen(*params)
     text = bipartite_to_text(obj) if isinstance(obj, BipartiteGraph) else graph_to_text(obj)
@@ -186,9 +160,16 @@ def cmd_recognize(args):
     return EXIT_OK
 
 
+# mimw's modes are flags of one parser: mode -> the one limit that it reads.
+MIMW_LIMIT = {"--exact": "--exact-limit", "--upper": None, "--lower": "--tw-limit"}
+
+
 def cmd_mimw(args):
     mode = "--lower" if args.lower else "--upper" if args.upper else "--exact"
-    _given_options(args, "mimw " + mode)
+    given = {"--exact-limit": args.exact_limit, "--tw-limit": args.tw_limit}
+    extra = [flag for flag, val in given.items() if val is not None and flag != MIMW_LIMIT[mode]]
+    if extra:
+        raise InvalidParameter(f"mimw {mode} does not take {', '.join(extra)}")
     lim = _resolve_limits(args)
     g = _load_graph(args.file)
     if args.lower:
@@ -221,10 +202,10 @@ def cmd_tw(args):
 
 def cmd_construct(args):
     if args.kind == "circle":
-        b = construct.build_subdivided_family(_number(args.arg), args.seed)
+        b = construct.build_subdivided_family(_number(args.n), args.seed)
         _emit(bipartite_to_text(b), args.out)
         return EXIT_OK
-    b = _load_bipartite(args.arg)
+    b = _load_bipartite(args.file)
     if args.kind == "split":
         rec = construct.complete_one_side(b, args.side)
     else:  # cocomp
@@ -241,25 +222,29 @@ def cmd_embed(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    given = _given_options(args, "verify " + args.suite)
-    defaults = {"exact": harness.EQ1_EXACT_LIMIT} if args.suite == "eq1" else {}
-    lim = _resolve_limits(args, **defaults)
-    corpus = None  # the suite's built-in corpus
-    if args.corpus is not None:
-        load = _load_bipartite if args.suite == "constructions" else _load_graph
-        corpus = [
-            (name, load(os.path.join(args.corpus, name)))
-            for name in sorted(os.listdir(args.corpus))
-        ]
-    if args.suite == "lemma31":
-        report = harness.verify_lemma31(
-            exact_limit=lim.exact, **{k: getattr(args, k) for k in given if k != "exact_limit"}
-        )
-    elif args.suite == "constructions":
-        report = harness.verify_constructions(corpus)
-    else:  # eq1
-        report = harness.verify_eq1(corpus, exact_limit=lim.exact, tw_limit=lim.tw)
+def _corpus(args, load):
+    """The graph files of --corpus, sorted by name; None, the suite's
+    built-in corpus, without it."""
+    if args.corpus is None:
+        return None
+    names = sorted(os.listdir(args.corpus))
+    return [(name, load(os.path.join(args.corpus, name))) for name in names]
+
+
+def cmd_lemma31(args):
+    lim = _resolve_limits(args)
+    given = {k: getattr(args, k) for k in ("trials", "n_max", "seed") if k in args}
+    return _emit_report(harness.verify_lemma31(exact_limit=lim.exact, **given), args)
+
+
+def cmd_constructions(args):
+    return _emit_report(harness.verify_constructions(_corpus(args, _load_bipartite)), args)
+
+
+def cmd_eq1(args):
+    lim = _resolve_limits(args, exact=harness.EQ1_EXACT_LIMIT)
+    corpus = _corpus(args, _load_graph)
+    report = harness.verify_eq1(corpus, exact_limit=lim.exact, tw_limit=lim.tw)
     return _emit_report(report, args)
 
 
@@ -290,14 +275,17 @@ def build_parser():
     exact = _option("--exact-limit", type=int, default=None)
     tw = _option("--tw-limit", type=int, default=None)
     fmt = _option("--format", choices=("csv", "json"), default="csv")
+    corpus = _option("--corpus", help="a directory of graph files")
 
     parser = argparse.ArgumentParser(prog="mimlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[seed, out], help="write a generated graph file")
-    p.add_argument("family")
-    p.add_argument("params", nargs="*")
+    p = sub.add_parser("gen", help="write a generated graph file")
     p.set_defaults(func=cmd_gen)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (_, types, seeded) in GENERATORS.items():
+        f = families.add_parser(family, parents=[seed, out] if seeded else [out])
+        f.add_argument("params", nargs=len(types))
 
     p = sub.add_parser("recognize", parents=[out], help="class membership test")
     p.add_argument("cls", choices=sorted(RECOGNIZERS))
@@ -316,29 +304,32 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_tw)
 
-    p = sub.add_parser("construct", parents=[seed, out], help="run a construction")
-    p.add_argument("kind", choices=("split", "cocomp", "circle"))
-    p.add_argument(
-        "arg",
-        help="bipartite graph file (split/cocomp) or cubic vertex count (circle)",
-    )
-    p.add_argument("--side", choices=("X", "Y"), default="Y")
+    p = sub.add_parser("construct", help="run a construction")
     p.set_defaults(func=cmd_construct)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("split", parents=[out], help="complete one side of a bipartite file")
+    k.add_argument("file")
+    k.add_argument("--side", choices=("X", "Y"), default="Y")
+    k = kinds.add_parser("cocomp", parents=[out], help="complete both sides of a bipartite file")
+    k.add_argument("file")
+    k = kinds.add_parser("circle", parents=[seed, out], help="subdivided random cubic graph")
+    k.add_argument("n", help="cubic vertex count")
 
     p = sub.add_parser("embed", parents=[out], help="chord diagram of a file")
     p.add_argument("file")
     p.set_defaults(func=cmd_embed)
 
-    # --seed defaults to None here, so that cmd_verify sees whether it was given.
-    verify_seed = _option("--seed", type=int, default=None)
-    p = sub.add_parser(
-        "verify", parents=[verify_seed, exact, tw, fmt, out], help="run a verification suite"
-    )
-    p.add_argument("suite", choices=("lemma31", "constructions", "eq1"))
-    p.add_argument("--trials", type=int, help="lemma31 only (default 200)")
-    p.add_argument("--n-max", type=int, help="lemma31 only (default 9)")
-    p.add_argument("--corpus", help="constructions and eq1 only: a directory of graph files")
-    p.set_defaults(func=cmd_verify)
+    p = sub.add_parser("verify", help="run a verification suite")
+    suites = p.add_subparsers(dest="suite", required=True)
+    s = suites.add_parser("lemma31", parents=[exact, fmt, out])
+    # Absent unless given: verify_lemma31 holds their defaults.
+    for flag in ("--seed", "--trials", "--n-max"):
+        s.add_argument(flag, type=int, default=argparse.SUPPRESS)
+    s.set_defaults(func=cmd_lemma31)
+    s = suites.add_parser("constructions", parents=[corpus, fmt, out])
+    s.set_defaults(func=cmd_constructions)
+    s = suites.add_parser("eq1", parents=[corpus, exact, tw, fmt, out])
+    s.set_defaults(func=cmd_eq1)
 
     p = sub.add_parser("sweep", parents=[seed, exact, tw, fmt, out], help="family sweep to CSV")
     p.add_argument("--family", choices=harness.SWEEP_FAMILIES, required=True)

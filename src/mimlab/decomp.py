@@ -129,8 +129,10 @@ def validate(t: BranchDecomposition, g):
             if len(node) != 2:
                 raise NotBinary(f"internal node with {len(node)} children")
             stack += (node[1], node[0])
-        else:
+        elif node.__class__ is int:  # not a bool, which to_text writes as True
             labels.append(node)
+        else:
+            raise LabelMismatch(f"leaf {node!r} is not an int vertex")
     if sorted(labels) != list(range(g.n)):
         raise LabelMismatch(
             f"leaves {sorted(labels)} are not a bijection onto 0..{g.n - 1}"

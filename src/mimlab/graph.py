@@ -523,12 +523,6 @@ def parse_graph_text(text):
         raise GraphFormatError(str(exc)) from None
 
 
-def save_graph(obj, filename):
-    text = bipartite_to_text(obj) if isinstance(obj, BipartiteGraph) else graph_to_text(obj)
-    with open(filename, "w") as f:
-        f.write(text)
-
-
 def load_graph(filename):
     with open(filename) as f:
         return parse_graph_text(f.read())

@@ -82,6 +82,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .decomp import BranchDecomposition, Cut
 from .errors import InvalidParameter, LimitExceeded
@@ -361,7 +362,11 @@ class _CutSolver:
 
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     """Maximum induced matching of the bipartite cut graph G[A, A-bar].
-    Raises InvalidParameter if A has a vertex outside 0..n-1."""
+    Raises InvalidParameter if A has a vertex that is not an int in 0..n-1."""
+    try:
+        a = {index(v) for v in a}  # as Graph() reads its labels
+    except TypeError:
+        raise InvalidParameter(f"side {set(a)} has a non-integer vertex") from None
     if not all(v in range(g.n) for v in a):
         raise InvalidParameter(f"side {set(a)} has a vertex outside [0,{g.n})")
     return _CutSolver(g).matching(set_to_mask(a))

@@ -30,6 +30,15 @@ def test_validate_label_mismatch():
         validate(t, path(5))
 
 
+def test_validate_rejects_non_int_leaves():
+    # A float leaf would break cuts(), and a bool one to_text()'s round trip.
+    # A str leaf cannot be canonicalized next to an int, so it skips the fold.
+    trees = [BranchDecomposition((0, 1.0)), BranchDecomposition((0, True))]
+    for t in trees + [BranchDecomposition._canonical((0, "1"))]:
+        with pytest.raises(LabelMismatch):
+            validate(t, path(2))
+
+
 def test_validate_not_binary():
     t = BranchDecomposition((0, 1, 2))
     with pytest.raises(NotBinary):

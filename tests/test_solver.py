@@ -239,6 +239,9 @@ class TestMaxInducedMatchingCut:
             assert not verify_induced_matching(g, InducedMatching(frozenset(side), ((0, 1),)))
             with pytest.raises(InvalidParameter):
                 max_induced_matching_cut(g, side)
+        # A float equal to a vertex is no vertex label, as in Graph().
+        with pytest.raises(InvalidParameter):
+            max_induced_matching_cut(g, {1.0})
 
     def test_verifier_reads_no_arc_tables(self, monkeypatch):
         # The checker builds the cut from g.edges, so a broken arc table
