@@ -23,21 +23,25 @@ from .errors import (
 from .graph import set_to_mask
 
 
+_CLOSE = object()  # on `_fold`'s stack, closes the innermost open node
+
+
 def _fold(root, leaf, combine):
     """Value of every node in postorder (root last), without recursion:
     leaf(label) at a leaf, combine(child values) at an internal node."""
     out = []
     done = []  # values of the finished children of open nodes
+    sizes = []  # child counts of the open nodes, innermost last
     stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, tuple):
-            # A list [k] closes a node with k children, after they finish.
-            stack.append([len(node)])
+            sizes.append(len(node))
+            stack.append(_CLOSE)
             stack.extend(reversed(node))
             continue
-        if isinstance(node, list):
-            k = len(done) - node[0]
+        if node is _CLOSE:
+            k = len(done) - sizes.pop()
             val = combine(done[k:])
             del done[k:]
         else:
@@ -53,8 +57,14 @@ def _canon_node(kids):
     return tuple(c for c, _ in kids), kids[0][1] if kids else math.inf
 
 
+def _canon_leaf(v):
+    if v.__class__ is not int:  # not a bool, which to_text writes as True
+        raise LabelMismatch(f"leaf {v!r} is not an int vertex")
+    return v, v
+
+
 def _canon(root):
-    return _fold(root, lambda v: (v, v), _canon_node)[-1][0]
+    return _fold(root, _canon_leaf, _canon_node)[-1][0]
 
 
 class BranchDecomposition:

@@ -32,15 +32,22 @@ state per cut, so an answer and the work behind it do not depend on the
 questions asked before. Its one query is the threshold "mim >= t?". A
 side of k vertices answers no when t > min(k, n - k), since a matching
 uses distinct vertices on each side; else one ladder of cut tests
-(`_has_matching`) decides. First fit from both ends (take the highest
-free arc, t times, and where that stops short of t, the lowest) answers
-yes. A clique-cover bound answers no: it is the colouring bound of
+(`_has_matching`) decides, each rung run once. First fit from the high
+end (take the highest free arc, t times) answers yes. For t <= 2 the
+answer is then exact: one edge is any arc, and two are an arc a and an
+arc outside a's conflict row. Else first fit from the low end answers
+yes, and a clique-cover bound answers no: it is the colouring bound of
 Tomita and Seki applied to the complement, since the members of a clique
 of the conflict graph pairwise conflict, so a cover by t - 1 cliques,
 grown greedily, leaves room for t - 1 edges at most. Only where neither
 answers does branch and bound over the conflict graph of the cut's edges
 run. That search stops at the first matching of t edges and prunes, by
-the same cover, every branch that cannot reach t.
+the same cover, every branch that cannot reach t; at its root it does
+not test again the cover that just failed. It branches on the pivot and
+those of its conflicting arcs u whose rows do not hold the pivot's whole
+row within the candidates: a matching with such a u stays one with the
+pivot in u's place, and the pivot's branch runs first (the domination
+rule of Fomin, Grandoni and Kratsch, J. ACM 2009).
 
 The upper bound is one bottom-up merge (`_merge_search`): from one part
 per vertex, it joins the first pair of parts whose union has a cut value
@@ -52,10 +59,13 @@ parts live in parallel lists, and each row of the scan is one loop. Each
 part carries the arcs leaving and entering it, so a union's cut arcs take
 two mask operations, and the loop tries first fit from the high end on
 them inline; only where it stops short of w + 1 edges does it put the
-threshold query to the cut solver. At w = 1 a union of two one-vertex
-parts {u, v} skips both: its cut has an induced matching of two edges iff
-N(u) is not within N[v] and N(v) is not within N[u], read off the
-neighbour masks. It is deterministic: it takes no seed.
+rest of the ladder, from the size bound on, to the cut solver. At w = 1
+a union of two one-vertex parts {u, v} skips both: its cut has an induced
+matching of two edges iff N(u) is not within N[v] and N(v) is not within
+N[u], read off the neighbour masks. Where no vertex u has N(u) within
+some N[v] (no vertex is dominated, as in every subdivided cubic graph),
+every union at w = 1 fails, so the merge starts at w = 2. It is
+deterministic: it takes no seed.
 
 A cut edge is an arc from the side in the mask to the other side
 (`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
@@ -151,8 +161,12 @@ def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     """Independent validity check: the side lies within 0..n-1, edges
     cross the cut, are pairwise vertex-disjoint, and no cut edge joins two
     distinct matching edges. It reads only `g.edges`, not the arc tables
-    that the solvers share."""
-    side = set(matching.a_side)
+    that the solvers share. Side vertices are read as `Graph()` reads its
+    labels (`operator.index`), so a float is not a vertex."""
+    try:
+        side = {index(v) for v in matching.a_side}
+    except TypeError:
+        return False
     if not all(v in range(g.n) for v in side):
         return False
     cut_set = {(u, v) for u, v in g.edges if (u in side) != (v in side)}
@@ -212,35 +226,47 @@ def _covered(cand, conf, room):
     return True
 
 
-def _first_fit(arcs, t, conf):
-    """Whether first fit takes an induced matching of t edges from the arcs
-    `arcs` (a bitmask of arc indices): the highest free arc each time, and,
-    where that stops short of t, the lowest free arc each time."""
-    rest = arcs
-    size = 0
-    while rest:
-        size += 1
-        if size >= t:
-            return True
-        rest &= ~conf[rest.bit_length() - 1]
-    size = 0
-    while arcs:
-        size += 1
-        if size >= t:
-            return True
-        arcs &= ~conf[(arcs & -arcs).bit_length() - 1]
-    return t <= 0
-
-
 def _has_matching(cs, arcs, t):
     """Whether the arcs `arcs` (a bitmask of arc indices) of the cut solver
     `cs` hold an induced matching of t edges. The one ladder of cut tests:
-    first fit from both ends (`_first_fit`) answers yes, a cover by t - 1
-    greedy cliques (`_covered`) answers no, and only where neither does
-    the threshold search runs."""
+    its first rung, first fit from the high end (take the highest free arc,
+    t times), answers yes, and `_past_high_end` runs the rest."""
     conf = cs.conf
-    if _first_fit(arcs, t, conf):
-        return True
+    rest = arcs
+    left = t
+    while rest:
+        left -= 1
+        if left <= 0:
+            return True
+        rest &= ~conf[rest.bit_length() - 1]
+    return _past_high_end(cs, arcs, t)
+
+
+def _past_high_end(cs, arcs, t):
+    """`_has_matching` on arcs where first fit from the high end took
+    fewer than t: the rungs after it. For t <= 2 the answer is exact at
+    once: a matching of two edges is an arc a and an arc outside a's
+    conflict row (which holds a). Else first fit from the low end answers
+    yes, a cover by t - 1 greedy cliques (`_covered`) answers no, and only
+    where neither does the threshold search runs."""
+    conf = cs.conf
+    if t <= 2:
+        if t < 2:
+            return t <= 0 or arcs != 0
+        rest = arcs
+        while rest:
+            a = rest.bit_length() - 1
+            if arcs & ~conf[a]:
+                return True
+            rest ^= 1 << a
+        return False
+    rest = arcs
+    left = t
+    while rest:
+        left -= 1
+        if not left:
+            return True
+        rest &= ~conf[(rest & -rest).bit_length() - 1]
     return not _covered(arcs, conf, t - 1) and len(cs._search(arcs, t)) >= t
 
 
@@ -249,11 +275,13 @@ class _CutSolver:
     holds one conflict row per arc: the arcs that cannot share an induced
     matching with it, whatever the cut. It keeps nothing per cut; its
     other fields are work counters. `nodes` counts the branch-and-bound
-    nodes of every search it ran; a search prunes a node whose candidates
-    have a greedy clique cover (`_covered`) too small to beat its floor.
-    `side_nodes` counts the placements that `_balanced_side` visited, and
-    `queries` the (union, w) that `_merge_search` decided, inline or by
-    the neighbour masks included. `cut_tests` counts the unions of good
+    nodes of every search it ran: a dominated branch is never entered, so
+    it adds none, and a search prunes a node whose candidates have a
+    greedy clique cover (`_covered`) too small to beat its floor.
+    `side_nodes` counts the placements that `_balanced_side` visited.
+    `queries` counts the (union, w) that the scans of `_merge_search`
+    decided, inline, by the neighbour masks or by the cut solver; a w = 1
+    that the merge skips adds none. `cut_tests` counts the unions of good
     sets that `_threshold_tree` handed to `_has_matching`."""
 
     def __init__(self, g: Graph):
@@ -291,6 +319,14 @@ class _CutSolver:
             return False
         return _has_matching(self, arcs, t)
 
+    def at_least_past_high_end(self, mask, t, arcs):
+        """`at_least` where first fit from the high end has taken fewer
+        than t of the arcs `arcs`: the size bound, then `_past_high_end`."""
+        k = mask.bit_count()
+        if t > k or t > self.n - k:
+            return False
+        return _past_high_end(self, arcs, t)
+
     def matching(self, mask, t=0) -> InducedMatching:
         """An induced matching among the edges leaving `mask`, its edges in
         sorted order, from `_search` with threshold t: a maximum one with
@@ -306,7 +342,15 @@ class _CutSolver:
         independent set on their conflict graph. With t = 0 it is a
         maximum one. With t > 0 the search stops at the first one of t
         edges and prunes every branch that cannot reach t, so a smaller
-        result proves only that the maximum is < t."""
+        result proves only that the maximum is < t. With t > 0 the caller
+        has seen t - 1 greedy cliques fail to cover `arcs` (`_has_matching`
+        did, and a cut of value t must), so the root does not test that
+        cover. A node branches on its min-conflict pivot and on each
+        conflicting u whose row does not hold all of the pivot's: where it
+        does, a matching with u stays one with the pivot in u's place, and
+        the pivot's branch, which runs first, reaches every size that the
+        floor admits. So the first t-matching, and a maximum one, are those
+        that the search without the rule finds."""
         m = arcs.bit_count()
         if m <= 1:
             return [arcs.bit_length() - 1] if m else []
@@ -339,16 +383,21 @@ class _CutSolver:
                 return
             if cur_size + cand.bit_count() <= floor:
                 return
-            if _covered(cand, conf, floor - cur_size):
+            # With t > 0 the root's cover is the one the caller saw fail.
+            if (cur or not t) and _covered(cand, conf, floor - cur_size):
                 return
             # Min-degree pivot: some optimal solution contains a member of
-            # its closed conflict neighborhood, so branch only over those.
+            # its closed conflict neighborhood, so branch only over those,
+            # but not over a u whose row holds that whole neighborhood.
             pivot = _min_conflict(cand, conf)
+            near = conf[pivot] & cand
             options = [pivot]
-            branch = conf[pivot] & cand ^ (1 << pivot)
+            branch = near ^ (1 << pivot)
             while branch:
                 low = branch & -branch
-                options.append(low.bit_length() - 1)
+                u = low.bit_length() - 1
+                if near & ~conf[u]:
+                    options.append(u)
                 branch ^= low
             for u in options:
                 cur.append(u)
@@ -683,14 +732,17 @@ def _merge_search(cs):
     OR of `tail` and of `head` over their vertices), so a union's cut
     arcs take two big-int operations, and each row is one loop. It runs
     first fit from the high end inline on the union's arcs, one conflict
-    row per arc taken, and asks `cs.at_least(union, w + 1, arcs)` only
-    where that stops short of w + 1 edges. At w = 1 a union of two
-    one-vertex parts {u, v} is decided from the neighbour masks instead:
-    its cut has an induced matching of two edges iff N(u) is not within
-    N[v] and N(v) is not within N[u] (an edge ux with x not adjacent to v
-    and an edge vy with y not adjacent to u). `cs.queries` counts the
-    (union, w) decided, both of these ways included."""
-    n, at_least, conf = cs.n, cs.at_least, cs.conf
+    row per arc taken, and only where that stops short of w + 1 edges
+    asks `cs.at_least_past_high_end(union, w + 1, arcs)`, the rest of the
+    ladder. At w = 1 a union of two one-vertex parts {u, v} is decided
+    from the neighbour masks instead: its cut has an induced matching of
+    two edges iff N(u) is not within N[v] and N(v) is not within N[u] (an
+    edge ux with x not adjacent to v and an edge vy with y not adjacent to
+    u). So where no vertex u has N(u) within some N[v], every union at
+    w = 1 fails, and the merge starts at w = 2 with the state it would
+    reach there. `cs.queries` counts the (union, w) that its scans
+    decide, every way included."""
+    n, past_high_end, conf = cs.n, cs.at_least_past_high_end, cs.conf
     nbr = cs.g.nbr_masks
     _, tail, head = cs.g.arc_tables
     masks = [1 << v for v in range(n)]
@@ -698,6 +750,16 @@ def _merge_search(cs):
     outs, ins = list(tail), list(head)  # the arcs leaving and entering a part
     done = [False] * n
     w = 1 if cs.g.m else 0
+    if w:
+        # N(u) is within N[v] iff v is in N[x] for every x in N(u).
+        for u in range(n):
+            common = cs.full
+            for x in _bits(nbr[u]):
+                common &= nbr[x] | 1 << x
+            if common & ~(1 << u):
+                break
+        else:
+            w = 2
     new = 0  # the slot of the last merge; 0 after w rises
 
     def scan(p, start, stop):
@@ -726,7 +788,7 @@ def _merge_search(cs):
                         break
                     rest &= ~conf[rest.bit_length() - 1]
                 else:
-                    if not at_least(mp | mq, t, arcs):
+                    if not past_high_end(mp | mq, t, arcs):
                         break
             q += 1
         if q < stop:

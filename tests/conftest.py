@@ -199,6 +199,51 @@ def search_at_least(self, mask, t, arcs):
     return len(self._search(arcs, t)) >= t
 
 
+def reference_search(cs, arcs, t=0):
+    """`_CutSolver._search` without its two shortcuts: it branches on every
+    member of the pivot's closed conflict neighbourhood, dominated or not,
+    and tests the clique cover at the root too. Returns (arc list, nodes)."""
+    from mimlab.graph import _bits
+    from mimlab.solver import _covered, _min_conflict
+
+    m = arcs.bit_count()
+    if m <= 1:
+        return ([arcs.bit_length() - 1] if m else []), 0
+    conf = cs.conf
+    goal = t or m + 1
+    cand = arcs
+    best_set = []
+    while cand and len(best_set) < goal:
+        v = _min_conflict(cand, conf)
+        best_set.append(v)
+        cand &= ~conf[v]
+    best_size = len(best_set)
+    if best_size >= goal:
+        return best_set, 0
+    floor = max(best_size, t - 1)
+    nodes = 0
+
+    def rec(cand, cur, cur_size):
+        nonlocal best_size, best_set, floor, nodes
+        nodes += 1
+        if cand == 0:
+            if cur_size > best_size:
+                best_size = cur_size
+                best_set = list(cur)
+                floor = m if cur_size >= goal else max(floor, cur_size)
+            return
+        if cur_size + cand.bit_count() <= floor or _covered(cand, conf, floor - cur_size):
+            return
+        pivot = _min_conflict(cand, conf)
+        for u in [pivot, *_bits(conf[pivot] & cand ^ 1 << pivot)]:
+            cur.append(u)
+            rec(cand & ~conf[u], cur, cur_size + 1)
+            cur.pop()
+
+    rec(arcs, [], 0)
+    return best_set, nodes
+
+
 def brute_treewidth(g):
     """Min over all elimination orders of the max fill-in degree."""
     best = None

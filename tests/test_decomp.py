@@ -32,11 +32,17 @@ def test_validate_label_mismatch():
 
 def test_validate_rejects_non_int_leaves():
     # A float leaf would break cuts(), and a bool one to_text()'s round trip.
-    # A str leaf cannot be canonicalized next to an int, so it skips the fold.
-    trees = [BranchDecomposition((0, 1.0)), BranchDecomposition((0, True))]
-    for t in trees + [BranchDecomposition._canonical((0, "1"))]:
+    # The public constructor refuses them, so these trees skip the fold.
+    for leaf in (1.0, True, "1"):
         with pytest.raises(LabelMismatch):
-            validate(t, path(2))
+            validate(BranchDecomposition._canonical((0, leaf)), path(2))
+
+
+def test_constructor_rejects_non_int_leaves():
+    # The rule of validate, before the fold sorts a str next to an int.
+    for root in [(0, "1"), ("1", 0), (0, 1.0), (0, True), ((0, 1), (2, None)), (0, [1])]:
+        with pytest.raises(LabelMismatch):
+            BranchDecomposition(root)
 
 
 def test_validate_not_binary():

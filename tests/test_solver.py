@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_graphs,
     brute_max_induced_matching,
     brute_mimw,
     brute_treewidth,
     cut_edge_list,
     lexmin_critical,
+    reference_search,
     rescan_merge,
     search_at_least,
     simulate_elimination,
@@ -62,6 +64,14 @@ def conflict(e, f, cut_set):
     return bool(set(e) & set(f)) or any(
         (min(p, q), max(p, q)) in cut_set for p in e for q in f
     )
+
+
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
 
 
 def random_graph(n, p, seed):
@@ -242,6 +252,14 @@ class TestMaxInducedMatchingCut:
         # A float equal to a vertex is no vertex label, as in Graph().
         with pytest.raises(InvalidParameter):
             max_induced_matching_cut(g, {1.0})
+
+    def test_checker_reads_side_labels_as_graph_does(self):
+        # operator.index: a float equal to a vertex is no vertex, and True
+        # is vertex 1, for the checker as for max_induced_matching_cut.
+        g = path(4)
+        assert not verify_induced_matching(g, InducedMatching(frozenset({1.0}), ((0, 1),)))
+        assert verify_induced_matching(g, InducedMatching(frozenset({True}), ((0, 1),)))
+        assert max_induced_matching_cut(g, {True}) == max_induced_matching_cut(g, {1})
 
     def test_verifier_reads_no_arc_tables(self, monkeypatch):
         # The checker builds the cut from g.edges, so a broken arc table
@@ -463,6 +481,38 @@ class TestCliqueCover:
         assert pruned
 
 
+class TestDominatedBranches:
+    def test_search_matches_reference(self):
+        # The search skips a branch that the pivot's branch dominates, and
+        # with t > 0 the cover at its root: the same list as the search
+        # without either, for t = 0 up to the cut's value + 1, in at most
+        # its nodes. At value + 1 it runs only where the cover by value
+        # cliques fails, as in `_has_matching`, and both fall short.
+        graphs = [
+            random_graph(random.Random(seed).randint(4, 10), p, seed)
+            for seed in range(60)
+            for p in (0.3, 0.55)
+        ]
+        pruned = 0
+        for g in graphs:
+            cs = solver._CutSolver(g)
+            for mask in range(1, 1 << g.n - 1):  # each cut once, by complement
+                arcs = g.cut_arcs(mask)
+                want, _ = reference_search(cs, arcs)
+                value = len(want)
+                for t in range(value + 2):
+                    if t > value and solver._covered(arcs, cs.conf, value):
+                        continue
+                    want, nodes = reference_search(cs, arcs, t)
+                    before = cs.nodes
+                    got = cs._search(arcs, t)
+                    assert cs.nodes - before <= nodes, (g.edges, mask, t)
+                    pruned += cs.nodes - before < nodes
+                    assert got == want, (g.edges, mask, t)
+                    assert (len(got) >= t) == (t <= value)
+        assert pruned
+
+
 class TestThresholdQueries:
     def test_at_least_matches_brute_force(self):
         rng = random.Random(0)
@@ -489,6 +539,22 @@ class TestThresholdQueries:
                 for a, want in brute.items():
                     arcs = g.cut_arcs(a)
                     assert cs.at_least(a, want, arcs) and not cs.at_least(a, want + 1, arcs)
+
+    def test_up_to_two_edges_exact(self):
+        # For t <= 2 the ladder decides without a search: any arc is one
+        # edge, and two are an arc and an arc outside its conflict row.
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        graphs += [random_graph(5 + seed % 3, p, seed) for seed in range(20) for p in (0.3, 0.5)]
+        for g in graphs:
+            cs = solver._CutSolver(g)
+            for mask in range(1 << g.n):
+                arcs = g.cut_arcs(mask)
+                value = brute_max_induced_matching(g, mask_to_set(mask))
+                for t in range(3):
+                    want = value >= t
+                    assert solver._has_matching(cs, arcs, t) == want, (g.edges, mask, t)
+                    assert solver._past_high_end(cs, arcs, t) == want, (g.edges, mask, t)
+            assert cs.nodes == 0
 
     def test_work_does_not_depend_on_history(self):
         # One solver answers a list of queries, each asked twice and in
@@ -532,16 +598,22 @@ class TestThresholdQueries:
         assert cs.nodes == 0
 
     def test_search_when_first_fit_falls_short(self):
-        # The path 3-0-2-4-1, cut at A = {1, 2, 3}: every edge crosses.
-        # The highest arc, 2->4, and the lowest, 2->0, each conflict with
-        # every other arc, so first fit stops at one edge from both ends;
-        # the search finds {03, 14}, which is induced, by its greedy start,
-        # before any branch-and-bound node.
-        g = Graph(5, [(0, 2), (0, 3), (2, 4), (1, 4)])
+        # The path 6-0-5-4-1 and the edge 2-3, cut at A = {0, 2, 4}: every
+        # edge crosses. First fit stops at two edges from both ends, and
+        # two greedy cliques do not cover the arcs; the search finds
+        # {06, 14, 23}, which is induced, by its greedy start, before any
+        # branch-and-bound node. (At t <= 2 no search runs.)
+        g = Graph(7, [(0, 5), (0, 6), (1, 4), (2, 3), (4, 5)])
         cs = solver._CutSolver(g)
-        arcs = g.cut_arcs(0b01110)
-        assert not solver._first_fit(arcs, 2, cs.conf)
-        assert cs.at_least(0b01110, 2, arcs)
+        arcs = g.cut_arcs(0b10101)
+        for pick in (int.bit_length, lambda rest: (rest & -rest).bit_length()):
+            rest, size = arcs, 0
+            while rest:
+                size += 1
+                rest &= ~cs.conf[pick(rest) - 1]
+            assert size == 2
+        assert not solver._covered(arcs, cs.conf, 2)
+        assert cs.at_least(0b10101, 3, arcs)
         assert cs.nodes == 0
 
 
@@ -551,8 +623,8 @@ class TestUpperWork:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: build_subdivided_family(10, 0).graph, 28),
-            (lambda: build_subdivided_family(14, 0).graph, 256),
+            (lambda: build_subdivided_family(10, 0).graph, 9),
+            (lambda: build_subdivided_family(14, 0).graph, 18),
             (lambda: complete_one_side(two_color(grid(5, 5)), "Y").result, 0),
         ],
         ids=["circle-cubic-10", "circle-cubic-14", "split-grid-5"],
@@ -566,25 +638,27 @@ class TestUpperWork:
         "make, calls, by_masks",
         [
             (lambda: relabelled_path(120, 1), 5554, 1942),
-            (lambda: build_subdivided_family(14, 0).graph, 1284, 595),
+            # No vertex of a subdivided cubic graph is dominated, so the
+            # merge starts at w = 2 there.
+            (lambda: build_subdivided_family(14, 0).graph, 689, 0),
         ],
         ids=["relabelled-path-120", "circle-cubic-14"],
     )
     def test_one_query_per_pair_and_width(self, make, calls, by_masks):
         # The merge decides each (union, w) that its scan takes up once:
-        # by first fit inline, by `at_least`, or, for two vertices at
-        # w = 1, from the neighbour masks. The trace of the scan's frames
-        # reads off every pair it takes up, so a union decided twice shows
-        # whichever way it was.
+        # by first fit inline, by `at_least_past_high_end`, or, for two
+        # vertices at w = 1, from the neighbour masks. The trace of the
+        # scan's frames reads off every pair it takes up, so a union
+        # decided twice shows whichever way it was.
         cs = solver._CutSolver(make())
         asked = []
-        at_least = cs.at_least
+        past_high_end = cs.at_least_past_high_end
 
         def recording(mask, t, arcs):
             asked.append((mask, t))
-            return at_least(mask, t, arcs)
+            return past_high_end(mask, t, arcs)
 
-        cs.at_least = recording
+        cs.at_least_past_high_end = recording
         scans = merge_scans(cs)
         pairs = [pair for taken, _ in scans for pair in taken]
         assert len(set(pairs)) == len(pairs) == cs.queries == calls
@@ -1035,12 +1109,15 @@ class TestMimwUpper:
         # neighbour masks, and its first question is {0, 1}, in the scan of
         # row 0, which returns part 1 iff the union fits. Relabelled so
         # that {u, v} comes first, each pair fits iff its cut has no
-        # induced matching of two edges.
-        graphs = [Graph(5, [(0, 1)]), Graph(6, [(0, 1), (2, 3)]), path(3), path(4)]
+        # induced matching of two edges. Where no vertex is dominated (C5),
+        # the merge starts at w = 2, so its first question is {0, 1} at
+        # t = 3, and then no pair fits at w = 1.
+        graphs = [Graph(5, [(0, 1)]), Graph(6, [(0, 1), (2, 3)]), path(3), path(4), cycle(5)]
         for seed in range(60):
             rng = random.Random(seed)
             graphs.append(random_graph(rng.randint(2, 9), rng.choice((0.2, 0.4, 0.6)), seed))
         seen = set()
+        skipped = 0
         for g in graphs:
             if not g.m or g.n < 3:  # the merge starts at w = 0, or asks nothing
                 continue
@@ -1048,21 +1125,77 @@ class TestMimwUpper:
                 label = {x: i for i, x in enumerate([u, v, *sorted(set(range(g.n)) - {u, v})])}
                 cs = solver._CutSolver(Graph(g.n, [(label[a], label[b]) for a, b in g.edges]))
                 asked = []
-                at_least = cs.at_least
+                past_high_end = cs.at_least_past_high_end
 
                 def recording(mask, t, arcs):
                     asked.append((mask, t))
-                    return at_least(mask, t, arcs)
+                    return past_high_end(mask, t, arcs)
 
-                cs.at_least = recording
+                cs.at_least_past_high_end = recording
                 scans = merge_scans(cs)
                 assert (0b11, 2) not in asked
                 taken, q = next(scan for scan in scans if scan[0])
-                assert taken[0] == (0b11, 2)
                 value = brute_max_induced_matching(g, {u, v})
+                if taken[0] == (0b11, 3):
+                    assert value == 2, (g.edges, u, v)
+                    skipped += 1
+                    continue
+                assert taken[0] == (0b11, 2)
                 assert (q == 1) == (value <= 1), (g.edges, u, v)
                 seen.add(value)
-        assert seen == {0, 1, 2}
+        assert seen == {0, 1, 2} and skipped
+
+    def test_w1_skip_iff_no_two_vertices_fit(self):
+        # The merge skips w = 1 iff no vertex is dominated, which is iff no
+        # union of two vertices has a cut value of at most 1; it then takes
+        # up no pair at t = 2.
+        graphs = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            graphs.append(random_graph(rng.randint(3, 9), rng.choice((0.3, 0.4, 0.5)), seed))
+        # Most cubic graphs of six or eight vertices have no dominated
+        # vertex. A pendant vertex, at each label in turn, is dominated.
+        for seed in range(10):
+            graphs.append(random_cubic(6, seed))
+            g = random_cubic(8, seed)
+            graphs.append(g)
+            for p in range(9):
+                label = [v + (v >= p) for v in range(8)]
+                edges = [(label[u], label[v]) for u, v in g.edges]
+                graphs.append(Graph(9, [*edges, (p, (p + 1) % 9)]))
+        fired = kept = 0
+        for g in graphs:
+            if not g.m:
+                continue
+            scans = merge_scans(solver._CutSolver(g))
+            skipped = all(t > 2 for taken, _ in scans for _, t in taken)
+            fits = any(
+                brute_max_induced_matching(g, pair) <= 1
+                for pair in itertools.combinations(range(g.n), 2)
+            )
+            assert skipped == (not fits), g.edges
+            fired += skipped
+            kept += not skipped
+        assert fired and kept
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cycle(5),
+            lambda: PETERSEN,
+            lambda: subdivide_all_edges(PETERSEN).graph,
+            lambda: build_subdivided_family(8, 1).graph,
+            lambda: build_subdivided_family(10, 0).graph,
+        ],
+        ids=["C5", "petersen", "subdivided-petersen", "circle-cubic-8", "circle-cubic-10"],
+    )
+    def test_w1_skip_matches_rescan(self, make):
+        # Graphs with no dominated vertex: the merge that starts at w = 2
+        # gives the full rescan's width and tree, which starts at w = 1.
+        g = make()
+        cs = solver._CutSolver(g)
+        assert all(t > 2 for taken, _ in merge_scans(cs) for _, t in taken)
+        assert solver._merge_search(cs) == rescan_merge(solver._CutSolver(g))
 
     @pytest.mark.parametrize(
         "make",
