@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import construct, harness, recognize, solver
 from .errors import (
@@ -45,40 +44,28 @@ EXIT_LIMIT = 3
 EXIT_IO = 4
 
 
-@dataclass
-class Limits:
-    exact: int = solver.DEFAULT_EXACT_LIMIT
-    tw: int = solver.DEFAULT_TW_LIMIT
-
-
-def _limits_from_env(lim):
-    raw = os.environ.get("MIMLAB_LIMITS", "")
-    for part in raw.split(","):
+def _resolve_limits(args, exact=solver.DEFAULT_EXACT_LIMIT, tw=solver.DEFAULT_TW_LIMIT):
+    """(exact, tw) limits: the defaults given, then MIMLAB_LIMITS, then the
+    flags; each must be positive."""
+    lim = {"exact": exact, "tw": tw}
+    for part in os.environ.get("MIMLAB_LIMITS", "").split(","):
         part = part.strip()
         if not part:
             continue
         key, _, val = part.partition("=")
-        if key not in ("exact", "tw"):
+        if key not in lim:
             raise InvalidParameter(f"unknown limit {key!r} in MIMLAB_LIMITS")
         try:
-            setattr(lim, key, int(val))
+            lim[key] = int(val)
         except ValueError:
             raise InvalidParameter(f"bad limit value in MIMLAB_LIMITS: {part!r}") from None
-    return lim
-
-
-def _resolve_limits(args, **defaults):
-    """Limits from `defaults`, then MIMLAB_LIMITS, then the flags; each must
-    be positive."""
-    lim = _limits_from_env(Limits(**defaults))
-    if getattr(args, "exact_limit", None) is not None:
-        lim.exact = args.exact_limit
-    if getattr(args, "tw_limit", None) is not None:
-        lim.tw = args.tw_limit
-    for key, val in vars(lim).items():
-        if val <= 0:
-            raise InvalidParameter(f"{key} limit must be positive, got {val}")
-    return lim
+    for key in lim:  # the flags --exact-limit and --tw-limit
+        flag = getattr(args, f"{key}_limit", None)
+        if flag is not None:
+            lim[key] = flag
+        if lim[key] <= 0:
+            raise InvalidParameter(f"{key} limit must be positive, got {lim[key]}")
+    return lim["exact"], lim["tw"]
 
 
 def _emit(text, out):
@@ -170,10 +157,10 @@ def cmd_mimw(args):
     extra = [flag for flag, val in given.items() if val is not None and flag != MIMW_LIMIT[mode]]
     if extra:
         raise InvalidParameter(f"mimw {mode} does not take {', '.join(extra)}")
-    lim = _resolve_limits(args)
+    exact, tw = _resolve_limits(args)
     g = _load_graph(args.file)
     if args.lower:
-        bound = solver.mimw_lower_eq1(g, lim.tw)
+        bound = solver.mimw_lower_eq1(g, tw)
         _emit(
             f"lower {bound.ratio.numerator}/{bound.ratio.denominator} "
             f"integer {bound.integer_bound} tw {bound.treewidth} "
@@ -184,15 +171,15 @@ def cmd_mimw(args):
     if args.upper:
         rep = solver.mimw_upper(g)
     else:
-        rep = solver.mimw_exact(g, lim.exact)
+        rep = solver.mimw_exact(g, exact)
     _emit(rep.to_json() + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_tw(args):
-    lim = _resolve_limits(args)
+    _, tw = _resolve_limits(args)
     g = _load_graph(args.file)
-    rep = solver.treewidth_exact(g, lim.tw)
+    rep = solver.treewidth_exact(g, tw)
     _emit(
         f"tw {rep.value}\norder {' '.join(str(v) for v in rep.elimination_order)}\n",
         args.out,
@@ -232,9 +219,9 @@ def _corpus(args, load):
 
 
 def cmd_lemma31(args):
-    lim = _resolve_limits(args)
+    exact, _ = _resolve_limits(args)
     given = {k: getattr(args, k) for k in ("trials", "n_max", "seed") if k in args}
-    return _emit_report(harness.verify_lemma31(exact_limit=lim.exact, **given), args)
+    return _emit_report(harness.verify_lemma31(exact_limit=exact, **given), args)
 
 
 def cmd_constructions(args):
@@ -242,19 +229,16 @@ def cmd_constructions(args):
 
 
 def cmd_eq1(args):
-    lim = _resolve_limits(args, exact=harness.EQ1_EXACT_LIMIT)
+    exact, tw = _resolve_limits(args, exact=harness.EQ1_EXACT_LIMIT)
     corpus = _corpus(args, _load_graph)
-    report = harness.verify_eq1(corpus, exact_limit=lim.exact, tw_limit=lim.tw)
+    report = harness.verify_eq1(corpus, exact_limit=exact, tw_limit=tw)
     return _emit_report(report, args)
 
 
 def cmd_sweep(args):
-    lim = _resolve_limits(args)
+    exact, tw = _resolve_limits(args)
     sizes = [_number(s) for s in args.sizes.split(",")]
-    report = harness.sweep(
-        args.family, sizes, seed=args.seed,
-        exact_limit=lim.exact, tw_limit=lim.tw,
-    )
+    report = harness.sweep(args.family, sizes, seed=args.seed, exact_limit=exact, tw_limit=tw)
     return _emit_report(report, args)
 
 

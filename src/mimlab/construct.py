@@ -45,14 +45,20 @@ class CompletionRecord:
                 raise InvalidParameter(f"added edge ({u},{v}) crosses the classes")
 
 
-def _intra_non_edges(b, cls):
-    vs = sorted(cls)
-    return [
-        (u, v)
-        for i, u in enumerate(vs)
-        for v in vs[i + 1 :]
-        if not b.graph.has_edge(u, v)
-    ]
+def _intra_pairs(b: BipartiteGraph, sides="XY"):
+    """The pairs inside each chosen class, X before Y, in sorted order.
+    None is an edge, since `BipartiteGraph` refuses an edge inside a class."""
+    pairs = []
+    for side in sides:
+        vs = sorted(b.x_class if side == "X" else b.y_class)
+        pairs += ((u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    return pairs
+
+
+def _completion(b: BipartiteGraph, added) -> CompletionRecord:
+    """The record of b with the intra-class pairs `added` as edges."""
+    added = frozenset(added)
+    return CompletionRecord(b, Graph(b.n, b.graph.edges | added), added)
 
 
 def complete_one_side(b: BipartiteGraph, side="Y") -> CompletionRecord:
@@ -60,20 +66,13 @@ def complete_one_side(b: BipartiteGraph, side="Y") -> CompletionRecord:
     the result is a split graph (completed class = clique)."""
     if side not in ("X", "Y"):
         raise InvalidParameter("side must be 'X' or 'Y'")
-    cls = b.x_class if side == "X" else b.y_class
-    added = frozenset(_intra_non_edges(b, cls))
-    result = Graph(b.n, b.graph.edges | added)
-    return CompletionRecord(b, result, added)
+    return _completion(b, _intra_pairs(b, side))
 
 
 def complete_both_sides(b: BipartiteGraph) -> CompletionRecord:
     """Add all intra-class edges on both sides; the complement of the
     result is bipartite with the same classes."""
-    added = frozenset(
-        _intra_non_edges(b, b.x_class) + _intra_non_edges(b, b.y_class)
-    )
-    result = Graph(b.n, b.graph.edges | added)
-    return CompletionRecord(b, result, added)
+    return _completion(b, _intra_pairs(b))
 
 
 def build_subdivided_family(n, seed) -> BipartiteGraph:

@@ -147,8 +147,11 @@ class BipartiteGraph:
     __slots__ = ("graph", "x_class", "y_class")
 
     def __init__(self, graph, x_class, y_class):
-        x = frozenset(x_class)
-        y = frozenset(y_class)
+        try:  # the class labels, read as Graph() reads its labels
+            x = frozenset(map(index, x_class))
+            y = frozenset(map(index, y_class))
+        except TypeError:
+            raise InvalidParameter("color classes hold a non-integer vertex") from None
         if x & y:
             raise InvalidParameter("color classes overlap")
         if x | y != frozenset(range(graph.n)):

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .graph import (
     BipartiteGraph,
-    Graph,
     complement,
     cycle,
     degeneracy,
@@ -149,14 +148,34 @@ def eq1_corpus():
 
 def _random_intra_superset(b: BipartiteGraph, rng) -> construct.CompletionRecord:
     """Each intra-class non-edge is added independently with probability 1/2."""
-    added = []
-    for cls in (sorted(b.x_class), sorted(b.y_class)):
-        for i, u in enumerate(cls):
-            for v in cls[i + 1 :]:
-                if rng.random() < 0.5:
-                    added.append((u, v))
-    result = Graph(b.n, b.graph.edges | frozenset(added))
-    return construct.CompletionRecord(b, result, frozenset(added))
+    return construct._completion(b, [p for p in construct._intra_pairs(b) if rng.random() < 0.5])
+
+
+def _co_bipartite(g):
+    """Whether the complement of g is bipartite."""
+    try:
+        two_color(complement(g))
+    except OddCycleFound:
+        return False
+    return True
+
+
+def _width_row(family, parameter, g, rep, bound):
+    """The row of g's width report and eq1 bound, or degeneracy alone."""
+    if bound is None:
+        tw, deg, eq1 = None, degeneracy(g).d, None
+    else:
+        tw, deg, eq1 = bound.treewidth, bound.degeneracy, bound.ratio
+    return Row(
+        family=family,
+        parameter=parameter,
+        n=g.n,
+        mimw_mode=rep.mode,
+        mimw_value=rep.value,
+        tw=tw,
+        degeneracy=deg,
+        eq1_bound=eq1,
+    )
 
 
 def verify_lemma31(trials=200, n_max=9, seed=0, exact_limit=DEFAULT_EXACT_LIMIT):
@@ -219,12 +238,7 @@ def verify_constructions(corpus=None):
                 f"strongly_chordal={strong.verdict}"
             )
         both = construct.complete_both_sides(b)
-        try:
-            two_color(complement(both.result))
-            comp_bip = True
-        except OddCycleFound:
-            comp_bip = False
-        if not comp_bip:
+        if not _co_bipartite(both.result):
             violations.append(f"{name}: complement of double completion not bipartite")
         if not recognize.is_co_comparability(both.result).verdict:
             violations.append(f"{name}: double completion not co-comparability")
@@ -262,18 +276,7 @@ def verify_eq1(corpus=None, exact_limit=EQ1_EXACT_LIMIT, tw_limit=DEFAULT_TW_LIM
         bound = mimw_lower_eq1(g, tw_limit)
         if Fraction(rep.value) < bound.ratio:
             violations.append(f"{name}: mimw={rep.value} < {bound.ratio}")
-        rows.append(
-            Row(
-                family="eq1",
-                parameter=name,
-                n=g.n,
-                mimw_mode="exact",
-                mimw_value=rep.value,
-                tw=bound.treewidth,
-                degeneracy=bound.degeneracy,
-                eq1_bound=bound.ratio,
-            )
-        )
+        rows.append(_width_row("eq1", name, g, rep, bound))
     config = {"suite": "eq1", "exact_limit": exact_limit, "tw_limit": tw_limit}
     return ExperimentReport(rows, config, violations)
 
@@ -281,26 +284,10 @@ def verify_eq1(corpus=None, exact_limit=EQ1_EXACT_LIMIT, tw_limit=DEFAULT_TW_LIM
 SWEEP_FAMILIES = ("split-grid", "cocomp-grid", "circle-cubic")
 
 
-def _width_rows(family, parameter, g, exact_limit, tw_limit):
-    if g.n <= exact_limit:
-        rep = mimw_exact(g, exact_limit)
-    else:
-        rep = mimw_upper(g)
-    if g.n <= tw_limit:
-        bound = mimw_lower_eq1(g, tw_limit)
-        tw_val, deg, eq1 = bound.treewidth, bound.degeneracy, bound.ratio
-    else:
-        tw_val, deg, eq1 = None, degeneracy(g).d, None
-    return rep, Row(
-        family=family,
-        parameter=parameter,
-        n=g.n,
-        mimw_mode=rep.mode,
-        mimw_value=rep.value,
-        tw=tw_val,
-        degeneracy=deg,
-        eq1_bound=eq1,
-    )
+def _sweep_row(family, parameter, g, exact_limit, tw_limit):
+    rep = mimw_exact(g, exact_limit) if g.n <= exact_limit else mimw_upper(g)
+    bound = mimw_lower_eq1(g, tw_limit) if g.n <= tw_limit else None
+    return _width_row(family, parameter, g, rep, bound)
 
 
 def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
@@ -323,20 +310,12 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
                     violations.append(f"k={k}: completion is not split")
             else:
                 rec = construct.complete_both_sides(b)
-                try:
-                    two_color(complement(rec.result))
-                except OddCycleFound:
-                    violations.append(
-                        f"k={k}: complement of completion not bipartite"
-                    )
-            rep_base, row_base = _width_rows(
-                family, f"{k}:base", b.graph, exact_limit, tw_limit
-            )
-            rep_comp, row_comp = _width_rows(
-                family, f"{k}:completed", rec.result, exact_limit, tw_limit
-            )
+                if not _co_bipartite(rec.result):
+                    violations.append(f"k={k}: complement of completion not bipartite")
+            row_base = _sweep_row(family, f"{k}:base", b.graph, exact_limit, tw_limit)
+            row_comp = _sweep_row(family, f"{k}:completed", rec.result, exact_limit, tw_limit)
             if b.n <= exact_limit:
-                row_comp.ratio = construct.width_ratio(rep_comp.value, rep_base.value)
+                row_comp.ratio = construct.width_ratio(row_comp.mimw_value, row_base.mimw_value)
                 if 2 * row_comp.ratio < 1:
                     violations.append(f"k={k}: completion ratio {row_comp.ratio} < 1/2")
             rows.extend([row_base, row_comp])
@@ -347,10 +326,7 @@ def sweep(family, sizes, seed=0, exact_limit=DEFAULT_EXACT_LIMIT,
                 construct.verify_chord_diagram(diagram, b)
             except DiagramViolation as exc:
                 violations.append(f"n={k}: chord diagram violation: {exc}")
-            _, row = _width_rows(
-                family, f"{k}:subdivided", b.graph, exact_limit, tw_limit
-            )
-            rows.append(row)
+            rows.append(_sweep_row(family, f"{k}:subdivided", b.graph, exact_limit, tw_limit))
     for r in rows:
         if r.mimw_mode == "exact" and r.eq1_bound is not None:
             if Fraction(r.mimw_value) < r.eq1_bound:

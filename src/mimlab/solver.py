@@ -58,8 +58,8 @@ pairs with the new part and the rows of the scan not yet asked. The
 parts live in parallel lists, and each row of the scan is one loop. Each
 part carries the arcs leaving and entering it, so a union's cut arcs take
 two mask operations, and the loop tries first fit from the high end on
-them inline; only where it stops short of w + 1 edges does it put the
-rest of the ladder, from the size bound on, to the cut solver. At w = 1
+them inline; only where it stops short of w + 1 edges does it apply the
+size bound and then the rest of the ladder (`_past_high_end`). At w = 1
 a union of two one-vertex parts {u, v} skips both: its cut has an induced
 matching of two edges iff N(u) is not within N[v] and N(v) is not within
 N[u], read off the neighbour masks. Where no vertex u has N(u) within
@@ -157,29 +157,40 @@ class Eq1Bound:
     degeneracy: int
 
 
+def _read_side(g: Graph, a):
+    """The side `a` read as `Graph()` reads its labels (`operator.index`):
+    InvalidParameter if a vertex is not an int in 0..n-1."""
+    try:
+        side = {index(v) for v in a}
+    except TypeError:
+        raise InvalidParameter(f"side {set(a)} has a non-integer vertex") from None
+    if not all(v in range(g.n) for v in side):
+        raise InvalidParameter(f"side {set(a)} has a vertex outside [0,{g.n})")
+    return side
+
+
 def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
     """Independent validity check: the side lies within 0..n-1, edges
     cross the cut, are pairwise vertex-disjoint, and no cut edge joins two
     distinct matching edges. It reads only `g.edges`, not the arc tables
-    that the solvers share. Side vertices are read as `Graph()` reads its
-    labels (`operator.index`), so a float is not a vertex."""
+    that the solvers share. The side and each edge, exactly two vertices,
+    are read as `Graph()` reads its labels, so a float is not a vertex."""
     try:
-        side = {index(v) for v in matching.a_side}
-    except TypeError:
-        return False
-    if not all(v in range(g.n) for v in side):
+        side = _read_side(g, matching.a_side)
+        edges = [(index(u), index(v)) for u, v in matching.edges]
+    except (InvalidParameter, TypeError, ValueError):
         return False
     cut_set = {(u, v) for u, v in g.edges if (u in side) != (v in side)}
     seen = set()
-    for e in matching.edges:
+    for e in edges:
         u, v = min(e), max(e)
         if (u, v) not in cut_set:
             return False
         if u in seen or v in seen:
             return False
         seen.update((u, v))
-    for i, e in enumerate(matching.edges):
-        for f in matching.edges[i + 1 :]:
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
             for p in e:
                 for q in f:
                     if p != q and ((min(p, q), max(p, q)) in cut_set):
@@ -319,14 +330,6 @@ class _CutSolver:
             return False
         return _has_matching(self, arcs, t)
 
-    def at_least_past_high_end(self, mask, t, arcs):
-        """`at_least` where first fit from the high end has taken fewer
-        than t of the arcs `arcs`: the size bound, then `_past_high_end`."""
-        k = mask.bit_count()
-        if t > k or t > self.n - k:
-            return False
-        return _past_high_end(self, arcs, t)
-
     def matching(self, mask, t=0) -> InducedMatching:
         """An induced matching among the edges leaving `mask`, its edges in
         sorted order, from `_search` with threshold t: a maximum one with
@@ -412,13 +415,7 @@ class _CutSolver:
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     """Maximum induced matching of the bipartite cut graph G[A, A-bar].
     Raises InvalidParameter if A has a vertex that is not an int in 0..n-1."""
-    try:
-        a = {index(v) for v in a}  # as Graph() reads its labels
-    except TypeError:
-        raise InvalidParameter(f"side {set(a)} has a non-integer vertex") from None
-    if not all(v in range(g.n) for v in a):
-        raise InvalidParameter(f"side {set(a)} has a vertex outside [0,{g.n})")
-    return _CutSolver(g).matching(set_to_mask(a))
+    return _CutSolver(g).matching(set_to_mask(_read_side(g, a)))
 
 
 def _critical(cs, decomposition, width):
@@ -732,17 +729,17 @@ def _merge_search(cs):
     OR of `tail` and of `head` over their vertices), so a union's cut
     arcs take two big-int operations, and each row is one loop. It runs
     first fit from the high end inline on the union's arcs, one conflict
-    row per arc taken, and only where that stops short of w + 1 edges
-    asks `cs.at_least_past_high_end(union, w + 1, arcs)`, the rest of the
-    ladder. At w = 1 a union of two one-vertex parts {u, v} is decided
-    from the neighbour masks instead: its cut has an induced matching of
-    two edges iff N(u) is not within N[v] and N(v) is not within N[u] (an
-    edge ux with x not adjacent to v and an edge vy with y not adjacent to
-    u). So where no vertex u has N(u) within some N[v], every union at
-    w = 1 fails, and the merge starts at w = 2 with the state it would
-    reach there. `cs.queries` counts the (union, w) that its scans
-    decide, every way included."""
-    n, past_high_end, conf = cs.n, cs.at_least_past_high_end, cs.conf
+    row per arc taken; only where that stops short of w + 1 edges does it
+    apply the size bound of `at_least` and then `_past_high_end`, the rest
+    of the ladder. At w = 1 a union of two one-vertex parts {u, v} is
+    decided from the neighbour masks instead: its cut has an induced
+    matching of two edges iff N(u) is not within N[v] and N(v) is not
+    within N[u] (an edge ux with x not adjacent to v and an edge vy with y
+    not adjacent to u). So where no vertex u has N(u) within some N[v],
+    every union at w = 1 fails, and the merge starts at w = 2 with the
+    state it would reach there. `cs.queries` counts the (union, w) that
+    its scans decide, every way included."""
+    n, past_high_end, conf = cs.n, _past_high_end, cs.conf
     nbr = cs.g.nbr_masks
     _, tail, head = cs.g.arc_tables
     masks = [1 << v for v in range(n)]
@@ -788,7 +785,8 @@ def _merge_search(cs):
                         break
                     rest &= ~conf[rest.bit_length() - 1]
                 else:
-                    if not past_high_end(mp | mq, t, arcs):
+                    k = (mp | mq).bit_count()  # the size bound of `at_least`
+                    if t > k or t > n - k or not past_high_end(cs, arcs, t):
                         break
             q += 1
         if q < stop:

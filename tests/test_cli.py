@@ -68,6 +68,34 @@ def test_env_limits_flags_win(tmp_path, capsys, monkeypatch):
     assert run(["mimw", "--exact", "--exact-limit", "9", str(f)], capsys)[0] == 3
 
 
+@pytest.mark.parametrize(
+    "env, flags, code, err",
+    [
+        ("bogus=3", [], 4, "error: unknown limit 'bogus' in MIMLAB_LIMITS\n"),
+        ("exact=x", [], 4, "error: bad limit value in MIMLAB_LIMITS: 'exact=x'\n"),
+        ("exact", [], 4, "error: bad limit value in MIMLAB_LIMITS: 'exact'\n"),
+        ("=5", [], 4, "error: unknown limit '' in MIMLAB_LIMITS\n"),
+        ("tw = 5", [], 4, "error: unknown limit 'tw ' in MIMLAB_LIMITS\n"),
+        (" , tw=14 ,, exact=10 ,", [], 0, ""),
+        ("tw=2", [], 3, "error: n=8 exceeds treewidth limit 2\n"),
+        ("tw=2", ["--tw-limit", "8"], 0, ""),
+        ("tw=5", ["--tw-limit", "0"], 4, "error: tw limit must be positive, got 0\n"),
+        ("tw=0", [], 4, "error: tw limit must be positive, got 0\n"),
+        ("exact=-1", [], 4, "error: exact limit must be positive, got -1\n"),
+        ("exact=1,exact=2,tw=-3", [], 4, "error: tw limit must be positive, got -3\n"),
+    ],
+)
+def test_env_limits_table(env, flags, code, err, tmp_path, capsys, monkeypatch):
+    # Defaults, then MIMLAB_LIMITS, then the flags, then the positivity
+    # check, which covers the limit that the command does not read too.
+    f = tmp_path / "g.txt"
+    run(["gen", "grid", "3", "4", "--out", str(f)], capsys)
+    monkeypatch.setenv("MIMLAB_LIMITS", env)
+    got, out, stderr = run(["tw", *flags, str(f)], capsys)
+    assert (got, stderr) == (code, err)
+    assert out == ("tw 3\norder 0 3 8 11 1 4 5 2 6 7 9 10\n" if code == 0 else "")
+
+
 def test_verify_eq1_honours_exact_limit(capsys, monkeypatch):
     # The corpus reaches n=10, so a limit of 3 stops it.
     assert run(["verify", "eq1", "--exact-limit", "3"], capsys)[0] == 3

@@ -265,3 +265,36 @@ class TestCompletionRatio:
             got = mimw_exact(rec.result).value
             want = mimw_exact(b.graph).value
             assert got >= -(-want // 2)
+
+
+class TestHarnessCompletions:
+    # The intra-class pairs that `_random_intra_superset` adds, and the
+    # next draw of its rng, recorded before the pair list moved into
+    # `construct`: one draw per pair, X pairs then Y pairs, sorted.
+    SUPERSETS = {
+        ("K34", 0): ([(1, 2), (3, 4), (3, 6), (4, 6), (5, 6)], 0.5833820394550312),
+        ("K34", 1): ([(0, 1), (3, 4), (3, 5), (3, 6), (5, 6)], 0.02834747652200631),
+        ("K34", 2): ([(1, 2), (3, 4), (4, 6)], 0.6068017336408379),
+        ("grid23", 0): ([(1, 3), (2, 4), (3, 5)], 0.7837985890347726),
+        ("grid23", 1): ([(0, 2), (1, 3), (1, 5), (3, 5)], 0.651592972722763),
+        ("grid23", 2): ([(1, 3), (2, 4)], 0.6697304014402209),
+    }
+
+    def test_random_superset_draws(self):
+        from mimlab import harness
+
+        bases = {"K34": complete_bipartite(3, 4), "grid23": two_color(grid(2, 3))}
+        for (name, seed), (added, after) in self.SUPERSETS.items():
+            rng = random.Random(seed)
+            rec = harness._random_intra_superset(bases[name], rng)
+            assert sorted(rec.added_edges) == added, (name, seed)
+            assert rng.random() == after, (name, seed)
+
+    def test_co_bipartite_violation_messages(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness, "complement", lambda g: cycle(5))
+        report = harness.verify_constructions([("P3", two_color(path(3)))])
+        assert report.violations == ["P3: complement of double completion not bipartite"]
+        report = harness.sweep("cocomp-grid", [2])
+        assert report.violations == ["k=2: complement of completion not bipartite"]

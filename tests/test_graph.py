@@ -276,6 +276,16 @@ class TestTextFormat:
         assert isinstance(parsed, BipartiteGraph)
         assert parsed.x_class == b.x_class
 
+    def test_bipartite_labels_read_as_graph_does(self):
+        # operator.index, as in Graph(): a float class label is refused,
+        # and True is vertex 1, so the bip line written parses back.
+        for x in ([0.0], ["0"], [None]):
+            with pytest.raises(InvalidParameter):
+                BipartiteGraph(path(2), x, [1])
+        b = BipartiteGraph(path(2), [True], [0])
+        assert bipartite_to_text(b) == "graph 2 1\n0 1\nbip 1\n"
+        assert parse_graph_text(bipartite_to_text(b)) == b
+
     def test_reader_skips_comment_lines(self):
         assert parse_graph_text("# c\ngraph 2 1\n0 1\n") == Graph(2, [(0, 1)])
         b = parse_graph_text("  # top\ngraph 3 1\n# mid\n1 2\nbip 0 1\n# end\n")

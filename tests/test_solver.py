@@ -93,6 +93,23 @@ def relabelled_path(n, seed):
 
 
 @pytest.fixture
+def past_high_end_asks(monkeypatch):
+    """The (union, t) that the scans of `solver._merge_search` hand to
+    `solver._past_high_end`, in order, each union read off the calling
+    scan's frame as `merge_scans` reads it."""
+    asked = []
+    past_high_end = solver._past_high_end
+
+    def recording(cs, arcs, t):
+        f = sys._getframe(1).f_locals  # the scan, at its part q
+        asked.append((f["mp"] | f["masks"][f["q"]], t))
+        return past_high_end(cs, arcs, t)
+
+    monkeypatch.setattr(solver, "_past_high_end", recording)
+    return asked
+
+
+@pytest.fixture
 def made_solvers(monkeypatch):
     """The cut solvers created during the test, in order."""
     made = []
@@ -260,6 +277,16 @@ class TestMaxInducedMatchingCut:
         assert not verify_induced_matching(g, InducedMatching(frozenset({1.0}), ((0, 1),)))
         assert verify_induced_matching(g, InducedMatching(frozenset({True}), ((0, 1),)))
         assert max_induced_matching_cut(g, {True}) == max_induced_matching_cut(g, {1})
+
+    def test_checker_reads_edges_as_graph_does(self):
+        # Each matching edge is exactly two vertices, read by
+        # operator.index; anything else is no matching.
+        g = path(4)
+        side = frozenset({1})
+        for edge in ((0.0, 1), (0, 0, 1), ("a", 1), (1,), None):
+            assert not verify_induced_matching(g, InducedMatching(side, (edge,))), edge
+        for edge in ((0, 1), [1, 0], (True, 0)):
+            assert verify_induced_matching(g, InducedMatching(side, (edge,))), edge
 
     def test_verifier_reads_no_arc_tables(self, monkeypatch):
         # The checker builds the cut from g.edges, so a broken arc table
@@ -644,25 +671,20 @@ class TestUpperWork:
         ],
         ids=["relabelled-path-120", "circle-cubic-14"],
     )
-    def test_one_query_per_pair_and_width(self, make, calls, by_masks):
+    def test_one_query_per_pair_and_width(self, make, calls, by_masks, past_high_end_asks):
         # The merge decides each (union, w) that its scan takes up once:
-        # by first fit inline, by `at_least_past_high_end`, or, for two
-        # vertices at w = 1, from the neighbour masks. The trace of the
-        # scan's frames reads off every pair it takes up, so a union
+        # by first fit or the size bound inline, by `_past_high_end`, or,
+        # for two vertices at w = 1, from the neighbour masks. The trace of
+        # the scan's frames reads off every pair it takes up, so a union
         # decided twice shows whichever way it was.
         cs = solver._CutSolver(make())
-        asked = []
-        past_high_end = cs.at_least_past_high_end
-
-        def recording(mask, t, arcs):
-            asked.append((mask, t))
-            return past_high_end(mask, t, arcs)
-
-        cs.at_least_past_high_end = recording
+        asked = past_high_end_asks
         scans = merge_scans(cs)
         pairs = [pair for taken, _ in scans for pair in taken]
         assert len(set(pairs)) == len(pairs) == cs.queries == calls
         assert len(set(asked)) == len(asked) and set(asked) < set(pairs)
+        # The size bound is applied inline: the door sees only the rest.
+        assert all(t <= min(m.bit_count(), cs.n - m.bit_count()) for m, t in asked)
         by_rule = [(mask, t) for mask, t in pairs if mask.bit_count() == 2 and t == 2]
         assert not set(by_rule) & set(asked)
         assert len(by_rule) == by_masks
@@ -1104,7 +1126,7 @@ class TestMimwUpper:
             theirs += old.nodes
         assert ours < theirs  # first fit skips searches that the greedy missed
 
-    def test_two_vertex_unions_match_brute_force(self):
+    def test_two_vertex_unions_match_brute_force(self, past_high_end_asks):
         # At w = 1 the merge decides a union of two vertices from the
         # neighbour masks, and its first question is {0, 1}, in the scan of
         # row 0, which returns part 1 iff the union fits. Relabelled so
@@ -1124,14 +1146,8 @@ class TestMimwUpper:
             for u, v in itertools.combinations(range(g.n), 2):
                 label = {x: i for i, x in enumerate([u, v, *sorted(set(range(g.n)) - {u, v})])}
                 cs = solver._CutSolver(Graph(g.n, [(label[a], label[b]) for a, b in g.edges]))
-                asked = []
-                past_high_end = cs.at_least_past_high_end
-
-                def recording(mask, t, arcs):
-                    asked.append((mask, t))
-                    return past_high_end(mask, t, arcs)
-
-                cs.at_least_past_high_end = recording
+                asked = past_high_end_asks
+                asked.clear()
                 scans = merge_scans(cs)
                 assert (0b11, 2) not in asked
                 taken, q = next(scan for scan in scans if scan[0])
