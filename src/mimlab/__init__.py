@@ -11,13 +11,7 @@ from .construct import (
     embed_chord_diagram,
     verify_chord_diagram,
 )
-from .decomp import (
-    BranchDecomposition,
-    Cut,
-    caterpillar_from_order,
-    cuts,
-    validate,
-)
+from .decomp import BranchDecomposition, Cut, validate
 from .graph import (
     BipartiteGraph,
     DegeneracyResult,

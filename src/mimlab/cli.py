@@ -53,6 +53,7 @@ def _resolve_limits(args, exact=solver.DEFAULT_EXACT_LIMIT, tw=solver.DEFAULT_TW
         if not part:
             continue
         key, _, val = part.partition("=")
+        key = key.strip()
         if key not in lim:
             raise InvalidParameter(f"unknown limit {key!r} in MIMLAB_LIMITS")
         try:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .check import verify_induced_matching
 from .errors import (
     DegreeViolation,
     InvalidParameter,
@@ -16,12 +17,7 @@ from .errors import (
     XXCrossing,
 )
 from .graph import BipartiteGraph, Graph, _bits, random_cubic, subdivide_all_edges
-from .solver import (
-    DEFAULT_EXACT_LIMIT,
-    InducedMatching,
-    mimw_exact,
-    verify_induced_matching,
-)
+from .solver import DEFAULT_EXACT_LIMIT, InducedMatching, mimw_exact
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 A tree node is either an int (leaf label) or a tuple of child nodes.
 Decompositions are canonical: at every internal node the child with the
 smaller minimum leaf label comes first, so equality is syntactic. The
-public constructors (`BranchDecomposition(root)`, `from_text`,
-`caterpillar_from_order`) canonicalize on construction. The solver builds
-its trees canonical and wraps them by `BranchDecomposition._canonical`,
-which skips the fold.
+public constructors (`BranchDecomposition(root)`, `from_text`)
+canonicalize on construction. The solver builds its trees canonical and
+wraps them by `BranchDecomposition._canonical`, which skips the fold.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    GraphFormatError,
-    LabelMismatch,
-    NotAPermutation,
-    NotBinary,
-)
-from .graph import set_to_mask
+from .errors import GraphFormatError, LabelMismatch, NotBinary
 
 
 _CLOSE = object()  # on `_fold`'s stack, closes the innermost open node
@@ -152,21 +145,3 @@ def validate(t: BranchDecomposition, g):
 def subtree_leaf_sets(t: BranchDecomposition):
     """Leaf set of every node, in postorder (root last)."""
     return _fold(t.root, lambda v: frozenset((v,)), lambda kids: frozenset().union(*kids))
-
-
-def cuts(t: BranchDecomposition, g):
-    """One Cut per tree node (postorder; the root's cut is (V, empty))."""
-    validate(t, g)
-    return [Cut(a, tuple(g.cut_edges(set_to_mask(a)))) for a in subtree_leaf_sets(t)]
-
-
-def caterpillar_from_order(order) -> BranchDecomposition:
-    """Left-deep decomposition whose spine leaf order equals `order`."""
-    order = list(order)
-    n = len(order)
-    if n < 2 or sorted(order) != list(range(n)):
-        raise NotAPermutation(f"{order} is not a permutation of 0..n-1 with n >= 2")
-    node = (order[0], order[1])
-    for v in order[2:]:
-        node = (node, v)
-    return BranchDecomposition(node)

@@ -33,10 +33,6 @@ class LabelMismatch(MimlabError):
     """Decomposition leaves are not a bijection onto the graph vertices."""
 
 
-class NotAPermutation(MimlabError, ValueError):
-    """A vertex order is not a permutation of 0..n-1."""
-
-
 class DegreeViolation(MimlabError):
     """A vertex violates the degree precondition of the chord embedding."""
 

@@ -8,14 +8,26 @@ Gross 1965), and a stuck remainder yields a chordless cycle; strong
 chordality deletes simple vertices (Farber 1983), and a stuck chordal
 remainder shrinks to a sun, re-eliminated only while above six vertices.
 Chordal bipartiteness runs that test on the one-side completion.
-Comparability uses Golumbic's G-decomposition (1977). In this module
-only the verifiers read the set adjacency `Graph.adj`.
+Comparability uses Golumbic's G-decomposition (1977). Each recognizer
+re-checks its certificate with the independent checkers of `check`, and
+raises CertificateViolation where one fails; the names of those checkers
+are imported here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .check import (
+    cycle_chords,
+    has_odd_chord,
+    verify_clique,
+    verify_cycle,
+    verify_elimination_order,
+    verify_independent,
+    verify_simple_elimination_order,
+    verify_transitive_orientation,
+)
 from .errors import CertificateViolation, OddCycleFound
 from .graph import Graph, _bits, _clique, complement, set_to_mask, two_color
 
@@ -24,82 +36,6 @@ from .graph import Graph, _bits, _clique, complement, set_to_mask, two_color
 class RecognitionResult:
     verdict: bool
     certificate: dict
-
-
-# ---------------------------------------------------------------------------
-# independent certificate verifiers (shared with the tests)
-
-
-def verify_clique(g, vs):
-    vs = list(vs)
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
-
-
-def verify_independent(g, vs):
-    vs = list(vs)
-    return not any(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
-
-
-def verify_elimination_order(g, order):
-    """True iff eliminating along `order` always leaves later neighbors
-    forming a clique (perfect elimination order). False unless `order`
-    lists every vertex once."""
-    if sorted(order) != list(range(g.n)):
-        return False
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not verify_clique(g, later):
-            return False
-    return True
-
-
-def verify_cycle(g, cyc):
-    k = len(cyc)
-    if k < 3 or len(set(cyc)) != k:
-        return False
-    return all(g.has_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
-
-
-def cycle_chords(g, cyc):
-    """Chords of a cycle, as index pairs (i, j) into the cycle."""
-    k = len(cyc)
-    out = []
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if g.has_edge(cyc[i], cyc[j]):
-                out.append((i, j))
-    return out
-
-
-def has_odd_chord(g, cyc):
-    k = len(cyc)
-    return any((j - i) % 2 == 1 for i, j in cycle_chords(g, cyc))
-
-
-def verify_transitive_orientation(g, orientation):
-    """Check a set of directed edges: one direction per edge of g, and
-    every directed 2-path a->b->c is closed by a->c."""
-    directed = set(tuple(e) for e in orientation)
-    if len(directed) != g.m:
-        return False
-    for a, b in directed:
-        if not g.has_edge(a, b) or (b, a) in directed:
-            return False
-    succ = {}
-    for a, b in directed:
-        succ.setdefault(a, set()).add(b)
-    for a, b in directed:
-        for c in succ.get(b, ()):
-            if (a, c) not in directed:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# recognizers
 
 
 def is_split(g: Graph) -> RecognitionResult:
@@ -257,23 +193,6 @@ def _sun_cycle(nbr, stuck):
         links = nbr[v] & (stuck if deg2 & cur else deg2) & ~prev
         prev, cur = cur, links & -links
     return cyc
-
-
-def verify_simple_elimination_order(g, order):
-    """True iff `order` lists every vertex once and each vertex is simple
-    among itself and the later ones (Farber's strong chordality
-    certificate)."""
-    if sorted(order) != list(range(g.n)):
-        return False
-    later = set(range(g.n))
-    for v in order:
-        hoods = sorted(
-            ((g.adj[u] | {u}) & later for u in (g.adj[v] | {v}) & later), key=len
-        )
-        if any(not a <= b for a, b in zip(hoods, hoods[1:])):
-            return False
-        later.remove(v)
-    return True
 
 
 def is_strongly_chordal(g: Graph, limit=None) -> RecognitionResult:

@@ -77,7 +77,9 @@ O(n m) bits of per-vertex tables whose OR would give each row, but little
 wherever the merge finishes: 882 bytes for the 42 edges of circle-cubic
 k = 14 (n = 35), and 3 MB for the 2,430 edges of a G(100, 1/2), on which
 the merge runs for minutes, since each of its questions works on masks of
-2m bits too.
+2m bits too. The checker of the witness matchings,
+`check.verify_induced_matching` (imported here), builds its cut from
+`Graph.edges` and reads none of these tables.
 
 Exact treewidth eliminates simplicial and almost-simplicial vertices
 first, by the safe rules of Bodlaender, Koster and van den Eijkhof, and
@@ -92,8 +94,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
+from .check import _vertices, verify_induced_matching
 from .decomp import BranchDecomposition, Cut
 from .errors import InvalidParameter, LimitExceeded
 from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
@@ -155,47 +157,6 @@ class Eq1Bound:
     integer_bound: int
     treewidth: int
     degeneracy: int
-
-
-def _read_side(g: Graph, a):
-    """The side `a` read as `Graph()` reads its labels (`operator.index`):
-    InvalidParameter if a vertex is not an int in 0..n-1."""
-    try:
-        side = {index(v) for v in a}
-    except TypeError:
-        raise InvalidParameter(f"side {set(a)} has a non-integer vertex") from None
-    if not all(v in range(g.n) for v in side):
-        raise InvalidParameter(f"side {set(a)} has a vertex outside [0,{g.n})")
-    return side
-
-
-def verify_induced_matching(g: Graph, matching: InducedMatching) -> bool:
-    """Independent validity check: the side lies within 0..n-1, edges
-    cross the cut, are pairwise vertex-disjoint, and no cut edge joins two
-    distinct matching edges. It reads only `g.edges`, not the arc tables
-    that the solvers share. The side and each edge, exactly two vertices,
-    are read as `Graph()` reads its labels, so a float is not a vertex."""
-    try:
-        side = _read_side(g, matching.a_side)
-        edges = [(index(u), index(v)) for u, v in matching.edges]
-    except (InvalidParameter, TypeError, ValueError):
-        return False
-    cut_set = {(u, v) for u, v in g.edges if (u in side) != (v in side)}
-    seen = set()
-    for e in edges:
-        u, v = min(e), max(e)
-        if (u, v) not in cut_set:
-            return False
-        if u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            for p in e:
-                for q in f:
-                    if p != q and ((min(p, q), max(p, q)) in cut_set):
-                        return False
-    return True
 
 
 def _min_conflict(cand, conf):
@@ -415,7 +376,10 @@ class _CutSolver:
 def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     """Maximum induced matching of the bipartite cut graph G[A, A-bar].
     Raises InvalidParameter if A has a vertex that is not an int in 0..n-1."""
-    return _CutSolver(g).matching(set_to_mask(_read_side(g, a)))
+    side = _vertices(g, a)
+    if side is None:
+        raise InvalidParameter(f"side {a!r} has a vertex that is not an int in [0,{g.n})")
+    return _CutSolver(g).matching(set_to_mask(side))
 
 
 def _critical(cs, decomposition, width):

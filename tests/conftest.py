@@ -74,6 +74,28 @@ def enumerate_decompositions(n, limit=DEFAULT_ENUM_LIMIT):
         yield BranchDecomposition(root)
 
 
+def caterpillar_from_order(order):
+    """Left-deep decomposition whose spine leaf order equals `order`."""
+    from mimlab.decomp import BranchDecomposition
+    from mimlab.errors import InvalidParameter
+
+    order = list(order)
+    if len(order) < 2 or sorted(order) != list(range(len(order))):
+        raise InvalidParameter(f"{order} is not a permutation of 0..n-1 with n >= 2")
+    node = (order[0], order[1])
+    for v in order[2:]:
+        node = (node, v)
+    return BranchDecomposition(node)
+
+
+def cuts(t, g):
+    """One Cut per tree node (postorder; the root's cut is (V, empty))."""
+    from mimlab.decomp import Cut, subtree_leaf_sets, validate
+
+    validate(t, g)
+    return [Cut(a, tuple(cut_edge_list(g, a))) for a in subtree_leaf_sets(t)]
+
+
 def brute_mimw(g):
     """Min over explicitly enumerated decompositions of the max brute-force
     cut matching size."""

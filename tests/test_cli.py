@@ -75,7 +75,7 @@ def test_env_limits_flags_win(tmp_path, capsys, monkeypatch):
         ("exact=x", [], 4, "error: bad limit value in MIMLAB_LIMITS: 'exact=x'\n"),
         ("exact", [], 4, "error: bad limit value in MIMLAB_LIMITS: 'exact'\n"),
         ("=5", [], 4, "error: unknown limit '' in MIMLAB_LIMITS\n"),
-        ("tw = 5", [], 4, "error: unknown limit 'tw ' in MIMLAB_LIMITS\n"),
+        ("tw = 5", [], 3, "error: n=8 exceeds treewidth limit 5\n"),
         (" , tw=14 ,, exact=10 ,", [], 0, ""),
         ("tw=2", [], 3, "error: n=8 exceeds treewidth limit 2\n"),
         ("tw=2", ["--tw-limit", "8"], 0, ""),

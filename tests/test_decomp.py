@@ -1,18 +1,12 @@
 import pytest
 
-from conftest import enumerate_decompositions
-from mimlab.decomp import (
-    BranchDecomposition,
-    caterpillar_from_order,
-    cuts,
-    subtree_leaf_sets,
-    validate,
-)
+from conftest import caterpillar_from_order, cuts, enumerate_decompositions
+from mimlab.decomp import BranchDecomposition, subtree_leaf_sets, validate
 from mimlab.errors import (
     GraphFormatError,
+    InvalidParameter,
     LabelMismatch,
     LimitExceeded,
-    NotAPermutation,
     NotBinary,
 )
 from mimlab.graph import Graph, complete, path
@@ -106,9 +100,9 @@ def test_caterpillar_p4_cut_edges():
 
 
 def test_caterpillar_rejects_non_permutation():
-    with pytest.raises(NotAPermutation):
+    with pytest.raises(InvalidParameter):
         caterpillar_from_order([0, 1, 1])
-    with pytest.raises(NotAPermutation):
+    with pytest.raises(InvalidParameter):
         caterpillar_from_order([1])
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import random
 import sys
@@ -15,6 +16,7 @@ from conftest import (
     brute_max_induced_matching,
     brute_mimw,
     brute_treewidth,
+    caterpillar_from_order,
     cut_edge_list,
     lexmin_critical,
     reference_search,
@@ -24,14 +26,14 @@ from conftest import (
     table_mimw,
     table_treewidth,
 )
-from mimlab import decomp, solver
+from mimlab import check, decomp, solver
 from mimlab.errors import InvalidParameter, LimitExceeded
 from mimlab.construct import (
     build_subdivided_family,
     complete_both_sides,
     complete_one_side,
 )
-from mimlab.decomp import caterpillar_from_order, subtree_leaf_sets, validate
+from mimlab.decomp import subtree_leaf_sets, validate
 from mimlab.graph import (
     Graph,
     complete,
@@ -289,14 +291,37 @@ class TestMaxInducedMatchingCut:
             assert verify_induced_matching(g, InducedMatching(side, (edge,))), edge
 
     def test_verifier_reads_no_arc_tables(self, monkeypatch):
-        # The checker builds the cut from g.edges, so a broken arc table
-        # in the solvers cannot turn a valid matching invalid.
+        # Every checker reads only g.n, g.edges and g.adj, so a broken
+        # neighbour mask or arc table in the searches cannot change its
+        # answer on a valid or an invalid certificate.
         g = cycle(6)
         m = max_induced_matching_cut(g, {0, 1, 2})
-        assert len(m.edges) == 2 and verify_induced_matching(g, m)
-        monkeypatch.setattr(Graph, "cut_arcs", lambda self, mask: 0)
-        assert verify_induced_matching(g, m)
-        assert not verify_induced_matching(g, InducedMatching(m.a_side, ((0, 1),)))
+        chord = Graph(6, g.edges | {(0, 3)})
+        cases = [  # (checker, graph, valid certificate, invalid one)
+            (check.verify_induced_matching, g, m, InducedMatching(m.a_side, ((0, 1),))),
+            (check.verify_clique, g, [0, 1], [0, 2]),
+            (check.verify_independent, g, [0, 2], [0, 1]),
+            (check.verify_elimination_order, path(4), [0, 1, 2, 3], [1, 0, 2, 3]),
+            (check.verify_simple_elimination_order, path(4), [0, 1, 2, 3], [1, 0, 2, 3]),
+            (check.verify_cycle, g, range(6), [0, 1, 2]),
+            (check.cycle_chords, chord, [0, 1, 2, 3], range(6)),
+            (check.has_odd_chord, chord, [0, 1, 2, 3], range(6)),
+            (check.verify_transitive_orientation, path(3), [(0, 1), (2, 1)], [(0, 1), (1, 2)]),
+        ]
+        checkers = {k for k, v in vars(check).items() if k[0] != "_" and inspect.isfunction(v)}
+        assert {f.__name__ for f, *_ in cases} == checkers
+        before = [(f(h, good), f(h, bad)) for f, h, good, bad in cases]
+        assert len(m.edges) == 2
+        assert before == [(True, False)] * 6 + [([], [(0, 3)]), (False, True), (True, False)]
+
+        def broken(*args):
+            raise AssertionError("a checker read a table the searches share")
+
+        for name in ("nbr_masks", "arc_tables"):
+            monkeypatch.setattr(Graph, name, property(broken))
+        for name in ("cut_arcs", "cut_edges"):
+            monkeypatch.setattr(Graph, name, broken)
+        assert [(f(h, good), f(h, bad)) for f, h, good, bad in cases] == before
 
     def test_witness_passes_independent_checker(self):
         for seed in range(20):
