@@ -84,15 +84,11 @@ class ChordDiagram:
 
     word: tuple
 
-    def positions(self):
+    def crossings(self):
+        """All interleaving label pairs, as sorted 2-tuples."""
         pos = {}
         for i, lab in enumerate(self.word):
             pos.setdefault(lab, []).append(i)
-        return pos
-
-    def crossings(self):
-        """All interleaving label pairs, as sorted 2-tuples."""
-        pos = self.positions()
         labels = sorted(pos)
         out = set()
         for i, a in enumerate(labels):

@@ -116,10 +116,9 @@ class BranchDecomposition:
 
 @dataclass(frozen=True)
 class Cut:
-    """Vertex set under one tree node plus the edges leaving it."""
+    """The side of one tree node: the vertices under it."""
 
     a_side: frozenset
-    cut_edges: tuple
 
 
 def validate(t: BranchDecomposition, g):

@@ -112,12 +112,6 @@ class Graph:
             side ^= low
         return leave & ~enter
 
-    def cut_edges(self, mask):
-        """Edges with exactly one end in the vertex set `mask`, in sorted
-        order: the edges of its arcs, which ascend with the edge index."""
-        edges = self.arc_tables[0]
-        return [edges[a >> 1] for a in _bits(self.cut_arcs(mask))]
-
     def has_edge(self, u, v):
         if u == v:
             return False
@@ -527,5 +521,9 @@ def parse_graph_text(text):
 
 
 def load_graph(filename):
-    with open(filename) as f:
-        return parse_graph_text(f.read())
+    with open(filename, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{filename}: not UTF-8 text at byte {exc.start}") from None
+    return parse_graph_text(text)

@@ -110,12 +110,14 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # corpora
 
+MAX_TREE_N = 8  # the largest trees in the chordal bipartite corpus
 
-def chordal_bipartite_corpus(max_tree_n=8):
-    """Named chordal bipartite inputs: all trees up to max_tree_n, C4, and
-    complete bipartite graphs with classes up to 4."""
+
+def chordal_bipartite_corpus():
+    """Named chordal bipartite inputs: all trees up to MAX_TREE_N vertices,
+    C4, and complete bipartite graphs with classes up to 4."""
     out = []
-    for n in range(2, max_tree_n + 1):
+    for n in range(2, MAX_TREE_N + 1):
         for i, t in enumerate(free_trees(n)):
             out.append((f"tree-{n}-{i}", two_color(t)))
     out.append(("C4", two_color(cycle(4))))

@@ -416,7 +416,7 @@ def _critical(cs, decomposition, width):
         if cs.at_least(mask, width, out & ~into):
             best = mask
     matching = cs.matching(best, width)  # the tree bounds the cut by width
-    return Cut(matching.a_side, tuple(cs.g.cut_edges(best))), matching
+    return Cut(matching.a_side), matching
 
 
 def _check_limit(n, limit, what):
@@ -443,7 +443,7 @@ def _width_report(g, mode, search) -> WidthReport:
     cs = _CutSolver(g)
     value, t = search(cs)
     if value == 0:
-        cut = Cut(frozenset(range(g.n)), ())
+        cut = Cut(frozenset(range(g.n)))
         return WidthReport(0, mode, t, cut, InducedMatching(cut.a_side, ()))
     cut, matching = _critical(cs, t, value)
     return WidthReport(value, mode, t, cut, matching)

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, deliberately independent of the library's
 solver code paths."""
 
+import collections
 import itertools
 
 import pytest
@@ -88,12 +89,16 @@ def caterpillar_from_order(order):
     return BranchDecomposition(node)
 
 
+NodeCut = collections.namedtuple("NodeCut", "a_side cut_edges")
+
+
 def cuts(t, g):
-    """One Cut per tree node (postorder; the root's cut is (V, empty))."""
-    from mimlab.decomp import Cut, subtree_leaf_sets, validate
+    """One NodeCut per tree node: its side and the edges leaving it
+    (postorder; the root's is (V, ()))."""
+    from mimlab.decomp import subtree_leaf_sets, validate
 
     validate(t, g)
-    return [Cut(a, tuple(cut_edge_list(g, a))) for a in subtree_leaf_sets(t)]
+    return [NodeCut(a, tuple(cut_edge_list(g, a))) for a in subtree_leaf_sets(t)]
 
 
 def brute_mimw(g):
@@ -208,7 +213,7 @@ def lexmin_critical(cs, decomposition, width):
         if (best is None or key < best[0]) and cs.at_least(mask, width, cs.g.cut_arcs(mask)):
             best = (key, a, mask)
     _, a, mask = best
-    return Cut(a, tuple(cs.g.cut_edges(mask))), cs.matching(mask, width)
+    return Cut(a), cs.matching(mask, width)
 
 
 def search_at_least(self, mask, t, arcs):

@@ -37,7 +37,7 @@ def test_criterion_1_lemma31_suite():
 
 
 def test_criterion_2_completion_corpus():
-    corpus = harness.chordal_bipartite_corpus(max_tree_n=8)
+    corpus = harness.chordal_bipartite_corpus()
     assert len(corpus) >= 30
     for name, b in corpus:
         rec = construct.complete_one_side(b, "Y")

@@ -340,3 +340,20 @@ def test_bad_file_exit_code(tmp_path, capsys):
     f.write_text("not a graph\n")
     assert run(["recognize", "split", str(f)], capsys)[0] == 4
     assert run(["mimw", str(tmp_path / "missing.txt")], capsys)[0] == 4
+
+
+def test_undecodable_file_exit_code(tmp_path, capsys):
+    # A byte that is not UTF-8 is a format error, not a UnicodeDecodeError.
+    (tmp_path / "corpus").mkdir()
+    f = tmp_path / "corpus" / "g.txt"
+    f.write_bytes(b"graph 2 1\n0 1\n\xff\n")
+    for argv in (
+        ["mimw", str(f)],
+        ["tw", str(f)],
+        ["recognize", "chordal", str(f)],
+        ["construct", "split", str(f)],
+        ["embed", str(f)],
+        ["verify", "eq1", "--corpus", str(f.parent)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (4, "", f"error: {f}: not UTF-8 text at byte 14\n"), argv

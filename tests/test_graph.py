@@ -95,7 +95,8 @@ class TestBitsetView:
         mask &= (1 << g.n) - 1
         a = mask_to_set(mask)
         assert set_to_mask(a) == mask
-        assert g.cut_edges(mask) == [
+        edges = g.arc_tables[0]
+        assert [edges[arc >> 1] for arc in _bits(g.cut_arcs(mask))] == [
             e for e in g.sorted_edges() if (e[0] in a) != (e[1] in a)
         ]
 

@@ -1,9 +1,12 @@
-"""The README's example runs as written, and the package needs nothing
-beyond the standard library at run time."""
+"""The README's example runs as written, the package needs nothing
+beyond the standard library at run time, and each public name has one
+import path: its module."""
 
 import ast
 import contextlib
+import importlib
 import io
+import json
 import os
 import re
 import shlex
@@ -14,8 +17,10 @@ from pathlib import Path
 import mimlab
 from mimlab.cli import build_parser
 
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 SRC = Path(mimlab.__file__).parents[1]
+LAYERS = ("construct", "decomp", "graph", "harness", "recognize", "solver")
 
 
 def test_readme_python_example_runs():
@@ -54,12 +59,14 @@ sys.exit(mimlab.cli.main(["verify", "constructions"]))
 """
 
 
-def test_runs_without_networkx():
+def _python(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", BLOCKED_NETWORKX], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_runs_without_networkx():
+    proc = _python(BLOCKED_NETWORKX)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("family,parameter,n,")
 
@@ -73,3 +80,60 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_binds_only_version():
+    # `import mimlab` names nothing but __version__, and imports no module.
+    proc = _python(
+        "import sys, mimlab\n"
+        "print(sorted(k for k in vars(mimlab) if not k.startswith('__')))\n"
+        "print(mimlab.__version__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mimlab.')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[]\n{mimlab.__version__}\n[]\n"
+
+
+def _bench_names():
+    """(module, name) for every library name that the benchmark reads: the
+    `<layer>.<name>` reads and `from mimlab... import` lines of bench/*.py,
+    the keys of its CHECKS table, and the functions that BENCHMARK.json's
+    per-layer metrics name (`[setup.]<layer>.<function>.self_s|calls`)."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in LAYERS:
+                    names.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mimlab"):
+                for alias in node.names:
+                    if node.module == "mimlab":
+                        names.add((alias.name, None))
+                    else:
+                        names.add((node.module.removeprefix("mimlab."), alias.name))
+            elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CHECKS":
+                names.update(ast.literal_eval(key) for key in node.value.keys)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for metric in spec["per_layer"]:
+        parts = metric["name"].removeprefix("setup.").split(".")
+        if len(parts) == 3 and parts[0] in LAYERS and parts[2] in ("self_s", "calls"):
+            names.add((parts[0], parts[1]))
+    return names
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    names = _bench_names()
+    assert ("construct", "completion_ratio") in names  # a per-layer metric
+    assert ("construct", "embed_chord_diagram") in names  # a CHECKS key
+    assert ("decomp", "subtree_leaf_sets") in names  # an attribute read
+    missing = []
+    for module, name in sorted(names, key=str):
+        try:
+            mod = importlib.import_module(f"mimlab.{module}")
+        except ImportError:
+            missing.append(module)
+            continue
+        if name is not None and not hasattr(mod, name):
+            missing.append(f"{module}.{name}")
+    assert missing == []
