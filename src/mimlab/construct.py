@@ -11,6 +11,7 @@ from fractions import Fraction
 from .check import verify_induced_matching
 from .errors import (
     DegreeViolation,
+    GraphFormatError,
     InvalidParameter,
     MissingEdge,
     SpuriousXYCrossing,
@@ -107,7 +108,13 @@ class ChordDiagram:
 
     @classmethod
     def from_text(cls, text):
-        return cls(tuple(int(t) for t in text.split()))
+        word = []
+        for tok in text.split():
+            try:
+                word.append(int(tok))
+            except ValueError:
+                raise GraphFormatError(f"bad chord label {tok!r}") from None
+        return cls(tuple(word))
 
 
 def embed_chord_diagram(b: BipartiteGraph) -> ChordDiagram:

@@ -1,16 +1,16 @@
 """Branch decompositions: rooted binary trees whose leaves are the vertices.
 
-A tree node is either an int (leaf label) or a tuple of child nodes.
+A tree node is either an int (leaf label) or a pair of child nodes.
 Decompositions are canonical: at every internal node the child with the
 smaller minimum leaf label comes first, so equality is syntactic. The
-public constructors (`BranchDecomposition(root)`, `from_text`)
-canonicalize on construction. The solver builds its trees canonical and
-wraps them by `BranchDecomposition._canonical`, which skips the fold.
+public constructors (`BranchDecomposition(root)`, `from_text`) refuse
+any other node and canonicalize on construction. The solver builds its
+trees canonical and wraps them by `BranchDecomposition._canonical`,
+which skips the fold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, LabelMismatch, NotBinary
@@ -21,22 +21,21 @@ _CLOSE = object()  # on `_fold`'s stack, closes the innermost open node
 
 def _fold(root, leaf, combine):
     """Value of every node in postorder (root last), without recursion:
-    leaf(label) at a leaf, combine(child values) at an internal node."""
+    leaf(label) at a leaf, combine(left, right) at an internal node.
+    Raises NotBinary at a node with other than two children."""
     out = []
     done = []  # values of the finished children of open nodes
-    sizes = []  # child counts of the open nodes, innermost last
     stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, tuple):
-            sizes.append(len(node))
-            stack.append(_CLOSE)
-            stack.extend(reversed(node))
+            if len(node) != 2:
+                raise NotBinary(f"internal node with {len(node)} children")
+            stack += (_CLOSE, node[1], node[0])
             continue
         if node is _CLOSE:
-            k = len(done) - sizes.pop()
-            val = combine(done[k:])
-            del done[k:]
+            right = done.pop()
+            val = combine(done.pop(), right)
         else:
             val = leaf(node)
         done.append(val)
@@ -44,10 +43,11 @@ def _fold(root, leaf, combine):
     return out
 
 
-def _canon_node(kids):
-    # kids: (canonical subtree, minimum leaf) pairs.
-    kids.sort(key=lambda kid: kid[1])
-    return tuple(c for c, _ in kids), kids[0][1] if kids else math.inf
+def _canon_node(a, b):
+    # a, b: (canonical subtree, minimum leaf) pairs.
+    if b[1] < a[1]:
+        a, b = b, a
+    return (a[0], b[0]), a[1]
 
 
 def _canon_leaf(v):
@@ -75,7 +75,7 @@ class BranchDecomposition:
         return t
 
     def to_text(self):
-        return _fold(self.root, str, lambda kids: "(" + " ".join(kids) + ")")[-1]
+        return _fold(self.root, str, lambda a, b: f"({a} {b})")[-1]
 
     @classmethod
     def from_text(cls, text):
@@ -123,24 +123,12 @@ class Cut:
 
 def validate(t: BranchDecomposition, g):
     """Check tree shape and leaf bijection; raise on the first violation."""
-    labels = []
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            if len(node) != 2:
-                raise NotBinary(f"internal node with {len(node)} children")
-            stack += (node[1], node[0])
-        elif node.__class__ is int:  # not a bool, which to_text writes as True
-            labels.append(node)
-        else:
-            raise LabelMismatch(f"leaf {node!r} is not an int vertex")
-    if sorted(labels) != list(range(g.n)):
-        raise LabelMismatch(
-            f"leaves {sorted(labels)} are not a bijection onto 0..{g.n - 1}"
-        )
+    folded = _fold(t.root, _canon_leaf, lambda a, b: None)  # internal nodes: None
+    labels = sorted(v for v, _ in filter(None, folded))
+    if labels != list(range(g.n)):
+        raise LabelMismatch(f"leaves {labels} are not a bijection onto 0..{g.n - 1}")
 
 
 def subtree_leaf_sets(t: BranchDecomposition):
     """Leaf set of every node, in postorder (root last)."""
-    return _fold(t.root, lambda v: frozenset((v,)), lambda kids: frozenset().union(*kids))
+    return _fold(t.root, lambda v: frozenset((v,)), frozenset.union)

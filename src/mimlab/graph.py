@@ -403,14 +403,16 @@ def random_cubic(n, seed) -> Graph:
 def free_trees(n):
     """Yield one tree per isomorphism class of trees on n vertices.
 
-    The Wright-Richmond-Odlyzko-McKay algorithm ("Constant time generation
-    of free trees", SIAM J. Comput. 1986). A tree is a level sequence (the
-    depth of each vertex in preorder) rooted at a center. The root's first
-    subtree L and the rest R (the tree with L removed) must satisfy
-    (height, size, sequence) of L <= that of R. Candidates come in
-    Beyer-Hedetniemi order, and an invalid one jumps straight to the next
-    valid one. Vertex i of the yielded Graph is position i of its level
-    sequence; its parent is the closest earlier vertex one level up.
+    A tree is a level sequence (the depth of each vertex in preorder)
+    rooted at a center, under the test of Wright, Richmond, Odlyzko and
+    McKay ("Constant time generation of free trees", SIAM J. Comput. 1986):
+    the root's first subtree L and the rest R (the tree with L removed)
+    must satisfy (height, size, sequence) of L <= that of R. Every rooted
+    level sequence from the centered path down to the star is tested, in
+    Beyer-Hedetniemi order, and the ones that pass are yielded; without
+    the paper's jump past failing runs, the time per tree is not constant.
+    Vertex i of the yielded Graph is position i of its level sequence; its
+    parent is the closest earlier vertex one level up.
     """
     if n < 0:
         raise InvalidParameter("vertex count must be non-negative")
@@ -423,19 +425,13 @@ def free_trees(n):
         split = seq.index(1, 2) if 1 in seq[2:] else n
         left = [d - 1 for d in seq[1:split]]
         rest = [0] + seq[split:]
-        if (max(left), len(left), left) > (max(rest), len(rest), rest):
-            old = seq[split - 1]
-            seq = _next_rooted_tree(seq, split - 1)
-            if old > 2:
-                second = seq.index(1, 2) if 1 in seq[2:] else n
-                height = max(seq[1:second])
-                seq[n - height :] = range(1, height + 1)
-        parent_at = [0] * n
-        edges = []
-        for i in range(1, n):
-            edges.append((parent_at[seq[i] - 1], i))
-            parent_at[seq[i]] = i
-        yield Graph(n, edges)
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            parent_at = [0] * n
+            edges = []
+            for i in range(1, n):
+                edges.append((parent_at[seq[i] - 1], i))
+                parent_at[seq[i]] = i
+            yield Graph(n, edges)
         p = n - 1
         while seq[p] == 1:
             p -= 1

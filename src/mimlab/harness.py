@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import construct, recognize
@@ -44,19 +44,6 @@ from .solver import (
     mimw_upper,
 )
 
-CSV_COLUMNS = (
-    "family",
-    "parameter",
-    "n",
-    "mimw_mode",
-    "mimw_value",
-    "tw",
-    "degeneracy",
-    "eq1_bound",
-    "ratio",
-    "runtime_ms",
-)
-
 
 @dataclass
 class Row:
@@ -69,6 +56,10 @@ class Row:
     degeneracy: int = None
     eq1_bound: Fraction = None
     ratio: Fraction = None
+
+
+# runtime_ms stays a blank column: reruns must be byte-identical.
+CSV_COLUMNS = (*(f.name for f in fields(Row)), "runtime_ms")
 
 
 def _fmt(value):
@@ -85,22 +76,18 @@ class ExperimentReport:
     config: dict
     violations: list = field(default_factory=list)
 
+    # A row's instance dict holds its fields in CSV_COLUMNS order; the
+    # trailing comma leaves runtime_ms blank.
     def to_csv(self):
-        # runtime_ms stays a blank column: reruns must be byte-identical.
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            vals = ["" if c == "runtime_ms" else _fmt(getattr(r, c)) for c in CSV_COLUMNS]
-            lines.append(",".join(vals))
+        lines += [",".join(map(_fmt, vars(r).values())) + "," for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self):
         return json.dumps(
             {
                 "config": self.config,
-                "rows": [
-                    {c: _fmt(getattr(r, c)) for c in CSV_COLUMNS if c != "runtime_ms"}
-                    for r in self.rows
-                ],
+                "rows": [{c: _fmt(v) for c, v in vars(r).items()} for r in self.rows],
                 "violations": self.violations,
             },
             indent=2,

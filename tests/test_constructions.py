@@ -17,6 +17,7 @@ from mimlab.construct import (
 )
 from mimlab.errors import (
     DegreeViolation,
+    GraphFormatError,
     InvalidParameter,
     MissingEdge,
     OddCycleFound,
@@ -187,6 +188,12 @@ class TestChordDiagram:
         d = ChordDiagram((2, 0, 1, 2, 0, 1))
         assert d.to_text() == "0 1 2 0 1 2"
         assert ChordDiagram.from_text(d.to_text()).crossings() == d.crossings()
+
+    @pytest.mark.parametrize("text, token", [("0 x 0 x", "x"), ("0 1 0 1.5", "1.5")])
+    def test_from_text_rejects_bad_label(self, text, token):
+        with pytest.raises(GraphFormatError) as exc:
+            ChordDiagram.from_text(text)
+        assert repr(token) in str(exc.value)
 
     def test_text_deterministic(self):
         b = build_subdivided_family(6, 9)

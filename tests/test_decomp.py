@@ -40,9 +40,22 @@ def test_constructor_rejects_non_int_leaves():
 
 
 def test_validate_not_binary():
-    t = BranchDecomposition((0, 1, 2))
+    # The public constructor refuses this tree, so it skips the fold.
+    t = BranchDecomposition._canonical((0, 1, 2))
     with pytest.raises(NotBinary):
         validate(t, path(3))
+
+
+@pytest.mark.parametrize("root", [(0, 1, 2), (0,), (), ((0, 1),), ((0, 1), (2, 3, 4))])
+def test_constructor_rejects_non_binary(root):
+    with pytest.raises(NotBinary):
+        BranchDecomposition(root)
+
+
+@pytest.mark.parametrize("text", ["(0 1 2)", "()", "((0 1))", "((0 1) (2))"])
+def test_from_text_rejects_non_binary(text):
+    with pytest.raises(NotBinary):
+        BranchDecomposition.from_text(text)
 
 
 def test_cuts_p3_caterpillar():

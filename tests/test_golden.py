@@ -61,8 +61,9 @@ def test_free_tree_counts(n, count):
 def test_free_trees_small_orders():
     assert list(free_trees(0)) == []
     assert [t.edges for t in free_trees(1)] == [frozenset()]
-    # Orders 9 and 10 (OEIS A000055) are beyond the corpus pins.
-    assert [sum(1 for _ in free_trees(n)) for n in (9, 10)] == [47, 106]
+    # Orders 9-12 (OEIS A000055) are beyond the corpus pins.
+    counts = [sum(1 for _ in free_trees(n)) for n in (9, 10, 11, 12)]
+    assert counts == [47, 106, 235, 551]
 
 
 def _mask_path_graphs():
