@@ -86,16 +86,19 @@ class ChordDiagram:
     word: tuple
 
     def crossings(self):
-        """All interleaving label pairs, as sorted 2-tuples."""
+        """All interleaving label pairs, as sorted 2-tuples. Raises
+        InvalidParameter if a label does not occur exactly twice."""
         pos = {}
         for i, lab in enumerate(self.word):
             pos.setdefault(lab, []).append(i)
-        labels = sorted(pos)
+        chords = []
+        for lab in sorted(pos):
+            if len(pos[lab]) != 2:
+                raise InvalidParameter(f"chord label {lab!r} does not have two ends")
+            chords.append((lab, *pos[lab]))
         out = set()
-        for i, a in enumerate(labels):
-            p1, p2 = pos[a]
-            for b in labels[i + 1 :]:
-                q1, q2 = pos[b]
+        for i, (a, p1, p2) in enumerate(chords):
+            for b, q1, q2 in chords[i + 1 :]:
                 if (p1 < q1 < p2 < q2) or (q1 < p1 < q2 < p2):
                     out.add((a, b))
         return out
@@ -141,14 +144,12 @@ def verify_chord_diagram(d: ChordDiagram, b: BipartiteGraph):
     """Certify that the diagram's intersection graph differs from b only by
     Y-internal edges: no X-X crossing, and X-Y crossings exactly the edges.
     Returns None on success, raises a DiagramViolation otherwise."""
-    counts = {}
-    for lab in d.word:
-        counts[lab] = counts.get(lab, 0) + 1
-    if sorted(counts) != list(range(b.n)) or any(c != 2 for c in counts.values()):
+    crossings = sorted(d.crossings())
+    if set(d.word) != set(range(b.n)):
         raise InvalidParameter("word is not a double occurrence of all vertices")
     xs = b.x_class
     xy_seen = set()
-    for a, c in sorted(d.crossings()):
+    for a, c in crossings:
         a_in_x, c_in_x = a in xs, c in xs
         if a_in_x and c_in_x:
             raise XXCrossing(f"X-chords {a} and {c} cross")

@@ -14,12 +14,6 @@ from operator import index
 from .errors import GraphFormatError, InvalidParameter, OddCycleFound
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise InvalidParameter(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
     """Undirected simple graph. Vertices are the dense range 0..n-1."""
 
@@ -41,7 +35,9 @@ class Graph:
                 raise InvalidParameter(f"edge ({u!r},{v!r}) has a non-integer end") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameter(f"edge ({u},{v}) outside [0,{n})")
-            es.add(_norm_edge(u, v))
+            if u == v:
+                raise InvalidParameter(f"self-loop at vertex {u}")
+            es.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(es)
         self._adj = None
@@ -240,45 +236,46 @@ def subdivide_all_edges(g: Graph) -> BipartiteGraph:
 
 
 def two_color(g: Graph) -> BipartiteGraph:
-    """Two-color g, or raise OddCycleFound with an odd cycle certificate.
+    """Two-color g by BFS depth parity, or raise OddCycleFound with an odd
+    cycle certificate.
 
-    The X class is the side containing the lowest-indexed vertex of each
+    The search runs level by level, so depth is distance from the
+    component's root and the two ends of an edge differ in depth by at
+    most one. An edge joins two vertices of one parity class only if their
+    depths are equal, and then their tree paths to the lowest common
+    ancestor, of equal length, close an odd cycle with it. The X class is
+    the even depths: the side containing the lowest-indexed vertex of each
     connected component; isolated vertices default to X.
     """
     nbr = g.nbr_masks
-    color = [-1] * g.n
+    depth = [-1] * g.n
     parent = [-1] * g.n
-    depth = [0] * g.n
     for s in range(g.n):
-        if color[s] != -1:
+        if depth[s] != -1:
             continue
-        color[s] = 0
+        depth[s] = 0
         queue = [s]
         while queue:
             nq = []
             for u in queue:
                 for w in _bits(nbr[u]):
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
+                    if depth[w] == -1:
                         parent[w] = u
                         depth[w] = depth[u] + 1
                         nq.append(w)
-                    elif color[w] == color[u]:
-                        raise OddCycleFound(_odd_cycle(u, w, parent, depth))
+                    elif depth[w] == depth[u]:
+                        raise OddCycleFound(_odd_cycle(u, w, parent))
             queue = nq
-    x = [v for v in range(g.n) if color[v] == 0]
-    y = [v for v in range(g.n) if color[v] == 1]
+    x = [v for v, d in enumerate(depth) if d % 2 == 0]
+    y = [v for v, d in enumerate(depth) if d % 2]
     return BipartiteGraph(g, x, y)
 
 
-def _odd_cycle(u, w, parent, depth):
-    # Walk both endpoints of the conflict edge up to their lowest common
-    # ancestor in the BFS forest; the two paths plus the edge form the cycle.
+def _odd_cycle(u, w, parent):
+    # The two ends of the conflict edge have equal depth, so climbing both
+    # one step at a time meets at their lowest common ancestor in the BFS
+    # forest; the two paths plus the edge form the cycle.
     pu, pw = [u], [w]
-    while depth[pu[-1]] > depth[pw[-1]]:
-        pu.append(parent[pu[-1]])
-    while depth[pw[-1]] > depth[pu[-1]]:
-        pw.append(parent[pw[-1]])
     while pu[-1] != pw[-1]:
         pu.append(parent[pu[-1]])
         pw.append(parent[pw[-1]])
@@ -475,42 +472,35 @@ def parse_graph_text(text):
     lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "graph":
-        raise GraphFormatError(f"bad header line: {lines[0]!r}")
     try:
-        n, m = int(head[1]), int(head[2])
+        tag, n, m = lines[0].split()
+        n, m = int(n), int(m)
     except ValueError:
-        n = m = -1  # rejected with the negative counts below
-    if n < 0 or m < 0:
+        tag = None
+    if tag != "graph" or n < 0 or m < 0:
         raise GraphFormatError(f"bad header line: {lines[0]!r}")
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1 : 1 + m]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line: {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = ln.split()
+            edges.append((int(u), int(v)))
         except ValueError:
             raise GraphFormatError(f"bad edge line: {ln!r}") from None
+    rest = lines[1 + m :]
     try:
         g = Graph(n, edges)
-    except InvalidParameter as exc:
-        raise GraphFormatError(str(exc)) from None
-    if g.m != m:
-        raise GraphFormatError("duplicate edges in file")
-    rest = lines[1 + m :]
-    if not rest:
-        return g
-    if len(rest) != 1 or rest[0].split()[0] != "bip":
-        raise GraphFormatError(f"unexpected trailing lines: {rest!r}")
-    try:
-        x = [int(t) for t in rest[0].split()[1:]]
-    except ValueError:
-        raise GraphFormatError(f"bad bip line: {rest[0]!r}") from None
-    try:
+        if g.m != m:
+            raise GraphFormatError("duplicate edges in file")
+        if not rest:
+            return g
+        if len(rest) != 1 or rest[0].split()[0] != "bip":
+            raise GraphFormatError(f"unexpected trailing lines: {rest!r}")
+        try:
+            x = [int(t) for t in rest[0].split()[1:]]
+        except ValueError:
+            raise GraphFormatError(f"bad bip line: {rest[0]!r}") from None
         return BipartiteGraph(g, x, set(range(n)) - set(x))
     except InvalidParameter as exc:
         raise GraphFormatError(str(exc)) from None

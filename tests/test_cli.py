@@ -2,8 +2,10 @@ import os
 
 import pytest
 
-from mimlab import recognize
+from mimlab import harness, recognize
 from mimlab.cli import main
+from mimlab.construct import complete_both_sides
+from mimlab.graph import graph_to_text, path, two_color
 
 
 def run(argv, capsys):
@@ -211,6 +213,41 @@ def test_construct_split(tmp_path, capsys):
     code, out, _ = run(["construct", "split", str(f)], capsys)
     assert code == 0
     assert out.startswith("graph 4 ")
+
+
+def test_construct_cocomp(tmp_path, capsys):
+    f = tmp_path / "p5.txt"
+    run(["gen", "path", "5", "--out", str(f)], capsys)
+    code, out, err = run(["construct", "cocomp", str(f)], capsys)
+    assert (code, err) == (0, "")
+    assert out == graph_to_text(complete_both_sides(two_color(path(5))).result)
+
+
+def test_verify_lemma31_n_max_over_exact_limit(capsys):
+    code, out, err = run(["verify", "lemma31", "--n-max", "12"], capsys)
+    assert (code, out, err) == (3, "", "error: n_max=12 exceeds exact limit 9\n")
+
+
+def test_report_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # A violation goes to stderr and exits 2; the report is still written.
+    real_verify_eq1 = harness.verify_eq1
+    reports = []
+
+    def verify_eq1_with_violation(*args, **kwargs):
+        report = real_verify_eq1(*args, **kwargs)
+        report.violations.append("p3.txt: mimw=0 < 1/2")
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(harness, "verify_eq1", verify_eq1_with_violation)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run(["gen", "path", "3", "--out", str(corpus / "p3.txt")], capsys)
+    csv = tmp_path / "r.csv"
+    code, out, err = run(["verify", "eq1", "--corpus", str(corpus), "--out", str(csv)], capsys)
+    assert (code, out, err) == (2, "", "violation: p3.txt: mimw=0 < 1/2\n")
+    assert csv.read_text() == reports[0].to_csv()
+    assert csv.read_text().splitlines()[1].split(",")[1:3] == ["p3.txt", "3"]
 
 
 def test_verify_lemma31_small(capsys):

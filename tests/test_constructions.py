@@ -184,6 +184,20 @@ class TestChordDiagram:
         with pytest.raises(InvalidParameter):
             verify_chord_diagram(ChordDiagram((0, 0, 1, 1)), b)
 
+    @pytest.mark.parametrize(
+        "diagram, label",
+        [
+            (ChordDiagram((0, 0, 0)), 0),
+            (ChordDiagram((0, 1, 0)), 1),
+            (ChordDiagram.from_text("0 1 0"), 1),
+        ],
+        ids=["0 0 0", "0 1 0", "from_text 0 1 0"],
+    )
+    def test_crossings_rejects_label_without_two_ends(self, diagram, label):
+        with pytest.raises(InvalidParameter) as exc:
+            diagram.crossings()
+        assert str(exc.value) == f"chord label {label} does not have two ends"
+
     def test_canonical_text_is_min_rotation(self):
         d = ChordDiagram((2, 0, 1, 2, 0, 1))
         assert d.to_text() == "0 1 2 0 1 2"

@@ -173,7 +173,19 @@ class TestSerialization:
         for t in enumerate_decompositions(5):
             assert BranchDecomposition.from_text(t.to_text()) == t
 
-    @pytest.mark.parametrize("text", ["((0 1)", "0 1)", "((0 x) 2)", "(0 1) 2"])
-    def test_rejects_malformed(self, text):
-        with pytest.raises(GraphFormatError):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("((0 1)", "unbalanced parentheses"),
+            ("0 1)", "trailing tokens in decomposition text"),
+            ("((0 x) 2)", "bad leaf label 'x'"),
+            ("(0 1) 2", "trailing tokens in decomposition text"),
+            (")", "unexpected ')'"),
+            ("", "unexpected end of decomposition text"),
+        ],
+        ids=["((0 1)", "0 1)", "((0 x) 2)", "(0 1) 2", ")", ""],
+    )
+    def test_rejects_malformed(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
             BranchDecomposition.from_text(text)
+        assert str(exc.value) == message

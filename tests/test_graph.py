@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, reference_degeneracy
+from mimlab.check import verify_cycle
 from mimlab.errors import GraphFormatError, InvalidParameter, OddCycleFound
 from mimlab.graph import (
     BipartiteGraph,
@@ -17,6 +19,7 @@ from mimlab.graph import (
     complete_bipartite,
     cycle,
     degeneracy,
+    free_trees,
     graph_to_text,
     grid,
     mask_to_set,
@@ -219,6 +222,28 @@ class TestTwoColor:
             for u, v in g.edges:
                 assert (u in b.x_class) != (v in b.x_class)
 
+    def test_pinned_outputs_on_random_graphs(self):
+        # One sha256 over the classes or the odd cycle of 2,000 seeded
+        # graphs; each cycle is also a simple cycle of odd length.
+        rng = random.Random(39)
+        digest = hashlib.sha256()
+        odd = 0
+        for _ in range(2000):
+            n = rng.randint(1, 14)
+            p = rng.choice((0.1, 0.2, 0.3, 0.5))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            try:
+                b = two_color(g)
+            except OddCycleFound as exc:
+                cyc = exc.cycle
+                assert len(cyc) % 2 == 1 and verify_cycle(g, cyc), (g, cyc)
+                digest.update(f"odd {cyc}\n".encode())
+                odd += 1
+            else:
+                digest.update(f"{sorted(b.x_class)} {sorted(b.y_class)}\n".encode())
+        assert 0 < odd < 2000
+        assert digest.hexdigest() == "e183a0ef66d6b2df950ffc099914715dd147099aa4ef02e516a63585119d19f1"
+
 
 class TestGenerators:
     def test_grid_counts(self):
@@ -256,6 +281,48 @@ class TestGenerators:
         b = complete_bipartite(2, 3)
         assert b.graph.m == 6
         assert b.x_class == frozenset({0, 1})
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: grid(0, 3), "grid dimensions must be positive"),
+            (lambda: cycle(2), "cycle needs n >= 3"),
+            (lambda: path(0), "path needs n >= 1"),
+            (lambda: complete_bipartite(-1, 2), "class sizes must be non-negative"),
+            (lambda: random_bipartite(-1, 2, 0.5, 0), "class sizes must be non-negative"),
+            (lambda: next(free_trees(-1)), "vertex count must be non-negative"),
+            (lambda: Graph(-1), "vertex count must be non-negative"),
+            (lambda: BipartiteGraph(path(3), [0, 1], [1, 2]), "color classes overlap"),
+            (lambda: BipartiteGraph(path(3), [0], [1]), "color classes do not cover all vertices"),
+        ],
+        ids=[
+            "grid", "cycle", "path", "complete_bipartite", "random_bipartite",
+            "free_trees", "Graph", "classes_overlap", "classes_do_not_cover",
+        ],
+    )
+    def test_rejects_bad_parameters(self, make, message):
+        with pytest.raises(InvalidParameter) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+# Malformed graph files and the message that each one is refused with.
+MALFORMED = [
+    ("", "empty graph file"),
+    ("graph x 1\n0 1\n", "bad header line: 'graph x 1'"),
+    ("graph two 1\n0 1\n", "bad header line: 'graph two 1'"),
+    ("graph 2 -1\n", "bad header line: 'graph 2 -1'"),
+    ("graph 2 2\n0 1\n", "expected 2 edge lines, found 1"),
+    ("graph 2 1\n0 1\nextra junk\n", "unexpected trailing lines: ['extra junk']"),
+    ("graph 2 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+    ("graph 2 1\n0 x\n", "bad edge line: '0 x'"),
+    ("graph 2 1\n0 5\n", "edge (0,5) outside [0,2)"),
+    ("graph 2 1\n1 1\n", "self-loop at vertex 1"),
+    ("graph 2 2\n0 1\n1 0\n", "duplicate edges in file"),
+    ("graph 2 1\n0 1\nbip 0 x\n", "bad bip line: 'bip 0 x'"),
+    ("graph 2 1\n0 1\nbip 0 0 1\n", "edge (0,1) inside one color class"),
+    ("graph 3 1\n0 1\nbip 0 1\n", "edge (0,1) inside one color class"),
+]
 
 
 class TestTextFormat:
@@ -296,17 +363,8 @@ class TestTextFormat:
         g = parse_graph_text("graph 3 2\n2 1\n2 0\n")
         assert g == Graph(3, [(0, 2), (1, 2)])
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "graph x 1\n0 1\n",
-            "graph 2 2\n0 1\n",
-            "graph 2 1\n0 1\nextra junk\n",
-            "graph 2 1\n0 1 2\n",
-            "graph 3 1\n0 1\nbip 0 1\n",  # bip classes not a proper coloring
-        ],
-    )
-    def test_rejects_malformed(self, text):
-        with pytest.raises(GraphFormatError):
+    @pytest.mark.parametrize("text, message", MALFORMED, ids=[text for text, _ in MALFORMED])
+    def test_rejects_malformed(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
             parse_graph_text(text)
+        assert str(exc.value) == message
