@@ -3,8 +3,8 @@
 Every answer that the paper's argument rests on carries a witness, and a
 checker here re-checks it. A checker reads only `g.n`, `g.edges` (also
 through `g.m` and `g.has_edge`) and the set adjacency `g.adj`: never the
-neighbour masks, arc tables or cut arcs that the searches share, so a
-fault there cannot make a witness pass. It imports nothing of the
+neighbour masks that the searches share, so a fault there cannot make a
+witness pass. It imports nothing of the
 library but `errors` (tests/test_check.py holds it to both rules).
 
 Each checker reads every vertex of its certificate once, at entry, as

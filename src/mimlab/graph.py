@@ -17,7 +17,7 @@ from .errors import GraphFormatError, InvalidParameter, OddCycleFound
 class Graph:
     """Undirected simple graph. Vertices are the dense range 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_nbr_masks", "_arc_tables")
+    __slots__ = ("n", "edges", "nbr_masks", "_adj")
 
     def __init__(self, n, edges=()):
         # operator.index takes ints and bools (as 0 or 1), not floats or strings.
@@ -28,7 +28,12 @@ class Graph:
         if n < 0:
             raise InvalidParameter("vertex count must be non-negative")
         es = set()
-        for u, v in edges:
+        masks = [0] * n
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"edge {e!r} is not a pair of vertices") from None
             try:
                 u, v = index(u), index(v)
             except TypeError:
@@ -38,11 +43,14 @@ class Graph:
             if u == v:
                 raise InvalidParameter(f"self-loop at vertex {u}")
             es.add((u, v) if u < v else (v, u))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
         self.edges = frozenset(es)
+        # Neighbour bitmasks, indexed by vertex: bit w of entry v is set iff
+        # vw is an edge. The library's algorithms read these.
+        self.nbr_masks = tuple(masks)
         self._adj = None
-        self._nbr_masks = None
-        self._arc_tables = None
 
     @property
     def m(self):
@@ -60,64 +68,11 @@ class Graph:
             self._adj = tuple(frozenset(s) for s in nbrs)
         return self._adj
 
-    @property
-    def nbr_masks(self):
-        """Tuple of neighbor bitmasks, indexed by vertex: bit w of entry v
-        is set iff vw is an edge."""
-        if self._nbr_masks is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._nbr_masks = tuple(masks)
-        return self._nbr_masks
-
-    @property
-    def arc_tables(self):
-        """(sorted edges, tail, head). Arc 2j + r is sorted edge j = (u, v)
-        leaving u (r = 0) or v (r = 1); tail[v] and head[v] are the
-        bitmasks of the arcs leaving and entering vertex v."""
-        if self._arc_tables is None:
-            edges = tuple(sorted(self.edges))
-            tail = [0] * self.n
-            head = [0] * self.n
-            for j, (u, v) in enumerate(edges):
-                tail[u] |= 1 << 2 * j
-                head[v] |= 1 << 2 * j
-                tail[v] |= 2 << 2 * j
-                head[u] |= 2 << 2 * j
-            self._arc_tables = (edges, tuple(tail), tuple(head))
-        return self._arc_tables
-
-    def cut_arcs(self, mask):
-        """Bitmask of the arcs from the vertex set `mask` to the rest, by
-        one walk over the smaller side: the arcs leaving that side and not
-        entering it, or the mirror."""
-        _, tail, head = self.arc_tables
-        other = ((1 << self.n) - 1) ^ mask
-        if mask.bit_count() <= other.bit_count():
-            side, out, into = mask, tail, head
-        else:
-            side, out, into = other, head, tail
-        leave = enter = 0
-        while side:
-            low = side & -side
-            v = low.bit_length() - 1
-            leave |= out[v]
-            enter |= into[v]
-            side ^= low
-        return leave & ~enter
-
     def has_edge(self, u, v):
-        if u == v:
-            return False
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def degree(self, v):
         return self.nbr_masks[v].bit_count()
-
-    def sorted_edges(self):
-        return sorted(self.edges)
 
     def __eq__(self, other):
         return (
@@ -225,7 +180,7 @@ def subdivide_all_edges(g: Graph) -> BipartiteGraph:
     in sorted order becomes the new degree-2 vertex g.n + i in class Y.
     """
     n = g.n
-    es = g.sorted_edges()
+    es = sorted(g.edges)
     new_edges = []
     for i, (u, v) in enumerate(es):
         w = n + i
@@ -456,7 +411,7 @@ def _next_rooted_tree(seq, p):
 
 def graph_to_text(g: Graph) -> str:
     lines = [f"graph {g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 

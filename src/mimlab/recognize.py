@@ -250,7 +250,7 @@ def is_comparability(g: Graph) -> RecognitionResult:
     classes is re-verified over all 2-paths."""
     nbr = list(g.nbr_masks)
     orientation = []
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         if not nbr[u] >> v & 1:
             continue
         cls = {(u, v)}

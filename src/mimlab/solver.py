@@ -67,11 +67,13 @@ some N[v] (no vertex is dominated, as in every subdivided cubic graph),
 every union at w = 1 fails, so the merge starts at w = 2. It is
 deterministic: it takes no seed.
 
-A cut edge is an arc from the side in the mask to the other side
-(`Graph.cut_arcs`, in sorted-edge order), and two arcs a->b and c->d
-conflict iff b ~ c or d ~ a, whatever the cut. So the solver builds, once
-per graph, one conflict row per arc: the arcs entering a neighbour of a
-or leaving a neighbour of b. Every test reads one row per arc it takes.
+Each solver builds its own arc index: the sorted edges, each read as two
+arcs, and per vertex the arcs leaving and entering it. A cut edge is an
+arc from the side in the mask to the other side (`_CutSolver.cut_arcs`,
+in sorted-edge order), and two arcs a->b and c->d conflict iff b ~ c or
+d ~ a, whatever the cut. So the solver builds from the index, once per
+graph, one conflict row per arc: the arcs entering a neighbour of a or
+leaving a neighbour of b. Every test reads one row per arc it takes.
 The 2m rows of 2m bits take m^2 / 2 bytes for m edges, more than the
 O(n m) bits of per-vertex tables whose OR would give each row, but little
 wherever the merge finishes: 882 bytes for the 42 edges of circle-cubic
@@ -243,10 +245,11 @@ def _past_high_end(cs, arcs, t):
 
 
 class _CutSolver:
-    """Per-graph solver for threshold queries on cut mim-values. `conf`
-    holds one conflict row per arc: the arcs that cannot share an induced
-    matching with it, whatever the cut. It keeps nothing per cut; its
-    other fields are work counters. `nodes` counts the branch-and-bound
+    """Per-graph solver for threshold queries on cut mim-values. `edges`,
+    `tail` and `head` are its arc index, and `conf` holds one conflict row
+    per arc: the arcs that cannot share an induced matching with it,
+    whatever the cut. It keeps nothing per cut; its other fields are work
+    counters. `nodes` counts the branch-and-bound
     nodes of every search it ran: a dominated branch is never entered, so
     it adds none, and a search prunes a node whose candidates have a
     greedy clique cover (`_covered`) too small to beat its floor.
@@ -264,7 +267,18 @@ class _CutSolver:
         self.side_nodes = 0
         self.queries = 0
         self.cut_tests = 0
-        self.edges, tail, head = g.arc_tables
+        # Arc 2j + r is sorted edge j = (u, v) leaving u (r = 0) or v
+        # (r = 1); tail[v] and head[v] are the bitmasks of the arcs leaving
+        # and entering vertex v.
+        self.edges = tuple(sorted(g.edges))
+        tail = [0] * n
+        head = [0] * n
+        for j, (u, v) in enumerate(self.edges):
+            tail[u] |= 1 << 2 * j
+            head[v] |= 1 << 2 * j
+            tail[v] |= 2 << 2 * j
+            head[u] |= 2 << 2 * j
+        self.tail, self.head = tuple(tail), tuple(head)
         # Crossing arcs a->b and c->d conflict iff b ~ c or d ~ a; a shared
         # end is one such adjacency. So arc a->b conflicts, whatever the
         # cut, with the arcs entering a neighbour of a or leaving a
@@ -281,8 +295,26 @@ class _CutSolver:
             conf += (heads_near[u] | tails_near[v], heads_near[v] | tails_near[u])
         self.conf = conf
 
+    def cut_arcs(self, mask):
+        """Bitmask of the arcs from the vertex set `mask` to the rest, by
+        one walk over the smaller side: the arcs leaving that side and not
+        entering it, or the mirror."""
+        other = self.full ^ mask
+        if mask.bit_count() <= other.bit_count():
+            side, out, into = mask, self.tail, self.head
+        else:
+            side, out, into = other, self.head, self.tail
+        leave = enter = 0
+        while side:
+            low = side & -side
+            v = low.bit_length() - 1
+            leave |= out[v]
+            enter |= into[v]
+            side ^= low
+        return leave & ~enter
+
     def at_least(self, mask, t, arcs):
-        """Whether the cut at `mask`, whose arcs are `arcs` (`Graph.cut_arcs`),
+        """Whether the cut at `mask`, whose arcs are `arcs` (`cut_arcs`),
         has an induced matching of t edges. Past the size bound,
         `_has_matching` decides."""
         # A matching uses distinct vertices on each side: at most min(k, n-k).
@@ -297,7 +329,7 @@ class _CutSolver:
         t = 0, and with t > 0 the first one of t edges, which is a maximum
         one where t is the cut's value."""
         edges = self.edges
-        arcs = sorted(self._search(self.g.cut_arcs(mask), t))
+        arcs = sorted(self._search(self.cut_arcs(mask), t))
         return InducedMatching(mask_to_set(mask), tuple(edges[i >> 1] for i in arcs))
 
     def _search(self, arcs, t=0):
@@ -390,7 +422,7 @@ def _critical(cs, decomposition, width):
     that precedes the best so far. Two sorted sides first differ at the
     lowest vertex v of a ^ b: the side that holds v comes first unless the
     other goes on above v, and a side that ends first comes first."""
-    _, tail, head = cs.g.arc_tables
+    tail, head = cs.tail, cs.head
     best = None
     done = []  # (mask, arcs out, arcs in) of the finished children of open nodes
     stack = [decomposition.root]
@@ -498,7 +530,7 @@ def _balanced_side(cs, x, t, hi):
     left open is the answer. `side_nodes` counts the placements visited."""
     g = cs.g
     nbr = g.nbr_masks
-    _, tail, head = g.arc_tables
+    tail, head = cs.tail, cs.head
     conf = cs.conf
     far = 0  # the arcs entering V - X
     for v in _bits(cs.full ^ x):
@@ -598,7 +630,7 @@ def _threshold_tree(cs, lo, hi):
     records one of its halves, and V is good as soon as a kept union's
     complement is good too; the tree of V is built from the halves."""
     n, full = cs.n, cs.full
-    _, tail, head = cs.g.arc_tables
+    tail, head = cs.tail, cs.head
     for t in range(lo, hi):
         masks = [1 << v for v in range(n)]
         outs, ins = list(tail), list(head)
@@ -705,7 +737,7 @@ def _merge_search(cs):
     its scans decide, every way included."""
     n, past_high_end, conf = cs.n, _past_high_end, cs.conf
     nbr = cs.g.nbr_masks
-    _, tail, head = cs.g.arc_tables
+    tail, head = cs.tail, cs.head
     masks = [1 << v for v in range(n)]
     nodes = list(range(n))  # a one-vertex part's node is its vertex
     outs, ins = list(tail), list(head)  # the arcs leaving and entering a part

@@ -189,7 +189,7 @@ def rescan_merge(cs):
     while len(parts) > 1:
         for i, j in itertools.combinations(range(len(parts)), 2):
             union = parts[i][0] | parts[j][0]
-            if union == full or not cs.at_least(union, w + 1, cs.g.cut_arcs(union)):
+            if union == full or not cs.at_least(union, w + 1, cs.cut_arcs(union)):
                 parts[i] = (union, (parts[i][1], parts[j][1]))
                 del parts[j]
                 break
@@ -210,7 +210,7 @@ def lexmin_critical(cs, decomposition, width):
     for a in subtree_leaf_sets(decomposition):
         mask = set_to_mask(a)
         key = tuple(sorted(a))
-        if (best is None or key < best[0]) and cs.at_least(mask, width, cs.g.cut_arcs(mask)):
+        if (best is None or key < best[0]) and cs.at_least(mask, width, cs.cut_arcs(mask)):
             best = (key, a, mask)
     _, a, mask = best
     return Cut(a), cs.matching(mask, width)

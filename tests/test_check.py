@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from mimlab import check
-from mimlab.graph import Graph, cycle
+from mimlab.errors import InvalidParameter
+from mimlab.graph import Graph, cycle, path
 
 # The tables and helpers that the searches share, which a checker must not
 # read: a fault in one of them would then pass a wrong witness.
@@ -42,3 +43,22 @@ def test_checkers_read_nothing_the_searches_share():
 )
 def test_malformed_certificate_is_false(checker, g, cert):
     assert checker(g, cert) is False
+
+
+def test_cycle_chords_refuses_a_vertex_outside_the_graph():
+    with pytest.raises(InvalidParameter):
+        check.cycle_chords(cycle(5), [0, 9])
+
+
+@pytest.mark.parametrize(
+    "orientation",
+    [
+        [(0, 1)],  # misses the edge 12
+        [(0, 1), (1, 0)],  # both directions of 01, and misses 12
+        [(0, 1), (1, 0), (2, 1)],  # both directions of 01
+        [(0, 1), (0, 2)],  # 02 is no edge, and 12 is missed
+    ],
+)
+def test_orientation_must_hold_each_edge_once(orientation):
+    # Readable orientations of P3 that are not one direction per edge.
+    assert check.verify_transitive_orientation(path(3), orientation) is False

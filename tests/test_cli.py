@@ -228,6 +228,16 @@ def test_verify_lemma31_n_max_over_exact_limit(capsys):
     assert (code, out, err) == (3, "", "error: n_max=12 exceeds exact limit 9\n")
 
 
+def test_recognize_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # A recognizer whose certificate fails its check exits 2.
+    f = tmp_path / "p3.txt"
+    f.write_text(graph_to_text(path(3)))
+    monkeypatch.setattr(recognize, "verify_transitive_orientation", lambda g, o: False)
+    code, out, err = run(["recognize", "comparability", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("violation: ")
+
+
 def test_report_violation_exit_code(tmp_path, capsys, monkeypatch):
     # A violation goes to stderr and exits 2; the report is still written.
     real_verify_eq1 = harness.verify_eq1

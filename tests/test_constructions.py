@@ -72,6 +72,11 @@ class TestCompleteOneSide:
             b = random_bipartite(4, 4, 0.5, seed)
             assert is_split(complete_one_side(b, "Y").result).verdict
 
+    def test_rejects_unknown_side(self):
+        with pytest.raises(InvalidParameter) as exc:
+            complete_one_side(complete_bipartite(2, 2), "Z")
+        assert str(exc.value) == "side must be 'X' or 'Y'"
+
 
 class TestCompleteBothSides:
     def test_k22_becomes_k4(self):
@@ -106,6 +111,12 @@ class TestCompletionRecord:
         b = BipartiteGraph(Graph(3, [(0, 2)]), {0, 1}, {2})
         with pytest.raises(InvalidParameter):
             CompletionRecord(b, Graph(3, [(0, 1)]), frozenset({(0, 1)}))
+
+    def test_rejects_added_edges_of_the_original(self):
+        b = BipartiteGraph(Graph(3, [(0, 2)]), {0, 1}, {2})
+        with pytest.raises(InvalidParameter) as exc:
+            CompletionRecord(b, Graph(3, [(0, 2)]), frozenset({(0, 2)}))
+        assert str(exc.value) == "added edges overlap the original graph"
 
 
 class TestSubdividedFamily:

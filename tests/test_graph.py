@@ -32,6 +32,7 @@ from mimlab.graph import (
     two_color,
 )
 from mimlab.recognize import verify_clique
+from mimlab.solver import _CutSolver
 
 
 def small_graphs():
@@ -70,16 +71,54 @@ class TestGraph:
         g = Graph(3, [(0, True)])
         assert g.edges == frozenset({(0, 1)}) and graph_to_text(g) == "graph 3 1\n0 1\n"
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
+            ([(1,)], "edge (1,) is not a pair of vertices"),
+            ([0], "edge 0 is not a pair of vertices"),
+            ([None], "edge None is not a pair of vertices"),
+            ([(0, 1.0)], "edge (0,1.0) has a non-integer end"),
+            ([(0, 3)], "edge (0,3) outside [0,3)"),
+            ([(1, 1)], "self-loop at vertex 1"),
+        ],
+    )
+    def test_malformed_edge_messages(self, edges, message):
+        # An edge that is not two items is a parameter error too, not a
+        # bare error from unpacking it.
+        with pytest.raises(InvalidParameter) as exc:
+            Graph(3, edges)
+        assert str(exc.value) == message
+
     def test_degree_and_adjacency(self):
         g = path(4)
         assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
         assert g.adj[1] == frozenset({0, 2})
+
+    def test_no_vertex_is_its_own_neighbour(self):
+        for g in (complete(5), Graph(3), path(4)):
+            assert not any(g.has_edge(v, v) for v in range(g.n))
 
 
 class TestBitsetView:
     def test_nbr_masks(self):
         g = grid(2, 3)
         assert [mask_to_set(m) for m in g.nbr_masks] == list(g.adj)
+
+    def test_nbr_masks_match_adj_on_raw_edge_lists(self):
+        # The masks are built from the edges as given, the set adjacency
+        # from the normalised edge set: reversed and repeated pairs must
+        # not make them differ.
+        repeated = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            edges = [rng.choice(pairs) for _ in range(rng.randint(0, 2 * n))]
+            g = Graph(n, edges)
+            repeated += g.m < len(edges)
+            assert [mask_to_set(m) for m in g.nbr_masks] == list(g.adj), (seed, edges)
+        assert repeated > 1000
 
     def test_clique_matches_verify_clique(self):
         graphs = [complete(n) for n in range(1, 9)] + [Graph(n) for n in range(1, 9)]
@@ -98,9 +137,10 @@ class TestBitsetView:
         mask &= (1 << g.n) - 1
         a = mask_to_set(mask)
         assert set_to_mask(a) == mask
-        edges = g.arc_tables[0]
-        assert [edges[arc >> 1] for arc in _bits(g.cut_arcs(mask))] == [
-            e for e in g.sorted_edges() if (e[0] in a) != (e[1] in a)
+        cs = _CutSolver(g)
+        edges = cs.edges
+        assert [edges[arc >> 1] for arc in _bits(cs.cut_arcs(mask))] == [
+            e for e in sorted(g.edges) if (e[0] in a) != (e[1] in a)
         ]
 
 

@@ -195,6 +195,23 @@ class TestCertificateSelfChecks:
         with pytest.raises(CertificateViolation):
             is_chordal(cycle(4))
 
+    def test_sun_cycle_rejected(self, monkeypatch, three_sun):
+        monkeypatch.setattr(recognize, "verify_cycle", lambda g, cyc: False)
+        with pytest.raises(CertificateViolation, match="no even cycle without odd chord"):
+            is_strongly_chordal(three_sun)
+        with pytest.raises(CertificateViolation, match="no chordless long cycle"):
+            is_chordal_bipartite(cycle(6))
+
+    def test_orientation_rejected(self, monkeypatch):
+        monkeypatch.setattr(recognize, "verify_transitive_orientation", lambda g, o: False)
+        with pytest.raises(CertificateViolation, match="not transitive"):
+            is_comparability(path(3))
+
+    def test_stuck_set_without_chordless_cycle(self):
+        # A triangle has no nonadjacent neighbours to close a cycle through.
+        with pytest.raises(CertificateViolation, match="no chordless cycle"):
+            recognize._chordless_cycle(complete(3), 0b111)
+
 
 class TestChordal:
     def test_c4_not_chordal(self):

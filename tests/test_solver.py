@@ -317,9 +317,7 @@ class TestMaxInducedMatchingCut:
         def broken(*args):
             raise AssertionError("a checker read a table the searches share")
 
-        for name in ("nbr_masks", "arc_tables"):
-            monkeypatch.setattr(Graph, name, property(broken))
-        monkeypatch.setattr(Graph, "cut_arcs", broken)
+        monkeypatch.setattr(Graph, "nbr_masks", property(broken))
         assert [(f(h, good), f(h, bad)) for f, h, good, bad in cases] == before
 
     def test_witness_passes_independent_checker(self):
@@ -473,7 +471,7 @@ class TestArcTables:
             rng = random.Random(seed)
             g = random_graph(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6, 0.8)), seed)
             cs = solver._CutSolver(g)
-            edges = g.arc_tables[0]
+            edges = cs.edges
             # Every arc's row, against every arc: a->b and c->d conflict
             # iff b ~ c or d ~ a, so a->b's own bit is set and b->a's not.
             ends = [(u, v)[::step] for u, v in edges for step in (1, -1)]
@@ -483,7 +481,7 @@ class TestArcTables:
                     want = c in g.adj[b] or a in g.adj[d]
                     assert bool(cs.conf[i] >> j & 1) == want, (seed, i, j)
             for mask in range(1 << g.n):
-                arcs = g.cut_arcs(mask)
+                arcs = cs.cut_arcs(mask)
                 ids = [i for i in range(2 * g.m) if arcs >> i & 1]
                 ce = [edges[i >> 1] for i in ids]
                 assert ce == cut_edge_list(g, mask_to_set(mask))
@@ -505,9 +503,9 @@ class TestCliqueCover:
             rng = random.Random(seed)
             g = random_graph(rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7)), seed)
             cs = solver._CutSolver(g)
-            edges = g.arc_tables[0]
+            edges = cs.edges
             for mask in range(1 << g.n):
-                arcs = g.cut_arcs(mask)
+                arcs = cs.cut_arcs(mask)
                 ids = [i for i in range(2 * g.m) if arcs >> i & 1]
                 cut_set = {edges[i >> 1] for i in ids}
                 for _ in range(3):
@@ -548,7 +546,7 @@ class TestDominatedBranches:
         for g in graphs:
             cs = solver._CutSolver(g)
             for mask in range(1, 1 << g.n - 1):  # each cut once, by complement
-                arcs = g.cut_arcs(mask)
+                arcs = cs.cut_arcs(mask)
                 want, _ = reference_search(cs, arcs)
                 value = len(want)
                 for t in range(value + 2):
@@ -586,9 +584,9 @@ class TestThresholdQueries:
                 cs = solver._CutSolver(g)
                 rng.shuffle(queries)
                 for a, t in queries:
-                    assert cs.at_least(a, t, g.cut_arcs(a)) == (brute[a] >= t), (g.edges, a, t)
+                    assert cs.at_least(a, t, cs.cut_arcs(a)) == (brute[a] >= t), (g.edges, a, t)
                 for a, want in brute.items():
-                    arcs = g.cut_arcs(a)
+                    arcs = cs.cut_arcs(a)
                     assert cs.at_least(a, want, arcs) and not cs.at_least(a, want + 1, arcs)
 
     def test_up_to_two_edges_exact(self):
@@ -599,7 +597,7 @@ class TestThresholdQueries:
         for g in graphs:
             cs = solver._CutSolver(g)
             for mask in range(1 << g.n):
-                arcs = g.cut_arcs(mask)
+                arcs = cs.cut_arcs(mask)
                 value = brute_max_induced_matching(g, mask_to_set(mask))
                 for t in range(3):
                     want = value >= t
@@ -625,7 +623,7 @@ class TestThresholdQueries:
             nodes = 0
             for mask, t in queries:
                 fresh = solver._CutSolver(g)
-                arcs = g.cut_arcs(mask)
+                arcs = fresh.cut_arcs(mask)
                 assert shared.at_least(mask, t, arcs) == fresh.at_least(mask, t, arcs), (
                     g.edges, mask, t
                 )
@@ -641,7 +639,7 @@ class TestThresholdQueries:
         # 1->0 and then 2->4, an induced matching of two, with no search.
         g = Graph(5, [(0, 1), (0, 3), (3, 4), (2, 4)])
         cs = solver._CutSolver(g)
-        arcs = g.cut_arcs(0b01110)
+        arcs = cs.cut_arcs(0b01110)
         top = arcs.bit_length() - 1
         assert not arcs & ~cs.conf[top]
         cs._search = None  # a search would fail here
@@ -656,7 +654,7 @@ class TestThresholdQueries:
         # branch-and-bound node. (At t <= 2 no search runs.)
         g = Graph(7, [(0, 5), (0, 6), (1, 4), (2, 3), (4, 5)])
         cs = solver._CutSolver(g)
-        arcs = g.cut_arcs(0b10101)
+        arcs = cs.cut_arcs(0b10101)
         for pick in (int.bit_length, lambda rest: (rest & -rest).bit_length()):
             rest, size = arcs, 0
             while rest:
@@ -1045,7 +1043,7 @@ class TestMimwExact:
             cs = solver._CutSolver(g)
             for a in subtree_leaf_sets(rep.decomposition):
                 mask = set_to_mask(a)
-                assert not search_at_least(cs, mask, found + 1, g.cut_arcs(mask)), a
+                assert not search_at_least(cs, mask, found + 1, cs.cut_arcs(mask)), a
 
     def test_limit_applies_where_the_bounds_meet(self, made_solvers):
         # A path has width 1, so the bounds meet at once, but n = 12 is
