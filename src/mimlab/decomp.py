@@ -7,6 +7,10 @@ public constructors (`BranchDecomposition(root)`, `from_text`) refuse
 any other node and canonicalize on construction. The solver builds its
 trees canonical and wraps them by `BranchDecomposition._canonical`,
 which skips the fold.
+
+One lazy postorder fold (`_fold`) serves the constructor, `to_text`,
+`validate`, `subtree_leaf_sets` and the solver's critical cut, which
+stops at the first node whose cut reaches the width.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ _CLOSE = object()  # on `_fold`'s stack, closes the innermost open node
 
 
 def _fold(root, leaf, combine):
-    """Value of every node in postorder (root last), without recursion:
-    leaf(label) at a leaf, combine(left, right) at an internal node.
-    Raises NotBinary at a node with other than two children."""
-    out = []
+    """Yield the value of every node in postorder (root last), without
+    recursion: leaf(label) at a leaf, combine(left, right) at an internal
+    node. Raises NotBinary at a node with other than two children."""
     done = []  # values of the finished children of open nodes
     stack = [root]
     while stack:
@@ -39,8 +42,7 @@ def _fold(root, leaf, combine):
         else:
             val = leaf(node)
         done.append(val)
-        out.append(val)
-    return out
+        yield val
 
 
 def _canon_node(a, b):
@@ -57,7 +59,8 @@ def _canon_leaf(v):
 
 
 def _canon(root):
-    return _fold(root, _canon_leaf, _canon_node)[-1][0]
+    *_, top = _fold(root, _canon_leaf, _canon_node)
+    return top[0]
 
 
 class BranchDecomposition:
@@ -75,7 +78,8 @@ class BranchDecomposition:
         return t
 
     def to_text(self):
-        return _fold(self.root, str, lambda a, b: f"({a} {b})")[-1]
+        *_, text = _fold(self.root, str, lambda a, b: f"({a} {b})")
+        return text
 
     @classmethod
     def from_text(cls, text):
@@ -131,4 +135,4 @@ def validate(t: BranchDecomposition, g):
 
 def subtree_leaf_sets(t: BranchDecomposition):
     """Leaf set of every node, in postorder (root last)."""
-    return _fold(t.root, lambda v: frozenset((v,)), frozenset.union)
+    return list(_fold(t.root, lambda v: frozenset((v,)), frozenset.union))

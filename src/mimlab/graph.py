@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from operator import index
 
-from .errors import GraphFormatError, InvalidParameter, OddCycleFound
+from .errors import GraphFormatError, InvalidParameter, LimitExceeded, OddCycleFound
 
 
 class Graph:
@@ -420,9 +420,15 @@ def bipartite_to_text(b: BipartiteGraph) -> str:
     return graph_to_text(b.graph) + ("bip " + bip).rstrip() + "\n"
 
 
+# The most vertices a graph file's header may declare, checked before
+# anything of size n is built: a header at the cap costs about 1 MB.
+MAX_VERTICES = 1 << 16
+
+
 def parse_graph_text(text):
     """Parse the edge-list format; returns Graph, or BipartiteGraph if a
-    `bip` line is present. Accepts unsorted edge lines."""
+    `bip` line is present. Accepts unsorted edge lines. Raises
+    LimitExceeded if the header declares more than MAX_VERTICES vertices."""
     stripped = (ln.strip() for ln in text.splitlines())
     lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if not lines:
@@ -434,6 +440,8 @@ def parse_graph_text(text):
         tag = None
     if tag != "graph" or n < 0 or m < 0:
         raise GraphFormatError(f"bad header line: {lines[0]!r}")
+    if n > MAX_VERTICES:
+        raise LimitExceeded(f"n={n} exceeds the graph file vertex cap {MAX_VERTICES}")
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

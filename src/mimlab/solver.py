@@ -24,8 +24,9 @@ vertex set (union tested at t), within TABLE_BUDGET.
 
 Each search builds its tree canonical (the child with the lower least
 leaf first at every node), so the report wraps it without the fold of
-`BranchDecomposition`. The report's critical cut comes from one
-postorder walk over the tree's vertex masks.
+`BranchDecomposition`. The report's critical cut is the first node, in
+postorder, whose cut reaches the width; the decomposition's own fold
+walks the tree's vertex masks to find it.
 
 One per-graph cut solver serves both mim-width solvers. It keeps no
 state per cut, so an answer and the work behind it do not depend on the
@@ -98,7 +99,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .check import _vertices, verify_induced_matching
-from .decomp import BranchDecomposition, Cut
+from .decomp import BranchDecomposition, Cut, _fold
 from .errors import InvalidParameter, LimitExceeded
 from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
 
@@ -416,39 +417,23 @@ def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
 
 def _critical(cs, decomposition, width):
     """Locate a cut of mim-value `width`, the decomposition's width: the
-    lexicographically smallest sorted a_side among them. One postorder
-    walk carries each node's vertex mask and the arcs leaving and entering
-    its vertices, and asks `at_least`, with the cut's arcs, only of a mask
-    that precedes the best so far. Two sorted sides first differ at the
-    lowest vertex v of a ^ b: the side that holds v comes first unless the
-    other goes on above v, and a side that ends first comes first."""
+    first node, in postorder, whose cut has an induced matching of `width`
+    edges. The decomposition's fold carries each node's vertex mask and the
+    arcs leaving and entering its vertices, so `at_least` gets the cut's
+    arcs at once. Some node reaches the width, since every search returns
+    a tree whose width is its value: the merge attains its w, and the trees
+    of the top-down step and of the closure have width t, which is exact.
+    At width 0 the first leaf, {0}, answers with an empty matching."""
     tail, head = cs.tail, cs.head
-    best = None
-    done = []  # (mask, arcs out, arcs in) of the finished children of open nodes
-    stack = [decomposition.root]
-    while stack:
-        node = stack.pop()
-        if node is None:  # closes an internal node, after both children
-            mask, out, into = done.pop()
-            other, more_out, more_in = done.pop()
-            mask |= other
-            out |= more_out
-            into |= more_in
-        elif node.__class__ is tuple:
-            stack += (None, node[1], node[0])
-            continue
-        else:
-            mask, out, into = 1 << node, tail[node], head[node]
-        done.append((mask, out, into))
-        if best is not None:
-            low = mask ^ best
-            low &= -low
-            if not (best & -low if mask & low else not mask & -low):
-                continue
+    nodes = _fold(
+        decomposition.root,
+        lambda v: (1 << v, tail[v], head[v]),
+        lambda a, b: (a[0] | b[0], a[1] | b[1], a[2] | b[2]),
+    )
+    for mask, out, into in nodes:
         if cs.at_least(mask, width, out & ~into):
-            best = mask
-    matching = cs.matching(best, width)  # the tree bounds the cut by width
-    return Cut(matching.a_side), matching
+            matching = cs.matching(mask, width)  # the tree bounds the cut by width
+            return Cut(matching.a_side), matching
 
 
 def _check_limit(n, limit, what):
@@ -474,9 +459,6 @@ def _width_report(g, mode, search) -> WidthReport:
         return WidthReport(0, mode, None, None, None)
     cs = _CutSolver(g)
     value, t = search(cs)
-    if value == 0:
-        cut = Cut(frozenset(range(g.n)))
-        return WidthReport(0, mode, t, cut, InducedMatching(cut.a_side, ()))
     cut, matching = _critical(cs, t, value)
     return WidthReport(value, mode, t, cut, matching)
 

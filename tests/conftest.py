@@ -12,12 +12,13 @@ def cut_edge_list(g, a):
     return [e for e in sorted(g.edges) if (e[0] in a) != (e[1] in a)]
 
 
-def brute_max_induced_matching(g, a):
-    """Exhaustive search over all subsets of cut edges."""
+def brute_max_induced_matching(g, a, cap=None):
+    """Exhaustive search over all subsets of cut edges, of at most `cap`
+    edges if given."""
     ce = cut_edge_list(g, a)
     cut_set = set(ce)
     best = 0
-    for r in range(len(ce), 0, -1):
+    for r in range(len(ce) if cap is None else min(cap, len(ce)), 0, -1):
         if r <= best:
             break
         for combo in itertools.combinations(ce, r):
@@ -198,22 +199,17 @@ def rescan_merge(cs):
     return w, BranchDecomposition(parts[0][1])
 
 
-def lexmin_critical(cs, decomposition, width):
-    """`solver._critical` by a fold of frozensets: over the subtree leaf
-    sets in postorder, the lexicographically smallest sorted side whose
-    cut has an induced matching of `width` edges, with `at_least` asked
-    only of a side that precedes the best so far."""
+def postorder_critical(cs, decomposition, width):
+    """`solver._critical` by a fold of frozensets: the first subtree leaf
+    set, in postorder, whose cut has an induced matching of `width`
+    edges, with `at_least` asked of each set in turn."""
     from mimlab.decomp import Cut, subtree_leaf_sets
     from mimlab.graph import set_to_mask
 
-    best = None
     for a in subtree_leaf_sets(decomposition):
         mask = set_to_mask(a)
-        key = tuple(sorted(a))
-        if (best is None or key < best[0]) and cs.at_least(mask, width, cs.cut_arcs(mask)):
-            best = (key, a, mask)
-    _, a, mask = best
-    return Cut(a), cs.matching(mask, width)
+        if cs.at_least(mask, width, cs.cut_arcs(mask)):
+            return Cut(a), cs.matching(mask, width)
 
 
 def search_at_least(self, mask, t, arcs):

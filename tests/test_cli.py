@@ -1,4 +1,6 @@
+import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -404,3 +406,60 @@ def test_undecodable_file_exit_code(tmp_path, capsys):
     ):
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (4, "", f"error: {f}: not UTF-8 text at byte 14\n"), argv
+
+
+def _rejected(g):
+    """A recognizer stand-in whose verdict is always False."""
+    return SimpleNamespace(verdict=False)
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, replacement, message",
+    [
+        (["verify", "lemma31", "--trials", "1"], "construct",
+         "split_submatching_survives", lambda rec, rep: False,
+         "trial 0: sub-matching check failed"),
+        (["verify", "constructions"], "recognize", "is_chordal", _rejected,
+         "3-sun negative control failed"),
+        (["verify", "eq1", "--corpus", "corpus"], None, "mimw_exact",
+         lambda g, limit: SimpleNamespace(value=0, mode="exact"), "p3.txt: mimw=0 < 1/6"),
+        (["sweep", "--family", "split-grid", "--sizes", "2"], "recognize", "is_split", _rejected,
+         "k=2: completion is not split"),
+    ],
+    ids=["lemma31", "constructions", "eq1", "sweep"],
+)
+def test_suite_violation_exit_code(argv, module, name, replacement, message,
+                                   tmp_path, capsys, monkeypatch):
+    # Each suite's violation goes to stderr and exits 2; its CSV is still written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "p3.txt").write_text(graph_to_text(path(3)))
+    monkeypatch.setattr(getattr(harness, module) if module else harness, name, replacement)
+    code, out, err = run([*argv, "--out", "r.csv"], capsys)
+    assert (code, out, err) == (2, "", f"violation: {message}\n")
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    assert lines[0] == ",".join(harness.CSV_COLUMNS) and len(lines) > 1
+
+
+def test_header_over_vertex_cap_exit_limit(tmp_path, capsys):
+    # The header is refused before a graph of its size is built.
+    f = tmp_path / "huge.txt"
+    f.write_text("graph 3000000 0\n")
+    code, out, err = run(["mimw", "--exact", str(f)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: n=3000000 exceeds the graph file vertex cap 65536\n"
+
+
+def test_mimw_one_vertex_null_report(tmp_path, capsys):
+    f = tmp_path / "one.txt"
+    f.write_text("graph 1 0\n")
+    for mode in ("--exact", "--upper"):
+        code, out, err = run(["mimw", mode, str(f)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "value": 0,
+            "mode": mode[2:],
+            "decomposition": None,
+            "critical_cut_a_side": None,
+            "matching_edges": None,
+        }

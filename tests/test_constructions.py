@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -330,3 +332,100 @@ class TestHarnessCompletions:
         assert report.violations == ["P3: complement of double completion not bipartite"]
         report = harness.sweep("cocomp-grid", [2])
         assert report.violations == ["k=2: complement of completion not bipartite"]
+
+
+def _rejected(g):
+    """A recognizer stand-in whose verdict is always False."""
+    return SimpleNamespace(verdict=False)
+
+
+def _widths(*values):
+    """A `mimw_exact` stand-in that returns the given widths in turn."""
+    reports = itertools.cycle(SimpleNamespace(value=v, mode="exact") for v in values)
+    return lambda g, limit: next(reports)
+
+
+class TestHarnessViolations:
+    # Each suite's violation reports, reached by replacing one name that
+    # the harness reads, with each message pinned.
+
+    def test_lemma31_width_below_half(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness, "mimw_exact", _widths(4, 1))
+        monkeypatch.setattr(harness.construct, "split_submatching_survives", lambda rec, rep: True)
+        report = harness.verify_lemma31(trials=2)
+        assert report.violations == [
+            "trial 0: mimw(G')=1 < ceil(4/2)",
+            "trial 1: mimw(G')=1 < ceil(4/2)",
+        ]
+        assert len(report.rows) == 2
+
+    def test_lemma31_submatching(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness.construct, "split_submatching_survives", lambda rec, rep: False)
+        report = harness.verify_lemma31(trials=1)
+        assert report.violations == ["trial 0: sub-matching check failed"]
+
+    def test_constructions_completion_not_split(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness.recognize, "is_split", _rejected)
+        report = harness.verify_constructions([("P3", two_color(path(3)))])
+        assert report.violations == ["P3: completion split=False strongly_chordal=True"]
+
+    def test_constructions_not_co_comparability(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness.recognize, "is_co_comparability", _rejected)
+        report = harness.verify_constructions([("P3", two_color(path(3)))])
+        assert report.violations == ["P3: double completion not co-comparability"]
+
+    def test_constructions_negative_control(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness.recognize, "is_chordal", _rejected)
+        report = harness.verify_constructions([("P3", two_color(path(3)))])
+        assert report.violations == ["3-sun negative control failed"]
+
+    def test_eq1_width_below_bound(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness, "mimw_exact", _widths(0))
+        report = harness.verify_eq1([("K4", complete(4))])
+        assert report.violations == ["K4: mimw=0 < 1/4"]
+
+    def test_sweep_completion_not_split(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness.recognize, "is_split", _rejected)
+        report = harness.sweep("split-grid", [2])
+        assert report.violations == ["k=2: completion is not split"]
+
+    def test_sweep_ratio_below_half(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness, "mimw_exact", _widths(3, 1))
+        report = harness.sweep("cocomp-grid", [2])
+        assert report.violations == ["k=2: completion ratio 1/3 < 1/2"]
+
+    def test_sweep_chord_diagram(self, monkeypatch):
+        from mimlab import harness
+
+        def crossing(d, b):
+            raise XXCrossing("X-chords 0 and 1 cross")
+
+        monkeypatch.setattr(harness.construct, "verify_chord_diagram", crossing)
+        report = harness.sweep("circle-cubic", [4])
+        assert report.violations == ["n=4: chord diagram violation: X-chords 0 and 1 cross"]
+
+    def test_sweep_exact_width_below_bound(self, monkeypatch):
+        from mimlab import harness
+
+        monkeypatch.setattr(harness, "mimw_exact", _widths(0))
+        report = harness.sweep("split-grid", [2])
+        assert report.violations == [
+            "2:base: exact mimw 0 below bound 2/9",
+            "2:completed: exact mimw 0 below bound 2/9",
+        ]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import all_graphs, reference_degeneracy
 from mimlab.check import verify_cycle
-from mimlab.errors import GraphFormatError, InvalidParameter, OddCycleFound
+from mimlab.errors import GraphFormatError, InvalidParameter, LimitExceeded, OddCycleFound
 from mimlab.graph import (
     BipartiteGraph,
     Graph,
+    MAX_VERTICES,
     _bits,
     _clique,
     bipartite_to_text,
@@ -402,6 +404,20 @@ class TestTextFormat:
     def test_reader_accepts_unsorted(self):
         g = parse_graph_text("graph 3 2\n2 1\n2 0\n")
         assert g == Graph(3, [(0, 2), (1, 2)])
+
+    def test_header_over_vertex_cap(self):
+        # Refused before anything of size n is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceeded, match="vertex cap 65536"):
+                parse_graph_text("graph 3000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert parse_graph_text(f"graph {MAX_VERTICES} 0\n").n == MAX_VERTICES == 1 << 16
+        with pytest.raises(LimitExceeded):
+            parse_graph_text(f"graph {MAX_VERTICES + 1} 0\n")
 
     @pytest.mark.parametrize("text, message", MALFORMED, ids=[text for text, _ in MALFORMED])
     def test_rejects_malformed(self, text, message):

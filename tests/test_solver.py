@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from conftest import (
     brute_treewidth,
     caterpillar_from_order,
     cut_edge_list,
-    lexmin_critical,
+    postorder_critical,
     reference_search,
     rescan_merge,
     search_at_least,
@@ -715,13 +716,13 @@ class TestUpperWork:
     # sha256 prefixes of report JSON, recorded also with the clique-cover
     # pruning off: pruning the cut search must not change a report byte.
     REPORTS = {
-        (10, 0): "22848dbe795f9676",
-        (10, 1): "748e247fc610a679",
-        (10, 2): "d2da74e45c961c40",
+        (10, 0): "99b4ebf79767bb0f",
+        (10, 1): "1c59699bb55c9752",
+        (10, 2): "291565418604e2d8",
         (12, 0): "5b6dacc288003bc1",
         (12, 1): "48dca305d0e9ecb8",
         (12, 2): "7f8fdd845d4a486c",
-        (14, 0): "05bc4524614ca9e0",
+        (14, 0): "9a3936778893542c",
         (14, 1): "dc6862df820f563d",
         (14, 2): "84b7221f99897cb6",
     }
@@ -864,10 +865,28 @@ class TestCriticalCut:
             assert search(fold) == (value, tree)
             if not value:
                 continue
-            assert solver._critical(walk, tree, value) == lexmin_critical(fold, tree, value)
+            assert solver._critical(walk, tree, value) == postorder_critical(fold, tree, value)
             assert walk.nodes == fold.nodes, g.edges
             checked += 1
         assert checked > 150
+
+    def test_earlier_nodes_below_width(self):
+        # Brute force: the critical side is the first subtree leaf set in
+        # postorder whose cut has an induced matching of `value` edges.
+        checked = 0
+        for g, search in critical_cases():
+            if g.n > 10:
+                continue
+            cs = solver._CutSolver(g)
+            value, tree = search(cs)
+            cut, matching = solver._critical(cs, tree, value)
+            sides = subtree_leaf_sets(tree)
+            first = sides.index(cut.a_side)
+            assert all(brute_max_induced_matching(g, a, value) < value for a in sides[:first])
+            assert len(matching.edges) == value
+            assert check.verify_induced_matching(g, matching)
+            checked += 1
+        assert checked > 100
 
     def test_lexmin_side_on_any_tree(self):
         # At width 1 on a connected graph every cut but the root's has the
@@ -1088,6 +1107,24 @@ class TestMimwExact:
     def test_report_json_field_order(self):
         rep = mimw_exact(path(3))
         assert rep.to_json().startswith('{"value": 1, "mode": "exact", ')
+
+    def test_reports_without_an_edge(self):
+        # n <= 1 has no branch decomposition: every witness field is null.
+        for n in (0, 1):
+            for solve, mode in ((mimw_exact, "exact"), (mimw_upper, "upper")):
+                assert json.loads(solve(Graph(n)).to_json()) == {
+                    "value": 0,
+                    "mode": mode,
+                    "decomposition": None,
+                    "critical_cut_a_side": None,
+                    "matching_edges": None,
+                }
+        # An edgeless graph's first leaf, {0}, is its critical cut.
+        for solve in (mimw_exact, mimw_upper):
+            rep = json.loads(solve(Graph(3)).to_json())
+            assert rep["value"] == 0
+            assert rep["critical_cut_a_side"] == [0]
+            assert rep["matching_edges"] == []
 
 
 class TestMimwUpper:
