@@ -10,11 +10,14 @@ which skips the fold.
 
 One lazy postorder fold (`_fold`) serves the constructor, `to_text`,
 `validate`, `subtree_leaf_sets` and the solver's critical cut, which
-stops at the first node whose cut reaches the width.
+stops at the first node whose cut reaches the width. The constructor and
+`to_text` keep only the root's value (a deque of one), since the values
+of all subtrees together take quadratic space on a path-like tree.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, LabelMismatch, NotBinary
@@ -59,8 +62,7 @@ def _canon_leaf(v):
 
 
 def _canon(root):
-    *_, top = _fold(root, _canon_leaf, _canon_node)
-    return top[0]
+    return deque(_fold(root, _canon_leaf, _canon_node), maxlen=1)[0][0]
 
 
 class BranchDecomposition:
@@ -78,8 +80,7 @@ class BranchDecomposition:
         return t
 
     def to_text(self):
-        *_, text = _fold(self.root, str, lambda a, b: f"({a} {b})")
-        return text
+        return deque(_fold(self.root, str, lambda a, b: f"({a} {b})"), maxlen=1)[0]
 
     @classmethod
     def from_text(cls, text):

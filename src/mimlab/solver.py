@@ -87,8 +87,9 @@ the merge runs for minutes, since each of its questions works on masks of
 Exact treewidth eliminates simplicial and almost-simplicial vertices
 first, by the safe rules of Bodlaender, Koster and van den Eijkhof, and
 runs its threshold search on the kernel that is left, keeping only the
-vertex sets it reaches; the limit and TABLE_BUDGET bound the kernel, not
-the raw graph.
+vertex sets it reaches, each with the smallest last vertex that reaches
+it, and no treewidth value per set; the limit and TABLE_BUDGET bound the
+kernel, not the raw graph.
 """
 
 from __future__ import annotations
@@ -440,9 +441,9 @@ def _check_limit(n, limit, what):
     """Refuse n above the limit, and, whatever the limit, any n whose 2^n
     vertex sets at two bytes each exceed TABLE_BUDGET (n >= 28 at
     256 MiB). `mimw_exact`'s threshold step keeps a byte per vertex set
-    (the unions it tested). The treewidth DP keeps only the sets it
-    reaches, but may reach up to 2^n of them, and its time grows with
-    them, so it is held to the same bound."""
+    (the unions it tested). The treewidth search keeps only the sets it
+    reaches, each with one vertex, but may reach up to 2^n of them, and
+    its time grows with them, so it is held to the same bound."""
     if n > limit:
         raise LimitExceeded(f"n={n} exceeds {what} limit {limit}")
     if 2 << n > TABLE_BUDGET:
@@ -703,8 +704,8 @@ def _merge_search(cs):
     first later row not done. Two parts left have the union V and merge
     without a question.
 
-    The parts live in parallel lists (vertex masks, tree nodes, and the
-    OR of `tail` and of `head` over their vertices), so a union's cut
+    The parts live in parallel lists (sizes, tree nodes, and the OR of
+    `tail` and of `head` over their vertices), so a union's cut
     arcs take two big-int operations, and each row is one loop. It runs
     first fit from the high end inline on the union's arcs, one conflict
     row per arc taken; only where that stops short of w + 1 edges does it
@@ -720,7 +721,7 @@ def _merge_search(cs):
     n, past_high_end, conf = cs.n, _past_high_end, cs.conf
     nbr = cs.g.nbr_masks
     tail, head = cs.tail, cs.head
-    masks = [1 << v for v in range(n)]
+    sizes = [1] * n
     nodes = list(range(n))  # a one-vertex part's node is its vertex
     outs, ins = list(tail), list(head)  # the arcs leaving and entering a part
     done = [False] * n
@@ -740,19 +741,18 @@ def _merge_search(cs):
     def scan(p, start, stop):
         """The first part q in start..stop-1 whose union with part p fits
         at w, or None."""
-        mp, out, into = masks[p], outs[p], ins[p]
+        kp, out, into = sizes[p], outs[p], ins[p]
         t = w + 1
         # At w = 1 a one-vertex p meets the other one-vertex parts by masks.
-        single = t == 2 and not mp & (mp - 1)
+        single = t == 2 and kp == 1
         if single:
             nu = nbr[nodes[p]]
-            closed = nu | mp
+            closed = nu | 1 << nodes[p]
         q = start
         while q < stop:
-            mq = masks[q]
-            if single and not mq & (mq - 1):
+            if single and sizes[q] == 1:
                 nv = nbr[nodes[q]]
-                if not (nu & ~(nv | mq) and nv & ~closed):
+                if not (nu & ~(nv | 1 << nodes[q]) and nv & ~closed):
                     break
             else:
                 arcs = rest = (out | outs[q]) & ~(into | ins[q])
@@ -763,7 +763,7 @@ def _merge_search(cs):
                         break
                     rest &= ~conf[rest.bit_length() - 1]
                 else:
-                    k = (mp | mq).bit_count()  # the size bound of `at_least`
+                    k = kp + sizes[q]  # the size bound of `at_least`
                     if t > k or t > n - k or not past_high_end(cs, arcs, t):
                         break
             q += 1
@@ -773,27 +773,27 @@ def _merge_search(cs):
         cs.queries += stop - start
         return None
 
-    while len(masks) > 2:
+    while len(sizes) > 2:
         i = scan(new, 0, new)  # the pairs (a, new) of the last merge
         if i is not None:
             j = new
         else:
-            for i in range(new, len(masks)):
+            for i in range(new, len(sizes)):
                 if not done[i]:
                     done[i] = True
-                    j = scan(i, i + 1, len(masks))
+                    j = scan(i, i + 1, len(sizes))
                     if j is not None:
                         break
             else:
                 w += 1
-                done = [False] * len(masks)
+                done = [False] * len(sizes)
                 new = 0
                 continue
-        masks[i] |= masks[j]
+        sizes[i] += sizes[j]
         nodes[i] = (nodes[i], nodes[j])
         outs[i] |= outs[j]
         ins[i] |= ins[j]
-        del masks[j], nodes[j], outs[j], ins[j], done[j]
+        del sizes[j], nodes[j], outs[j], ins[j], done[j]
         done[i] = False
         new = i
     root = (nodes[0], nodes[1]) if len(nodes) == 2 else nodes[0]  # union V
@@ -809,20 +809,19 @@ def mimw_upper(g: Graph) -> WidthReport:
 
 
 def _tw_family(nbr, rest, k):
-    """(S*, choice): S* is the least vertex mask of size
-    c = max(0, n' - k - 1) within the kernel `rest` of n' vertices, whose
-    neighbour masks `nbr` lie inside it, with f(S*) <= k, for f and q as
-    in `treewidth_exact`; S* is None if there is none, which proves
-    tw > k. Grows the sets S with f(S) <= k one size at a time from the
-    empty set up to size c. A level maps each reached S to f(S) + 1, and
-    `choice` maps every reached S to the smallest v attaining f(S)."""
+    """The levels of the threshold search at k on the kernel `rest` of n'
+    vertices, whose neighbour masks `nbr` lie inside it, for f and q as in
+    `treewidth_exact`. Level i maps each set S of i kernel vertices with
+    f(S) <= k to the smallest v in S such that S - v is in level i - 1 and
+    q(S - v, v) <= k; level 0 maps the empty set to None. The levels stop
+    at size c = max(0, n' - k - 1), or after the first empty level, which
+    proves tw > k."""
     cmask = [0] * len(nbr)  # vertex of T -> its component of G[T]
     cnbr = [0] * len(nbr)  # vertex of T -> the neighbours of that component
-    choice = {}
-    level = {0: 1}
+    levels = [{0: None}]
     for _ in range(rest.bit_count() - k - 1):
         nxt = {}
-        for t, ft1 in level.items():
+        for t in levels[-1]:
             # The components of G[T], each with the neighbours of its vertices.
             left = t
             while left:
@@ -859,20 +858,15 @@ def _tw_family(nbr, rest, k):
                     u = (hit & -hit).bit_length() - 1
                     reach |= cnbr[u]
                     hit &= ~cmask[u]
-                q = (reach & (out ^ low)).bit_count()
-                if q > k:
+                if (reach & (out ^ low)).bit_count() > k:
                     continue
-                val1 = ft1 if ft1 > q else q + 1
                 s = t | low
-                old = nxt.get(s)
-                if old and (val1 > old or val1 == old and v > choice[s]):
-                    continue
-                nxt[s] = val1
-                choice[s] = v
+                if nxt.get(s, v) >= v:  # the smallest v that reaches S
+                    nxt[s] = v
+        levels.append(nxt)
         if not nxt:
-            return None, choice
-        level = nxt
-    return min(level), choice
+            break
+    return levels
 
 
 def _tw_reduce(nbr, rest, low, order):
@@ -934,14 +928,14 @@ def treewidth_exact(g: Graph, limit=DEFAULT_TW_LIMIT) -> TreewidthReport:
     tw <= max(f(S), |V - S| - 1) for every S: after S, a vertex has only
     the rest as later neighbours. A kernel that empties leaves tw = low.
 
-    Each reached S keeps its exact f(S) and, among the v attaining it, the
-    smallest, as the full 2^n table would: a v with f(S - v) > k cannot
-    attain f(S) <= k. The kernel's order is the table's order of S*, the
-    least reached set of size c, then the rest of the kernel ascending; so
-    when no vertex reduces, that is the order the full table gives by the
-    same rule. f and the choice of v are kept only for the reached sets,
-    on the kernel's own vertex masks. The limit and TABLE_BUDGET bound
-    each kernel's n', checked before its search.
+    Deciding f(S) <= k needs only membership: f(S) <= k iff some v in S
+    has f(S - v) <= k and q(S - v, v) <= k. So each reached S keeps only
+    the smallest such v, on the kernel's own vertex masks, and no value
+    of f. The kernel's order is the chain of these last vertices back from
+    S*, the least reached set of size c, then the rest of the kernel
+    ascending; each step of the chain is within k, so the order has width
+    at most k. The limit and TABLE_BUDGET bound each kernel's n', checked
+    before its search.
     """
     return _treewidth(g, degeneracy(g).d, limit)
 
@@ -953,14 +947,13 @@ def _treewidth(g, d, limit):
     rest, low = _tw_reduce(nbr, (1 << g.n) - 1, d, order)
     while rest:
         _check_limit(rest.bit_count(), limit, "treewidth")
-        top, choice = _tw_family(nbr, rest, low)
-        if top is not None:
+        levels = _tw_family(nbr, rest, low)
+        if levels[-1]:
+            top = s = min(levels[-1])
             tail = []
-            s = top
-            while s:
-                v = choice[s]
-                tail.append(v)
-                s ^= 1 << v
+            for level in reversed(levels[1:]):
+                tail.append(level[s])
+                s ^= 1 << level[s]
             order += reversed(tail)
             order += _bits(rest & ~top)
             break

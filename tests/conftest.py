@@ -281,9 +281,10 @@ def table_treewidth(g):
     """Treewidth and witness order from the full table over all 2^n vertex
     sets: f(S) = min over v in S of max(f(S - v), q(S - v, v)), where
     q(T, v) counts the vertices outside T + v that v reaches through T.
-    The smallest v wins ties. The order is the table's order of S*, the
-    least set of max(0, n - tw - 1) vertices with f(S*) <= tw, then the
-    other vertices ascending."""
+    The order is the chain back from S*, the least set of
+    max(0, n - tw - 1) vertices with f(S*) <= tw, whose last vertex at
+    each S is the smallest v with f(S - v) <= tw and q(S - v, v) <= tw,
+    then the other vertices ascending."""
     from mimlab.solver import TreewidthReport
 
     n = g.n
@@ -306,22 +307,20 @@ def table_treewidth(g):
 
     full = (1 << n) - 1
     f = [0] * (full + 1)
-    choice = [0] * (full + 1)
+
+    def steps(s):  # v in s -> the width of eliminating s - v, then v
+        return {v: max(f[s ^ 1 << v], q(s ^ 1 << v, v)) for v in range(n) if s >> v & 1}
+
     for s in range(1, full + 1):
-        best = None
-        for v in range(n):
-            if s >> v & 1:
-                val = max(f[s ^ 1 << v], q(s ^ 1 << v, v))
-                if best is None or val < best:
-                    best, choice[s] = val, v
-        f[s] = best
+        f[s] = min(steps(s).values())
     tw = f[full]
     top = min(s for s in range(full + 1) if s.bit_count() == max(0, n - tw - 1) and f[s] <= tw)
     order = []
     s = top
     while s:
-        order.append(choice[s])
-        s ^= 1 << choice[s]
+        v = min(v for v, width in steps(s).items() if width <= tw)
+        order.append(v)
+        s ^= 1 << v
     order.reverse()
     order += (v for v in range(n) if not top >> v & 1)
     return TreewidthReport(tw, tuple(order))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import caterpillar_from_order, cuts, enumerate_decompositions
@@ -149,6 +151,24 @@ def test_deep_caterpillar_without_recursion():
     sets = subtree_leaf_sets(back)
     assert len(sets) == 2 * n - 1
     assert sets[0] == {0} and sets[-1] == frozenset(range(n))
+
+
+def test_to_text_keeps_only_the_root_text():
+    # The texts of all the subtrees of a 4,000-leaf caterpillar take about
+    # 50 MiB together; the root's takes 23 KB.
+    t = caterpillar_from_order(range(4000))
+    tracemalloc.start()
+    try:
+        text = t.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert text.startswith("(" * 3999 + "0 1) 2) 3)") and text.endswith(" 3999)")
+
+
+def test_repr():
+    assert repr(BranchDecomposition(((2, 3), (0, 1)))) == "BranchDecomposition(((0 1) (2 3)))"
 
 
 def test_deep_decompositions_compare_without_recursion():

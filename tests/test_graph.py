@@ -101,6 +101,23 @@ class TestGraph:
         for g in (complete(5), Graph(3), path(4)):
             assert not any(g.has_edge(v, v) for v in range(g.n))
 
+    def test_equal_graphs_hash_equal(self):
+        # The edges as given, in any order and orientation, make one key.
+        a = Graph(3, [(0, 1), (1, 2)])
+        b = Graph(3, [(2, 1), (1, 0)])
+        assert a == b and hash(a) == hash(b)
+        assert {a: "path"}[b] == "path"
+        assert len({a, b, Graph(3, [(0, 1)]), Graph(4, [(0, 1), (1, 2)])}) == 3
+        x = complete_bipartite(2, 3)
+        y = BipartiteGraph(Graph(5, reversed(sorted(x.graph.edges))), [1, 0], range(2, 5))
+        assert x == y and hash(x) == hash(y)
+        assert {x: "K23"}[y] == "K23"
+        assert len({x, y, BipartiteGraph(x.graph, range(2, 5), range(2))}) == 2
+
+    def test_repr(self):
+        assert repr(path(4)) == "Graph(n=4, m=3)"
+        assert repr(complete_bipartite(2, 3)) == "BipartiteGraph(n=5, |X|=2, |Y|=3)"
+
 
 class TestBitsetView:
     def test_nbr_masks(self):

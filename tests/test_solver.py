@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from mimlab.graph import (
     degeneracy,
     grid,
     mask_to_set,
+    parse_graph_text,
     path,
     random_cubic,
     set_to_mask,
@@ -51,6 +53,7 @@ from mimlab.graph import (
 )
 from mimlab.solver import (
     InducedMatching,
+    TreewidthReport,
     max_induced_matching_cut,
     mimw_exact,
     mimw_lower_eq1,
@@ -105,7 +108,7 @@ def past_high_end_asks(monkeypatch):
 
     def recording(cs, arcs, t):
         f = sys._getframe(1).f_locals  # the scan, at its part q
-        asked.append((f["mp"] | f["masks"][f["q"]], t))
+        asked.append((scan_union(f), t))
         return past_high_end(cs, arcs, t)
 
     monkeypatch.setattr(solver, "_past_high_end", recording)
@@ -126,6 +129,14 @@ def made_solvers(monkeypatch):
     return made
 
 
+def scan_union(f):
+    """The union of the parts p and q in the locals `f` of a scan of
+    `solver._merge_search`, as a vertex mask, read off the parts' tree
+    nodes."""
+    pair = f["nodes"][f["p"]], f["nodes"][f["q"]]
+    return deque(decomp._fold(pair, lambda v: 1 << v, int.__or__), maxlen=1)[0]
+
+
 def merge_scans(cs):
     """The scans of `solver._merge_search(cs)` in order, each as the
     (union, t) it took up, in order, and the part it returned or None,
@@ -142,8 +153,8 @@ def merge_scans(cs):
             f = frame.f_locals  # the loop runs q over start..stop-1
             if event == "return":
                 scans.append((list(taken.values()), arg))
-            elif event == "line" and f.get("q", f["stop"]) < f["stop"]:
-                taken[f["q"]] = (f["mp"] | f["masks"][f["q"]], f["t"])
+            elif event == "line" and f.get("q", f["stop"]) < f["stop"] and f["q"] not in taken:
+                taken[f["q"]] = (scan_union(f), f["t"])
             return lines
 
         return lines
@@ -181,9 +192,9 @@ def dp_states(monkeypatch):
     family = solver._tw_family
 
     def recording(nbr, rest, k):
-        top, choice = family(nbr, rest, k)
-        counts.append(len(choice))  # one entry per set added to a level
-        return top, choice
+        levels = family(nbr, rest, k)
+        counts.append(sum(map(len, levels[1:])))  # the sets added to the levels
+        return levels
 
     monkeypatch.setattr(solver, "_tw_family", recording)
     return counts
@@ -1144,6 +1155,19 @@ class TestMimwUpper:
     def test_long_path_without_recursion(self):
         assert mimw_upper(path(1200)).value == 1
 
+    def test_merge_keeps_part_sizes(self):
+        # One vertex mask per part would take about n^2 / 16 bytes: 5.18 MiB
+        # at n = 8192.
+        g = parse_graph_text("graph 8192 0\n")
+        tracemalloc.start()
+        try:
+            rep = mimw_upper(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert (rep.value, rep.critical_cut.a_side) == (0, {0})
+
     def test_relabelled_path_is_1(self):
         # The merge does not depend on a good vertex order: hill-climbed
         # caterpillars give width 26 on this labelling.
@@ -1358,6 +1382,34 @@ class TestTreewidth:
         assert peak < 16 << 20
         assert rep.value == 5
         assert simulate_elimination(g, rep.elimination_order) == 5
+
+    def test_keeps_one_vertex_per_reached_set(self):
+        # Circle-cubic k = 20 (n = 50) leaves a kernel of 20 vertices. Its
+        # levels keep one vertex per reached set and no width: an exact
+        # f(S) per set and a separate map of choices peaked at 5.86 MiB.
+        g = build_subdivided_family(20, 0).graph
+        tracemalloc.start()
+        try:
+            rep = treewidth_exact(g, limit=27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 << 19
+        assert rep.value == 5
+        assert simulate_elimination(g, rep.elimination_order) == 5
+
+    def test_order_follows_the_smallest_last_vertex(self, kernels):
+        # No vertex reduces and tw = 5, so S* = {0, 2, 3, 5} (c = 4). At
+        # {3, 5} both last vertices keep the width within 5, and only 5
+        # attains f({3, 5}): a table of exact f(S) would start with 3.
+        g = Graph(
+            10,
+            [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 7), (1, 8), (1, 9)]
+            + [(2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (3, 4), (3, 5), (3, 9)]
+            + [(4, 5), (4, 6), (4, 7), (4, 8), (5, 9), (6, 7), (6, 8), (8, 9)],
+        )
+        assert check_table_oracle(g, kernels) == "unreduced"
+        assert treewidth_exact(g) == TreewidthReport(5, (5, 3, 2, 0, 1, 4, 6, 7, 8, 9))
 
     def test_table_budget(self, monkeypatch):
         # Refused before any table is allocated, whatever the limit.
