@@ -104,9 +104,11 @@ class ChordDiagram:
         return out
 
     def to_text(self):
-        """Canonical one-line form: the lexicographically smallest rotation."""
+        """Canonical one-line form: the lexicographically smallest rotation,
+        which starts at a least label, so only those rotations are compared."""
         w = self.word
-        best = min((tuple(w[i:] + w[:i]) for i in range(len(w))), default=())
+        low = min(w, default=None)
+        best = min((tuple(w[i:] + w[:i]) for i in range(len(w)) if w[i] == low), default=())
         return " ".join(str(x) for x in best)
 
     @classmethod

@@ -146,6 +146,33 @@ def _clique(nbr, s):
     return True
 
 
+def _bfs(nbr, allowed, roots):
+    """Breadth-first search under the neighbour masks `nbr`, entering only
+    the vertices of the mask `allowed`: from each root in turn that no
+    earlier root reached (a root need not lie in `allowed`), first in
+    first out, neighbours ascending. Returns the vertices in the order
+    found and a dict of each one's parent, None at a root."""
+    order = []
+    parent = {}
+    seen = ~allowed
+    i = 0
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        order.append(root)
+        seen |= 1 << root
+        while i < len(order):
+            u = order[i]
+            new = nbr[u] & ~seen
+            seen |= new
+            for w in _bits(new):
+                parent[w] = u
+                order.append(w)
+            i += 1
+    return order, parent
+
+
 def set_to_mask(vertices) -> int:
     mask = 0
     for v in vertices:
@@ -194,36 +221,30 @@ def two_color(g: Graph) -> BipartiteGraph:
     """Two-color g by BFS depth parity, or raise OddCycleFound with an odd
     cycle certificate.
 
-    The search runs level by level, so depth is distance from the
-    component's root and the two ends of an edge differ in depth by at
-    most one. An edge joins two vertices of one parity class only if their
-    depths are equal, and then their tree paths to the lowest common
-    ancestor, of equal length, close an odd cycle with it. The X class is
-    the even depths: the side containing the lowest-indexed vertex of each
-    connected component; isolated vertices default to X.
+    Depth is distance from the component's root in the search of `_bfs`,
+    so the two ends of an edge differ in depth by at most one. An edge
+    joins two vertices of one parity class only if their depths are
+    equal, and then their tree paths to the lowest common ancestor, of
+    equal length, close an odd cycle with it. The conflict is that of the
+    first vertex u, in search order, with such an edge, at its lowest such
+    neighbour: every vertex of u's depth is found before u's neighbours
+    are read. The X class is the even depths: the side containing the
+    lowest-indexed vertex of each connected component; isolated vertices
+    default to X.
     """
     nbr = g.nbr_masks
-    depth = [-1] * g.n
-    parent = [-1] * g.n
-    for s in range(g.n):
-        if depth[s] != -1:
-            continue
-        depth[s] = 0
-        queue = [s]
-        while queue:
-            nq = []
-            for u in queue:
-                for w in _bits(nbr[u]):
-                    if depth[w] == -1:
-                        parent[w] = u
-                        depth[w] = depth[u] + 1
-                        nq.append(w)
-                    elif depth[w] == depth[u]:
-                        raise OddCycleFound(_odd_cycle(u, w, parent))
-            queue = nq
-    x = [v for v, d in enumerate(depth) if d % 2 == 0]
-    y = [v for v, d in enumerate(depth) if d % 2]
-    return BipartiteGraph(g, x, y)
+    full = (1 << g.n) - 1
+    order, parent = _bfs(nbr, full, range(g.n))
+    x = 0  # the even depths: a root, or a child of an odd vertex
+    for u in order:
+        p = parent[u]
+        if p is None or not x >> p & 1:
+            x |= 1 << u
+    for u in order:
+        clash = nbr[u] & (x if x >> u & 1 else ~x)
+        if clash:
+            raise OddCycleFound(_odd_cycle(u, (clash & -clash).bit_length() - 1, parent))
+    return BipartiteGraph(g, _bits(x), _bits(full ^ x))
 
 
 def _odd_cycle(u, w, parent):

@@ -29,7 +29,7 @@ from .check import (
     verify_transitive_orientation,
 )
 from .errors import CertificateViolation, OddCycleFound
-from .graph import Graph, _bits, _clique, complement, set_to_mask, two_color
+from .graph import Graph, _bfs, _bits, _clique, complement, set_to_mask, two_color
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,7 @@ def _chordless_cycle(g, stuck):
     for v in _bits(stuck):
         for u in _bits(nbr[v] & stuck):
             for w in _bits(nbr[v] & stuck & ~nbr[u] & -(2 << u)):
-                free = ~(nbr[v] | 1 << v) | 1 << w  # unseen, and off N[v] but w
-                prev, queue = {u: None}, [u]
-                while queue and w not in prev:
-                    nq = []
-                    for x in queue:
-                        for y in _bits(nbr[x] & free):
-                            prev[y] = x
-                            free ^= 1 << y
-                            nq.append(y)
-                    queue = nq
+                prev = _bfs(nbr, ~(nbr[v] | 1 << v) | 1 << w, (u,))[1]  # off N[v] but w
                 if w in prev:
                     cyc = [w]
                     while prev[cyc[-1]] is not None:

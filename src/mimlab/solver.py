@@ -102,7 +102,7 @@ from fractions import Fraction
 from .check import _vertices, verify_induced_matching
 from .decomp import BranchDecomposition, Cut, _fold
 from .errors import InvalidParameter, LimitExceeded
-from .graph import Graph, _bits, _clique, degeneracy, mask_to_set, set_to_mask
+from .graph import Graph, _bfs, _bits, _clique, degeneracy, mask_to_set, set_to_mask
 
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TW_LIMIT = 16
@@ -511,8 +511,6 @@ def _balanced_side(cs, x, t, hi):
     decided arcs hold an induced matching of t edges, the branch closes.
     The test (`opens`) asks `_has_matching`. The first complete placement
     left open is the answer. `side_nodes` counts the placements visited."""
-    g = cs.g
-    nbr = g.nbr_masks
     tail, head = cs.tail, cs.head
     conf = cs.conf
     far = 0  # the arcs entering V - X
@@ -532,19 +530,7 @@ def _balanced_side(cs, x, t, hi):
                 return False
         return True
 
-    order = []
-    seen = cs.full ^ x
-    i = 0
-    for root in _bits(x):
-        if not seen >> root & 1:
-            seen |= 1 << root
-            order.append(root)
-            while i < len(order):
-                new = nbr[order[i]] & ~seen
-                seen |= new
-                order += _bits(new)
-                i += 1
-
+    order = _bfs(cs.g.nbr_masks, x, _bits(x))[0]
     size = len(order)
     # (vertices placed, Y so far, its size, arcs leaving and entering Y,
     # arcs leaving and entering X - Y); V - X enters both
@@ -877,11 +863,17 @@ def _tw_reduce(nbr, rest, low, order):
     raises low to deg v, or almost simplicial (N(v) - w is a clique for
     some w) with deg v <= low. Eliminating v makes N(v) a clique and
     appends v to `order`. Each step keeps tw = max(low, tw(rest)).
-    Returns (rest, low)."""
-    scan = rest
-    while scan:
-        bit = scan & -scan
-        scan ^= bit
+    Returns (rest, low).
+
+    Whether a vertex qualifies depends only on low and on the vertices
+    within distance 2 of it, so after eliminating v only N(v) and the
+    neighbours of N(v), read before the fill-in, are tested again, and
+    every remaining vertex when low rises. The vertices not in `todo`
+    do not qualify, so its lowest one that does is the lowest in `rest`."""
+    todo = rest
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
         v = bit.bit_length() - 1
         around = nbr[v]
         deg = around.bit_count()
@@ -897,11 +889,14 @@ def _tw_reduce(nbr, rest, low, order):
                 continue
         elif deg > low:
             low = deg
+            todo = rest  # a higher low admits more almost-simplicial vertices
+        near = around
         for u in _bits(around):
+            near |= nbr[u]
             nbr[u] = (nbr[u] | around) & ~(1 << u | bit)
         rest ^= bit
         order.append(v)
-        scan = rest  # an earlier vertex may qualify now
+        todo = (todo | near) & rest
     return rest, low
 
 

@@ -326,6 +326,35 @@ def table_treewidth(g):
     return TreewidthReport(tw, tuple(order))
 
 
+def restart_tw_reduce(nbr, rest, low, order):
+    """`solver._tw_reduce` by restarting its scan at the lowest remaining
+    vertex after every elimination, so each step takes the lowest vertex
+    that qualifies by testing every vertex below it again."""
+    from mimlab.graph import _bits, _clique
+
+    scan = rest
+    while scan:
+        bit = scan & -scan
+        scan ^= bit
+        v = bit.bit_length() - 1
+        around = nbr[v]
+        deg = around.bit_count()
+        if not _clique(nbr, around):
+            if deg > low:
+                continue
+            # Almost simplicial: some w of N(v) with N(v) - w a clique.
+            if not any(_clique(nbr, around ^ 1 << w) for w in _bits(around)):
+                continue
+        elif deg > low:
+            low = deg
+        for u in _bits(around):
+            nbr[u] = (nbr[u] | around) & ~(1 << u | bit)
+        rest ^= bit
+        order.append(v)
+        scan = rest
+    return rest, low
+
+
 def reference_degeneracy(g):
     """Degeneracy by scanning the remaining vertices for the least degree,
     then the lowest index, at every step."""

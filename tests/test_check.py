@@ -13,7 +13,7 @@ from mimlab.graph import Graph, cycle, path
 
 # The tables and helpers that the searches share, which a checker must not
 # read: a fault in one of them would then pass a wrong witness.
-SHARED = {"nbr_masks", "arc_tables", "cut_arcs", "cut_edges", "degree"}
+SHARED = {"nbr_masks", "tail", "head", "conf", "cut_arcs", "degree"}
 
 
 def test_checkers_read_nothing_the_searches_share():

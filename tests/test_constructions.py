@@ -216,6 +216,21 @@ class TestChordDiagram:
         assert d.to_text() == "0 1 2 0 1 2"
         assert ChordDiagram.from_text(d.to_text()).crossings() == d.crossings()
 
+    def test_canonical_text_is_min_over_all_rotations(self):
+        # Words whose least label occurs zero (the empty word) to three times.
+        rng = random.Random(7)
+        counts = set()
+        for _ in range(3000):
+            size = rng.randint(0, 12)
+            low = rng.randint(0, 4)
+            k = min(rng.randint(1, 3), size)
+            word = [low] * k + [rng.randint(low + 1, 5) for _ in range(size - k)]
+            rng.shuffle(word)
+            counts.add(k)
+            every = min((word[i:] + word[:i] for i in range(size)), default=[])
+            assert ChordDiagram(tuple(word)).to_text() == " ".join(map(str, every)), word
+        assert counts == {0, 1, 2, 3}
+
     @pytest.mark.parametrize("text, token", [("0 x 0 x", "x"), ("0 1 0 1.5", "1.5")])
     def test_from_text_rejects_bad_label(self, text, token):
         with pytest.raises(GraphFormatError) as exc:

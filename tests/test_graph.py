@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from mimlab.graph import (
     BipartiteGraph,
     Graph,
     MAX_VERTICES,
+    _bfs,
     _bits,
     _clique,
     bipartite_to_text,
@@ -150,6 +152,36 @@ class TestBitsetView:
         for g in graphs:
             for mask in range(1 << g.n):
                 assert _clique(g.nbr_masks, mask) == verify_clique(g, _bits(mask)), (g, mask)
+
+    def test_bfs_matches_a_deque_search(self):
+        # Random `allowed` masks and one to four roots, among them roots
+        # outside `allowed` and roots that an earlier root reached.
+        outside = reached = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            p = rng.choice((0.2, 0.4, 0.6))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            allowed = rng.getrandbits(n)
+            roots = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+            order, parent = [], {}
+            for root in roots:
+                outside += not allowed >> root & 1
+                if root in parent:
+                    reached += 1
+                    continue
+                parent[root] = None
+                order.append(root)
+                queue = deque([root])
+                while queue:
+                    u = queue.popleft()
+                    for w in sorted(g.adj[u]):
+                        if allowed >> w & 1 and w not in parent:
+                            parent[w] = u
+                            order.append(w)
+                            queue.append(w)
+            assert _bfs(g.nbr_masks, allowed, roots) == (order, parent), (g, allowed, roots)
+        assert outside > 500 and reached > 200
 
     @given(small_graphs(), st.integers(0, 127))
     def test_cut_edges_are_sorted_crossing_edges(self, g, mask):

@@ -23,6 +23,7 @@ from conftest import (
     postorder_critical,
     reference_search,
     rescan_merge,
+    restart_tw_reduce,
     search_at_least,
     simulate_elimination,
     table_mimw,
@@ -967,6 +968,40 @@ class TestTreewidthWork:
         full = (1 << g.n) - 1
         rest, low = solver._tw_reduce(list(g.nbr_masks), full, degeneracy(g).d, order)
         assert (g.n, rest.bit_count(), len(order), low) == (35, 14, 21, 2)
+
+    def test_reductions_take_the_restart_scan_order(self):
+        # Every low up to the degeneracy, so that low rises inside the
+        # reductions and admits almost-simplicial vertices far from v.
+        rises = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(1, 14), rng.choice((0.1, 0.2, 0.3, 0.5, 0.7)), seed)
+            for low in range(degeneracy(g).d + 1):
+                got, want = [], []
+                nbr, ref = list(g.nbr_masks), list(g.nbr_masks)
+                full = (1 << g.n) - 1
+                out = solver._tw_reduce(nbr, full, low, got)
+                assert (out, got, nbr) == (restart_tw_reduce(ref, full, low, want), want, ref)
+                rises += low != out[1]
+        assert rises > 50
+
+    def test_zigzag_path_reduces_in_linear_clique_tests(self, monkeypatch):
+        # The path n-1, 0, 1, ..., n-2: only its two ends qualify, and they
+        # carry the highest labels, so a scan that restarts at vertex 0
+        # after each elimination makes about n^2 / 2 clique tests.
+        n = 800
+        g = Graph(n, [(n - 1, 0)] + [(i, i + 1) for i in range(n - 2)])
+        calls = 0
+        clique = solver._clique
+
+        def counting(nbr, s):
+            nonlocal calls
+            calls += 1
+            return clique(nbr, s)
+
+        monkeypatch.setattr(solver, "_clique", counting)
+        assert treewidth_exact(g).value == 1
+        assert calls <= 4 * n
 
 
 class TestMimwExact:
