@@ -142,7 +142,8 @@ def verify_transitive_orientation(g, orientation):
     directed = set(directed)
     if len(directed) != g.m or {(a, b) if a < b else (b, a) for a, b in directed} != g.edges:
         return False
-    succ = {}
+    # a->b->c is closed for every c iff each head of b is a head of a.
+    out = [0] * g.n
     for a, b in directed:
-        succ.setdefault(a, set()).add(b)
-    return all((a, c) in directed for a, b in directed for c in succ.get(b, ()))
+        out[a] |= 1 << b
+    return all(not out[b] & ~out[a] for a, b in directed)

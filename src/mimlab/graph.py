@@ -191,11 +191,9 @@ class DegeneracyResult:
 
 
 def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
     edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
+        (u, v) for u, nbr in enumerate(g.nbr_masks) for v in _bits(full & ~nbr & -(2 << u))
     ]
     return Graph(g.n, edges)
 

@@ -8,10 +8,10 @@ Gross 1965), and a stuck remainder yields a chordless cycle; strong
 chordality deletes simple vertices (Farber 1983), and a stuck chordal
 remainder shrinks to a sun, re-eliminated only while above six vertices.
 Chordal bipartiteness runs that test on the one-side completion.
-Comparability uses Golumbic's G-decomposition (1977). Each recognizer
-re-checks its certificate with the independent checkers of `check`, and
-raises CertificateViolation where one fails; the names of those checkers
-are imported here too.
+Comparability uses Golumbic's G-decomposition (1977) on per-vertex arc
+masks. Each recognizer re-checks its certificate with the independent
+checkers of `check`, and raises CertificateViolation where one fails; the
+names of those checkers are imported here too.
 """
 
 from __future__ import annotations
@@ -239,34 +239,39 @@ def is_comparability(g: Graph) -> RecognitionResult:
     remaining edges, either holds both directions of an edge (no transitive
     orientation) or is oriented as it stands and removed. The union of the
     classes is re-verified over all 2-paths."""
+    n = g.n
     nbr = list(g.nbr_masks)
-    orientation = []
-    for u, v in sorted(g.edges):
-        if not nbr[u] >> v & 1:
-            continue
-        cls = {(u, v)}
-        todo = [(u, v)]
-        while todo:
-            a, b = todo.pop()
-            # ab forces ac when bc is no remaining edge, and cb when ca is none.
-            forced = [(a, c) for c in _bits(nbr[a] & ~nbr[b] & ~(1 << b))]
-            forced += [(c, b) for c in _bits(nbr[b] & ~nbr[a] & ~(1 << a))]
-            for x, y in forced:
-                if (y, x) in cls:
+    # The oriented arcs: out[a] holds their heads from a, into[b] their
+    # tails into b. A forced arc lies on a remaining edge, and the edges of
+    # earlier classes are gone from nbr, so only the current class meets it.
+    out, into = [0] * n, [0] * n
+    for u in range(n):
+        while later := nbr[u] & -(2 << u):
+            v = (later & -later).bit_length() - 1
+            cls = [(u, v)]  # grows behind its own walk
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+            for a, b in cls:
+                # ab forces ac when bc is no remaining edge, and cb when ca is none.
+                heads = nbr[a] & ~nbr[b] & ~(1 << b)
+                tails = nbr[b] & ~nbr[a] & ~(1 << a)
+                if heads & into[a] or tails & out[b]:
                     return RecognitionResult(False, {"kind": "no_transitive_orientation"})
-                if (x, y) not in cls:
-                    cls.add((x, y))
-                    todo.append((x, y))
-        for a, b in cls:
-            nbr[a] &= ~(1 << b)
-            nbr[b] &= ~(1 << a)
-        orientation += cls
-    orientation.sort()
+                for c in _bits(heads & ~out[a]):
+                    cls.append((a, c))
+                    into[c] |= 1 << a
+                for c in _bits(tails & ~into[b]):
+                    cls.append((c, b))
+                    out[c] |= 1 << b
+                out[a] |= heads
+                into[b] |= tails
+            for a, b in cls:
+                nbr[a] &= ~(1 << b)
+                nbr[b] &= ~(1 << a)
+    orientation = [[a, b] for a in range(n) for b in _bits(out[a])]
     if not verify_transitive_orientation(g, orientation):
         raise CertificateViolation("the G-decomposition's orientation is not transitive")
-    return RecognitionResult(
-        True, {"kind": "transitive_orientation", "orientation": [list(e) for e in orientation]}
-    )
+    return RecognitionResult(True, {"kind": "transitive_orientation", "orientation": orientation})
 
 
 def is_co_comparability(g: Graph) -> RecognitionResult:

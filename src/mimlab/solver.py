@@ -299,20 +299,11 @@ class _CutSolver:
 
     def cut_arcs(self, mask):
         """Bitmask of the arcs from the vertex set `mask` to the rest, by
-        one walk over the smaller side: the arcs leaving that side and not
-        entering it, or the mirror."""
-        other = self.full ^ mask
-        if mask.bit_count() <= other.bit_count():
-            side, out, into = mask, self.tail, self.head
-        else:
-            side, out, into = other, self.head, self.tail
+        one walk over `mask`: the arcs leaving it and not entering it."""
         leave = enter = 0
-        while side:
-            low = side & -side
-            v = low.bit_length() - 1
-            leave |= out[v]
-            enter |= into[v]
-            side ^= low
+        for v in _bits(mask):
+            leave |= self.tail[v]
+            enter |= self.head[v]
         return leave & ~enter
 
     def at_least(self, mask, t, arcs):
@@ -325,13 +316,14 @@ class _CutSolver:
             return False
         return _has_matching(self, arcs, t)
 
-    def matching(self, mask, t=0) -> InducedMatching:
-        """An induced matching among the edges leaving `mask`, its edges in
-        sorted order, from `_search` with threshold t: a maximum one with
-        t = 0, and with t > 0 the first one of t edges, which is a maximum
-        one where t is the cut's value."""
+    def matching(self, mask, arcs, t=0) -> InducedMatching:
+        """An induced matching among the edges leaving `mask`, whose arcs
+        are `arcs` (`cut_arcs`), its edges in sorted order, from `_search`
+        with threshold t: a maximum one with t = 0, and with t > 0 the
+        first one of t edges, which is a maximum one where t is the cut's
+        value."""
         edges = self.edges
-        arcs = sorted(self._search(self.cut_arcs(mask), t))
+        arcs = sorted(self._search(arcs, t))
         return InducedMatching(mask_to_set(mask), tuple(edges[i >> 1] for i in arcs))
 
     def _search(self, arcs, t=0):
@@ -413,7 +405,8 @@ def max_induced_matching_cut(g: Graph, a) -> InducedMatching:
     side = _vertices(g, a)
     if side is None:
         raise InvalidParameter(f"side {a!r} has a vertex that is not an int in [0,{g.n})")
-    return _CutSolver(g).matching(set_to_mask(side))
+    cs, mask = _CutSolver(g), set_to_mask(side)
+    return cs.matching(mask, cs.cut_arcs(mask))
 
 
 def _critical(cs, decomposition, width):
@@ -432,8 +425,9 @@ def _critical(cs, decomposition, width):
         lambda a, b: (a[0] | b[0], a[1] | b[1], a[2] | b[2]),
     )
     for mask, out, into in nodes:
-        if cs.at_least(mask, width, out & ~into):
-            matching = cs.matching(mask, width)  # the tree bounds the cut by width
+        arcs = out & ~into
+        if cs.at_least(mask, width, arcs):
+            matching = cs.matching(mask, arcs, width)  # the tree bounds the cut by width
             return Cut(matching.a_side), matching
 
 

@@ -3,6 +3,7 @@ solver code paths."""
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -136,7 +137,7 @@ def table_mimw(g):
         def cut_value(s):
             key = min(s, full ^ s)
             if key not in cuts:
-                cuts[key] = len(cs.matching(s).edges)
+                cuts[key] = len(cs.matching(s, cs.cut_arcs(s)).edges)
             return cuts[key]
 
         # Every proper submask of s is smaller than s, so ascending order
@@ -209,7 +210,7 @@ def postorder_critical(cs, decomposition, width):
     for a in subtree_leaf_sets(decomposition):
         mask = set_to_mask(a)
         if cs.at_least(mask, width, cs.cut_arcs(mask)):
-            return Cut(a), cs.matching(mask, width)
+            return Cut(a), cs.matching(mask, cs.cut_arcs(mask), width)
 
 
 def search_at_least(self, mask, t, arcs):
@@ -409,6 +410,77 @@ def brute_is_comparability(g):
     return False
 
 
+def pair_scan_complement(g):
+    """`graph.complement` by testing every vertex pair against the edge set."""
+    from mimlab.graph import Graph
+
+    edges = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if (u, v) not in g.edges
+    ]
+    return Graph(g.n, edges)
+
+
+def pair_set_is_comparability(g):
+    """`recognize.is_comparability` on sets of vertex pairs, as
+    (verdict, certificate): each implication class is a pair set closed
+    by a stack of forced arcs, every arc taken from the stack lists all
+    the arcs it forces, and the orientation is the sorted union of the
+    classes."""
+    from mimlab.graph import _bits
+
+    nbr = list(g.nbr_masks)
+    orientation = []
+    for u, v in sorted(g.edges):
+        if not nbr[u] >> v & 1:
+            continue
+        cls = {(u, v)}
+        todo = [(u, v)]
+        while todo:
+            a, b = todo.pop()
+            # ab forces ac when bc is no remaining edge, and cb when ca is none.
+            forced = [(a, c) for c in _bits(nbr[a] & ~nbr[b] & ~(1 << b))]
+            forced += [(c, b) for c in _bits(nbr[b] & ~nbr[a] & ~(1 << a))]
+            for x, y in forced:
+                if (y, x) in cls:
+                    return False, {"kind": "no_transitive_orientation"}
+                if (x, y) not in cls:
+                    cls.add((x, y))
+                    todo.append((x, y))
+        for a, b in cls:
+            nbr[a] &= ~(1 << b)
+            nbr[b] &= ~(1 << a)
+        orientation += cls
+    orientation.sort()
+    return True, {"kind": "transitive_orientation", "orientation": [list(e) for e in orientation]}
+
+
+def pair_set_is_co_comparability(g):
+    """`recognize.is_co_comparability` from the two pair-set oracles."""
+    verdict, cert = pair_set_is_comparability(pair_scan_complement(g))
+    return verdict, dict(cert, kind="complement_" + cert["kind"])
+
+
+def pair_set_transitive(g, orientation):
+    """`check.verify_transitive_orientation` on a set of directed pairs:
+    one direction per edge of g, and every directed 2-path a->b->c closed
+    by a->c, looked up through a successor dict of sets."""
+    from mimlab.check import _pairs
+
+    directed = _pairs(g, orientation)
+    if directed is None:
+        return False
+    directed = set(directed)
+    if len(directed) != g.m or {(a, b) if a < b else (b, a) for a, b in directed} != g.edges:
+        return False
+    succ = {}
+    for a, b in directed:
+        succ.setdefault(a, set()).add(b)
+    return all((a, c) in directed for a, b in directed for c in succ.get(b, ()))
+
+
 def enumerate_cycles(g, min_len=3):
     """All simple cycles, each exactly once, as canonical vertex tuples:
     smallest vertex first and second entry smaller than last."""
@@ -510,6 +582,18 @@ def linear_sun_shrink(nbr, stuck):
         links = nbr[v] & (stuck if deg2 & cur else deg2) & ~prev
         prev, cur = cur, links & -links
     return cyc
+
+
+def seeded_graphs(count=3000, max_n=11, seed=47):
+    """`count` random graphs, each with n drawn from 0..max_n and an edge
+    density drawn from [0, 1)."""
+    from mimlab.graph import Graph
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        p = rng.random()
+        yield Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
 
 
 def all_graphs(n):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, reference_degeneracy
+from conftest import all_graphs, pair_scan_complement, reference_degeneracy, seeded_graphs
 from mimlab.check import verify_cycle
 from mimlab.errors import GraphFormatError, InvalidParameter, LimitExceeded, OddCycleFound
 from mimlab.graph import (
@@ -206,6 +206,12 @@ class TestComplement:
     @settings(max_examples=50, deadline=None)
     def test_involution(self, g):
         assert complement(complement(g)) == g
+
+    def test_matches_pair_scan(self):
+        # The masks' complement against a test of every vertex pair.
+        for g in seeded_graphs():
+            h, expect = complement(g), pair_scan_complement(g)
+            assert (h, h.nbr_masks) == (expect, expect.nbr_masks), g.edges
 
 
 class TestSubdivide:

@@ -11,6 +11,10 @@ from conftest import (
     brute_is_strongly_chordal,
     enumerate_cycles,
     linear_sun_shrink,
+    pair_set_is_co_comparability,
+    pair_set_is_comparability,
+    pair_set_transitive,
+    seeded_graphs,
     sweep_eliminate,
 )
 from mimlab import recognize
@@ -461,6 +465,81 @@ class TestCoComparability:
         assert verify_transitive_orientation(
             complement(complete(5)), r.certificate["orientation"]
         )
+
+
+class TestPairSetOracles:
+    """The mask G-decomposition and checker against the pair-set ones."""
+
+    def test_recognizers_match(self):
+        positive = negative = 0
+        for g in seeded_graphs():
+            for h in (g, complement(g)):
+                r = is_comparability(h)
+                assert (r.verdict, r.certificate) == pair_set_is_comparability(h), h.edges
+                r = is_co_comparability(h)
+                assert (r.verdict, r.certificate) == pair_set_is_co_comparability(h), h.edges
+                positive += r.verdict
+                negative += not r.verdict
+        assert positive > 1000 and negative > 500
+
+    def test_checker_matches(self):
+        rng = random.Random(48)
+        verdicts = []
+
+        def compare(g, orientation):
+            rng.shuffle(orientation)
+            if rng.random() < 0.5:
+                orientation = [list(e) for e in orientation]
+            got = verify_transitive_orientation(g, orientation)
+            assert got == pair_set_transitive(g, orientation), (g.edges, orientation)
+            verdicts.append(got)
+
+        while len(verdicts) < 20000:
+            n = rng.randint(1, 11)
+            g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+            compare(g, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges])
+            # Transitive: the closure of random arcs forward along a random
+            # linear order; its graph is their comparability graph.
+            order = rng.sample(range(n), n)
+            p = rng.random()
+            later = {}  # vertex -> what it reaches
+            for i in reversed(range(n)):
+                later[order[i]] = set()
+                for w in order[i + 1 :]:
+                    if rng.random() < p:
+                        later[order[i]] |= {w} | later[w]
+            arcs = [(a, b) for a in range(n) for b in later[a]]
+            g = Graph(n, arcs)
+            compare(g, list(arcs))
+            if arcs:
+                i = rng.randrange(len(arcs))
+                a, b = arcs[i]
+                compare(g, arcs + [(b, a)])  # one arc added in reverse
+                compare(g, arcs[:i] + arcs[i + 1 :])  # one arc dropped
+                compare(g, arcs[:i] + [(b, a)] + arcs[i + 1 :])  # one arc flipped
+            missing = [
+                (u, v) for u in range(n) for v in range(n) if u != v and not g.has_edge(u, v)
+            ]
+            if missing:
+                compare(g, arcs + [rng.choice(missing)])  # a non-edge added
+        assert 2000 < sum(verdicts) < len(verdicts) - 2000
+
+    def test_complete_graph_walks_each_arc_once(self, monkeypatch):
+        # Once the first classes of K_n are removed the later ones grow, and
+        # a walk that lists again every arc its class already holds yields
+        # about n^3 / 3 vertices (68,440 at n = 60).
+        yielded = 0
+
+        def counting(mask):
+            nonlocal yielded
+            for v in _bits(mask):
+                yielded += 1
+                yield v
+
+        monkeypatch.setattr(recognize, "_bits", counting)
+        g = complete(60)
+        assert is_comparability(g).verdict
+        assert yielded <= 2 * g.m
 
 
 class TestClassHierarchy:
